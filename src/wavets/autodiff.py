@@ -1,12 +1,15 @@
 """Minimal reverse-mode automatic differentiation on numpy buffers.
 
 A :class:`Tensor` wraps a float64 array plus an optional gradient buffer.
-Every operation records its inputs and a backward closure on the result,
-so the implicit tape is just the DAG of live tensors; ``backward()`` on a
-scalar walks it once in reverse topological order. Only the handful of op
-kinds the forecasters need exist here - dense affine maps, ReLU, softmax,
-elementwise arithmetic with broadcasting, axis swaps, the (fixed, linear)
-wavelet analysis/synthesis pair, and mean-squared-error reduction.
+An operation with at least one input that needs a gradient records its
+inputs and a backward closure on the result, so the implicit tape is just
+the DAG of live tensors; ``backward()`` on a scalar walks it once in
+reverse topological order. An operation on constants records nothing, and
+a backward closure forms no gradient for an input that needs none. Only
+the handful of op kinds the forecasters need exist here - dense affine
+maps, ReLU, softmax, elementwise arithmetic with broadcasting, reshapes
+and axis swaps, the (fixed, linear) wavelet analysis/synthesis pair, and
+mean-squared-error reduction.
 
 Gradients accumulate (``+=``) so shared subexpressions are handled; the
 tape is single-threaded per forward/backward pass, while distinct model
@@ -61,8 +64,6 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accumulate(self, g: Array) -> None:
-        if not self._needs_grad():
-            return
         if self.grad is None:
             # copy: backward closures may hand us views of their own buffers
             self.grad = np.array(g, dtype=np.float64)
@@ -136,6 +137,13 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
+def _record(data, parents: tuple[Tensor, ...], backward: Callable[[Array], None]) -> Tensor:
+    """An op's result: on the tape only if some input needs a gradient."""
+    if any(p._needs_grad() for p in parents):
+        return Tensor(data, _parents=parents, _backward=backward)
+    return Tensor(data)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     extra = grad.ndim - len(shape)
@@ -151,47 +159,55 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a._needs_grad():
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b._needs_grad():
+            b._accumulate(_unbroadcast(g, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _record(out_data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
+        if a._needs_grad():
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b._needs_grad():
+            b._accumulate(_unbroadcast(-g, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _record(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a._needs_grad():
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b._needs_grad():
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _record(out_data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
+        if a._needs_grad():
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b._needs_grad():
+            b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _record(out_data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         a._accumulate(-g)
 
-    return Tensor(-a.data, _parents=(a,), _backward=backward)
+    return _record(-a.data, (a,), backward)
 
 
 def matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -201,12 +217,14 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     out_data = x.data @ w.data
 
     def backward(g: Array) -> None:
-        x._accumulate(g @ w.data.T)
-        flat_x = x.data.reshape(-1, x.shape[-1])
-        flat_g = g.reshape(-1, w.shape[-1])
-        w._accumulate(flat_x.T @ flat_g)
+        if x._needs_grad():
+            x._accumulate(g @ w.data.T)
+        if w._needs_grad():
+            flat_x = x.data.reshape(-1, x.shape[-1])
+            flat_g = g.reshape(-1, w.shape[-1])
+            w._accumulate(flat_x.T @ flat_g)
 
-    return Tensor(out_data, _parents=(x, w), _backward=backward)
+    return _record(out_data, (x, w), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -224,7 +242,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         x._accumulate(g * mask)
 
-    return Tensor(np.where(mask, x.data, 0.0), _parents=(x,), _backward=backward)
+    return _record(np.where(mask, x.data, 0.0), (x,), backward)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -239,7 +257,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         inner = (g * out_data).sum(axis=-1, keepdims=True)
         x._accumulate((g - inner) * out_data)
 
-    return Tensor(out_data, _parents=(x,), _backward=backward)
+    return _record(out_data, (x,), backward)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -249,7 +267,7 @@ def mean(x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         x._accumulate(np.full_like(x.data, float(g) / size))
 
-    return Tensor(x.data.mean(), _parents=(x,), _backward=backward)
+    return _record(x.data.mean(), (x,), backward)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -269,7 +287,16 @@ def swap_last2(x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         x._accumulate(np.swapaxes(g, -1, -2))
 
-    return Tensor(np.swapaxes(x.data, -1, -2), _parents=(x,), _backward=backward)
+    return _record(np.swapaxes(x.data, -1, -2), (x,), backward)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``x`` with a new shape of the same size, e.g. (N,) -> (N, 1) to broadcast per row."""
+
+    def backward(g: Array) -> None:
+        x._accumulate(g.reshape(x.shape))
+
+    return _record(x.data.reshape(shape), (x,), backward)
 
 
 def slice_lastdim(x: Tensor, index: int) -> Tensor:
@@ -280,7 +307,7 @@ def slice_lastdim(x: Tensor, index: int) -> Tensor:
         full[..., index : index + 1] = g
         x._accumulate(full)
 
-    return Tensor(x.data[..., index : index + 1], _parents=(x,), _backward=backward)
+    return _record(x.data[..., index : index + 1], (x,), backward)
 
 
 def dwt_pair(x: Tensor, bank: wavelet.FilterBank) -> tuple[Tensor, Tensor]:
@@ -297,9 +324,7 @@ def dwt_pair(x: Tensor, bank: wavelet.FilterBank) -> tuple[Tensor, Tensor]:
     def backward_detail(g: Array) -> None:
         x._accumulate(wavelet.synthesize_band(g, bank.high_pass))
 
-    approx = Tensor(approx_data, _parents=(x,), _backward=backward_approx)
-    detail = Tensor(detail_data, _parents=(x,), _backward=backward_detail)
-    return approx, detail
+    return _record(approx_data, (x,), backward_approx), _record(detail_data, (x,), backward_detail)
 
 
 def idwt_pair(approx: Tensor, detail: Tensor, bank: wavelet.FilterBank) -> Tensor:
@@ -308,10 +333,12 @@ def idwt_pair(approx: Tensor, detail: Tensor, bank: wavelet.FilterBank) -> Tenso
 
     def backward(g: Array) -> None:
         g_approx, g_detail = wavelet.dwt_arrays(g, bank)
-        approx._accumulate(g_approx)
-        detail._accumulate(g_detail)
+        if approx._needs_grad():
+            approx._accumulate(g_approx)
+        if detail._needs_grad():
+            detail._accumulate(g_detail)
 
-    return Tensor(out_data, _parents=(approx, detail), _backward=backward)
+    return _record(out_data, (approx, detail), backward)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

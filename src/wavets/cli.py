@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -134,10 +135,20 @@ def _write_gate_report(cfg: RunConfig, mcfg, params, path: Path) -> None:
 
 
 def make_run_dir(cfg: RunConfig) -> Path:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    path = Path(cfg.out) / f"{stamp}-{config_hash(cfg)}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """A fresh directory named by start second and config hash.
+
+    Identical runs started in the same second get numeric suffixes, so no
+    run writes into another's directory.
+    """
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    base = Path(cfg.out) / f"{time.strftime('%Y%m%d-%H%M%S')}-{config_hash(cfg)}"
+    path = base
+    for suffix in itertools.count(1):
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            path = base.with_name(f"{base.name}-{suffix}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """WaveTS model family: variants assembled from the transform, RevIN,
 the autodiff ops, and (for the M variant) the mixture of experts.
 
-All variants share one pipeline: per-window normalization, one-level
-wavelet split of each channel's lookback, half-length linear heads, a
-delta-weighted fusion of the high-frequency prediction, and inverse
-normalization. Variants differ only in which heads exist and how the
-low-frequency band is mapped:
+All variants share one pipeline: a one-level wavelet split of each
+channel's lookback, per-window normalization of the two bands (statistics
+from the bands by Parseval, the affine applied to the bands), half-length
+linear heads, a delta-weighted fusion of the high-frequency prediction,
+and inverse normalization. The split and the statistics are fixed
+functions of the input, so they stay off the autodiff tape; only the
+band-domain affine and what follows it record gradients. Variants differ
+only in which heads exist and how the low-frequency band is mapped:
 
   B   low-pass linear head + delta * high-pass linear head
   S   low-pass head only (no delta parameter)
@@ -41,7 +44,7 @@ from .autodiff import (
     swap_last2,
 )
 from .exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError
-from .revin import revin_forward, revin_inverse
+from .revin import RevinState, revin_forward, revin_inverse
 from .wavelet import get_bank
 
 VARIANTS = ("B", "S", "M", "I", "LF", "HF")
@@ -203,21 +206,29 @@ def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor) -> Tenso
     return linear(band, params["lf.weight"], params["lf.bias"])
 
 
-def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
-    """Predict (B, S, N) from a lookback batch (B, L, N)."""
-    x_tensor = x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=np.float64))
-    if x_tensor.ndim != 3 or x_tensor.shape[1] != cfg.lookback or x_tensor.shape[2] != cfg.channels:
+def _prologue(
+    cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray
+) -> tuple[Tensor, Tensor, RevinState]:
+    """Normalized, affine-mapped (B, N, L/2) bands of a (B, L, N) lookback batch.
+
+    The lookback is a constant: it is copied channel-major once and split
+    off the tape, so backward stops at the band-domain affine.
+    """
+    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
         raise ShapeMismatchError(
-            f"input shape {x_tensor.shape} does not match (B, {cfg.lookback}, {cfg.channels})"
+            f"input shape {x.shape} does not match (B, {cfg.lookback}, {cfg.channels})"
         )
     _check_params(cfg, params)
-    bank = get_bank(cfg.bank)
+    per_channel = constant(np.ascontiguousarray(np.swapaxes(x, 1, 2)))  # (B, N, L)
+    bands = dwt_pair(per_channel, get_bank(cfg.bank))
+    (approx, detail), state = revin_forward(bands, params.get("revin.gain"), params.get("revin.bias"))
+    return approx, detail, state
 
-    gain = params.get("revin.gain")
-    bias = params.get("revin.bias")
-    normalized, state = revin_forward(x_tensor, gain, bias)
-    per_channel = swap_last2(normalized)  # (B, N, L)
-    approx, detail = dwt_pair(per_channel, bank)  # (B, N, L/2)
+
+def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
+    """Predict (B, S, N) from a lookback batch (B, L, N)."""
+    approx, detail, state = _prologue(cfg, params, x)
 
     if cfg.variant in ("S", "LF"):
         fused = _lf_head(cfg, params, approx)
@@ -236,7 +247,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     else:  # variant I: predict per band at half horizon, fuse by synthesis
         low = linear(approx, params["lf.weight"], params["lf.bias"])
         high = linear(detail, params["hf.weight"], params["hf.bias"])
-        fused = idwt_pair(low, mul(_delta(cfg, params), high), bank)
+        fused = idwt_pair(low, mul(_delta(cfg, params), high), get_bank(cfg.bank))
 
     return revin_inverse(swap_last2(fused), state)
 
@@ -247,20 +258,9 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
 
 
 def low_frequency_band(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """The normalized (B, N, L/2) approximation band the low-pass head sees.
-
-    Plain-numpy replica of the forward prologue, used for gate diagnostics.
-    """
-    from .revin import compute_stats
-    from .wavelet import dwt_arrays
-
-    x = np.asarray(x, dtype=np.float64)
-    mean, std = compute_stats(x)
-    normalized = (x - mean[:, None, :]) / std[:, None, :]
-    if "revin.gain" in params:
-        normalized = normalized * params["revin.gain"].data + params["revin.bias"].data
-    approx, _ = dwt_arrays(np.swapaxes(normalized, -1, -2), get_bank(cfg.bank))
-    return approx
+    """The normalized (B, N, L/2) approximation band the low-pass head sees,
+    from the same prologue as :func:`forward`; used for gate diagnostics."""
+    return _prologue(cfg, params, x)[0].data
 
 
 def loss_and_grads(

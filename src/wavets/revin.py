@@ -1,21 +1,41 @@
-"""Reversible per-instance, per-channel normalization.
+"""Reversible per-instance, per-channel normalization, applied to wavelet bands.
 
 Statistics (population mean and std, eps under the square root) are
 computed from the lookback window only, so no future value can leak into
 them; predictions are denormalized with the same statistics. The optional
 affine pair (gain, bias) is learnable and serializes with the model.
+
+The forward pass works on the one-level orthonormal periodic DWT of the
+lookback rather than on the lookback itself. Every supported low-pass sums
+to sqrt(2) with equal even and odd halves and the high-pass sums to zero,
+so the transform of a constant c is (sqrt(2)*c, 0), and Parseval gives the
+statistics from the bands alone:
+
+  mean = sqrt(2) * sum(A) / L
+  var  = (sum((A - sqrt(2)*mean)^2) + sum(D^2)) / L
+
+(the two-pass form: the mean is taken out before squaring). The same
+identities move the per-channel affine into the band domain:
+
+  A' = gain * A_n + sqrt(2) * bias,   D' = gain * D_n
+
+which equals the transform of the time-domain ``gain * x_n + bias``.
+:func:`compute_stats` keeps the time-domain definition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, constant, div, mul, sub
+from .autodiff import Tensor, add, constant, div, mul, reshape, sub
 from .exceptions import DegenerateWindowError, ZeroGainError
 
 DEFAULT_EPS = 1e-5
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -39,21 +59,32 @@ def compute_stats(values: np.ndarray, eps: float = DEFAULT_EPS) -> tuple[np.ndar
 
 
 def revin_forward(
-    x: Tensor | np.ndarray,
+    bands: tuple[Tensor | np.ndarray, Tensor | np.ndarray],
     gain: Tensor | None = None,
     bias: Tensor | None = None,
     eps: float = DEFAULT_EPS,
-) -> tuple[Tensor, RevinState]:
-    """Normalize (B, L, N) per instance and channel; returns output + state."""
-    x_tensor = x if isinstance(x, Tensor) else constant(x)
-    mean, std = compute_stats(x_tensor.data, eps)
-    normalized = (x_tensor.data - mean[:, None, :]) / std[:, None, :]
-    out = constant(normalized)
+) -> tuple[tuple[Tensor, Tensor], RevinState]:
+    """Normalize the (approx, detail) bands, each (B, N, L/2), of a lookback.
+
+    Returns the normalized, affine-mapped band pair and the time-domain
+    statistics that :func:`revin_inverse` needs.
+    """
+    approx, detail = (b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64) for b in bands)
+    length = 2 * approx.shape[-1]
+    if length < 2:
+        raise DegenerateWindowError(f"need at least 2 time steps, got {length}")
+    mean = _SQRT2 * approx.sum(axis=-1) / length
+    centered = approx - _SQRT2 * mean[..., None]
+    var = (np.square(centered).sum(axis=-1) + np.square(detail).sum(axis=-1)) / length
+    std = np.sqrt(var + eps)
+    out_a = constant(centered / std[..., None])
+    out_d = constant(detail / std[..., None])
     if gain is not None:
-        out = mul(out, gain)
+        gain_col = reshape(gain, gain.shape + (1,))  # (N, 1) broadcasts over (B, N, L/2)
+        out_a, out_d = mul(out_a, gain_col), mul(out_d, gain_col)
     if bias is not None:
-        out = add(out, bias)
-    return out, RevinState(mean=mean, std=std, eps=eps, gain=gain, bias=bias)
+        out_a = add(out_a, mul(reshape(bias, bias.shape + (1,)), constant(_SQRT2)))
+    return (out_a, out_d), RevinState(mean=mean, std=std, eps=eps, gain=gain, bias=bias)
 
 
 def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:

@@ -70,20 +70,6 @@ def evaluate_mse(
     return total_sq / count
 
 
-def predict_all(
-    cfg: ModelConfig,
-    params: dict[str, Tensor],
-    sampler: WindowSampler,
-    batch_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated (pred, true) over the sampler, in origin order."""
-    preds, trues = [], []
-    for batch in sampler.batches(batch_size):
-        preds.append(forward(cfg, params, batch.x).data)
-        trues.append(batch.y)
-    return np.concatenate(preds), np.concatenate(trues)
-
-
 def train_model(
     cfg: ModelConfig,
     train_split: Series,

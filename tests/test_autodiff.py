@@ -179,6 +179,36 @@ def test_gradient_accumulates_through_shared_subexpression():
     assert np.allclose(x.grad, [12.0], atol=1e-12)
 
 
+def test_ops_on_constants_record_no_parents():
+    rng = np.random.default_rng(7)
+    a, b = ad.constant(rng.normal(size=(2, 4))), ad.constant(rng.normal(size=(2, 4)) + 3.0)
+    w = ad.constant(rng.normal(size=(4, 3)))
+    bank = wv.get_bank("d4")
+    results = [
+        ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b), ad.neg(a),
+        ad.matmul(a, w), ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
+        ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
+        ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), *ad.dwt_pair(a, bank),
+        ad.idwt_pair(a, b, bank),
+    ]
+    for out in results:
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+
+
+def test_constant_inputs_get_no_gradient():
+    rng = np.random.default_rng(8)
+    x = ad.constant(rng.normal(size=(2, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    gain = ad.Tensor(rng.normal(size=2), requires_grad=True)
+    scaled = ad.mul(x, ad.reshape(gain, (2, 1)))
+    ad.mean(ad.matmul(scaled, w)).backward()
+    assert x.grad is None
+    assert w.grad is not None and gain.grad is not None
+    # d/dgain_i mean(diag(gain) x w) = sum_j (x w)[i, j] / size
+    assert np.allclose(gain.grad, (x.data @ w.data).sum(axis=1) / 6, atol=1e-15)
+
+
 def test_backward_requires_scalar():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeMismatchError):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wavets import data
-from wavets.cli import main
+from wavets.cli import main, make_run_dir
+from wavets.config import RunConfig
 from wavets.evaluation import read_reports_csv
 
 TINY_TRAIN = [
@@ -23,6 +24,16 @@ TINY_TRAIN = [
 
 def run_dirs(out):
     return sorted(p for p in Path(out).iterdir() if p.is_dir())
+
+
+def test_same_second_runs_get_separate_directories(tmp_path, monkeypatch):
+    monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")
+    cfg = RunConfig(out=str(tmp_path / "runs"))
+    first, second, third = (make_run_dir(cfg) for _ in range(3))
+    assert len({first, second, third}) == 3
+    assert run_dirs(tmp_path / "runs") == sorted([first, second, third])
+    assert first.name.startswith("20260101-000000-")
+    assert second.name == first.name + "-1" and third.name == first.name + "-2"
 
 
 def test_train_writes_artifacts(tmp_path, capsys):

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from wavets import autodiff as ad
+from wavets import model as model_mod
+from wavets import moe as moe_mod
+from wavets import wavelet as wv
+from wavets.data import synth
 from wavets.exceptions import (
     ConfigMismatchError,
     InvalidConfigError,
@@ -20,6 +25,8 @@ from wavets.model import (
 )
 from wavets.moe import MoEConfig
 from wavets.optim import Adam
+from wavets.revin import RevinState, compute_stats
+from wavets.training import TrainSettings, train_model
 
 from conftest import max_rel_err, numeric_grad
 
@@ -324,3 +331,82 @@ def test_variant_i_matches_independent_trace():
     want = np.swapaxes(fused, 1, 2) * std + mean
 
     assert np.max(np.abs(predict(cfg, params, x) - want)) < 1e-12
+
+
+def _time_domain_prologue(cfg, params, x):
+    """Reference prologue: time-domain RevIN on the tape, swap, then the DWT."""
+    mean, std = compute_stats(x)
+    out = ad.constant((x - mean[:, None, :]) / std[:, None, :])
+    gain, bias = params.get("revin.gain"), params.get("revin.bias")
+    if gain is not None:
+        out = ad.add(ad.mul(out, gain), bias)
+    approx, detail = ad.dwt_pair(ad.swap_last2(out), wv.get_bank(cfg.bank))
+    return approx, detail, RevinState(mean=mean, std=std, eps=1e-5, gain=gain, bias=bias)
+
+
+@pytest.mark.parametrize("bank", wv.BANK_NAMES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
+    cfg = tiny_config(variant, lookback=16, horizon=8, channels=3, bank=bank)
+    rng = np.random.default_rng(30)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(4, 16, 3)) * 3.0 + 20.0
+    y = rng.normal(size=(4, 8, 3)) * 3.0 + 20.0
+
+    pred = predict(cfg, params, x)
+    loss, grads = loss_and_grads(cfg, params, x, y)
+    monkeypatch.setattr(model_mod, "_prologue", _time_domain_prologue)
+    pred_ref = predict(cfg, params, x)
+    loss_ref, grads_ref = loss_and_grads(cfg, params, x, y)
+
+    assert np.max(np.abs(pred - pred_ref)) < 1e-10
+    assert abs(loss - loss_ref) < 1e-10
+    for name, grad in grads_ref.items():
+        assert np.any(grad != 0), name
+        assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
+
+
+@pytest.mark.parametrize("variant", ["B", "M"])
+def test_training_never_synthesizes(monkeypatch, variant):
+    calls = []
+    real = wv.synthesize_band
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(wv, "synthesize_band", counted)
+    # the counter sees the transform's backward whenever it runs
+    x = ad.Tensor(np.ones((1, 4)), requires_grad=True)
+    ad.mean(ad.dwt_pair(x, wv.get_bank("haar"))[0]).backward()
+    assert len(calls) == 1
+
+    calls.clear()
+    cfg = tiny_config(variant)
+    series = synth("sine_mix", 80, cfg.channels, seed=0)
+    settings = TrainSettings(batch_size=8, max_epochs=1)
+    result = train_model(cfg, series, series, settings)
+    assert result.epochs_trained == 1
+    assert calls == []
+
+
+def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
+    cfg = tiny_config("M", bank="d4")
+    rng = np.random.default_rng(31)
+    params = init_params(cfg, rng)
+    params["revin.gain"].data = rng.uniform(0.5, 2.0, size=2)
+    params["revin.bias"].data = rng.normal(size=2)
+    x = rng.normal(size=(3, 8, 2)) + 5.0
+    seen = []
+    real = moe_mod.moe_forward
+
+    def spy(params, cfg, band, prefix=""):
+        seen.append(band.data.copy())
+        return real(params, cfg, band, prefix=prefix)
+
+    monkeypatch.setattr(moe_mod, "moe_forward", spy)
+    predict(cfg, params, x)
+    (gate_input,) = seen
+    assert np.array_equal(model_mod.low_frequency_band(cfg, params, x), gate_input)
