@@ -11,14 +11,16 @@ maps, ReLU, softmax, elementwise arithmetic with broadcasting, reshapes
 and axis swaps, the (fixed, linear) wavelet analysis/synthesis pair, and
 mean-squared-error reduction.
 
-Gradients accumulate (``+=``) so shared subexpressions are handled; the
-tape is single-threaded per forward/backward pass, while distinct model
-instances may run concurrently.
+Gradients accumulate by addition so shared subexpressions are handled.
+The first gradient a tensor receives is kept as handed over, and a later
+one is added into a new array, so a buffer the closures share is never
+written. The tape is single-threaded per forward/backward pass, while
+distinct model instances may run concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -64,11 +66,9 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            # copy: backward closures may hand us views of their own buffers
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        # Kept without a copy and never added to in place: closures may hand
+        # one buffer, or views of it, to several tensors.
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar result, accumulating into ``.grad``."""
@@ -339,8 +339,3 @@ def idwt_pair(approx: Tensor, detail: Tensor, bank: wavelet.FilterBank) -> Tenso
             detail._accumulate(g_detail)
 
     return _record(out_data, (approx, detail), backward)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()

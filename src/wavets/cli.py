@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from . import model as model_mod
 from . import wavelet
 from .config import RunConfig, add_config_arguments, config_hash, resolve_config, write_config
 from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
-from .training import evaluate_model, train_model
+from .optim import Adam
+from .training import evaluate_model, train_model, train_step
 
 PROG = "wavets"
 
@@ -55,11 +57,17 @@ def prepare_splits(cfg: RunConfig, series: data_mod.Series):
     return train_v, val_v, test_v
 
 
-def run_one_seed(cfg: RunConfig, seed: int, measure_infer: bool = True) -> tuple[ev.RunReport, dict, model_mod.ModelConfig, dict]:
-    """Train + evaluate one seed; returns (report, details, model cfg, params)."""
-    series, dataset_name = load_series(cfg)
-    train_v, val_v, test_v = prepare_splits(cfg, series)
-    mcfg = cfg.model_config(series.channels)
+def run_one_seed(
+    cfg: RunConfig,
+    seed: int,
+    splits: tuple[data_mod.Series, data_mod.Series, data_mod.Series],
+    dataset_name: str,
+    measure_infer: bool = True,
+) -> tuple[ev.RunReport, dict, model_mod.ModelConfig, dict]:
+    """Train + evaluate one seed on :func:`prepare_splits` output; returns
+    (report, details, model cfg, params)."""
+    train_v, val_v, test_v = splits
+    mcfg = cfg.model_config(train_v.channels)
     result = train_model(mcfg, train_v, val_v, cfg.train_settings(), seed)
     metrics = evaluate_model(mcfg, result.params, test_v, cfg.batch_size)
 
@@ -69,7 +77,7 @@ def run_one_seed(cfg: RunConfig, seed: int, measure_infer: bool = True) -> tuple
         variant=cfg.variant,
         lookback=cfg.lookback,
         horizon=cfg.horizon,
-        channels=series.channels,
+        channels=train_v.channels,
         bank=cfg.bank,
         seed=seed,
         mse=metrics["mse"],
@@ -84,20 +92,22 @@ def run_one_seed(cfg: RunConfig, seed: int, measure_infer: bool = True) -> tuple
         per_horizon_mae=metrics["per_horizon_mae"],
         hardware=ev.hardware_note(),
     )
-    if measure_infer and len(test_v.values) >= cfg.lookback + cfg.horizon:
-        sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
+    sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
+    if measure_infer:
         batch = sampler.gather(sampler.origins[:1])
         report.infer_time_ms = 1000.0 * ev.time_mean(
             lambda: model_mod.predict(mcfg, result.params, batch.x), repeats=100
         )
 
-    persistence = _persistence_metrics(test_v, cfg)
+    persistence = ev.accumulate_errors(
+        (ev.persistence_baseline(batch), batch.y) for batch in sampler.batches(cfg.batch_size)
+    )
     details = {
         "seed": seed,
         "history": [asdict(h) for h in result.history],
         "best_epoch": result.best_epoch,
         "metrics": metrics,
-        "persistence": persistence,
+        "persistence": {"mse": persistence["mse"], "mae": persistence["mae"]},
         "macs": {
             "linear_per_sample": macs.linear_per_sample,
             "transform_per_sample": macs.transform_per_sample,
@@ -109,28 +119,14 @@ def run_one_seed(cfg: RunConfig, seed: int, measure_infer: bool = True) -> tuple
     return report, details, mcfg, result.params
 
 
-def _persistence_metrics(test_v: data_mod.Series, cfg: RunConfig) -> dict:
-    sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
-    total_sq = total_abs = 0.0
-    count = 0
-    for batch in sampler.batches(cfg.batch_size):
-        pred = ev.persistence_baseline(batch)
-        total_sq += float(((pred - batch.y) ** 2).sum())
-        total_abs += float(np.abs(pred - batch.y).sum())
-        count += batch.y.size
-    return {"mse": total_sq / count, "mae": total_abs / count}
-
-
-def _write_gate_report(cfg: RunConfig, mcfg, params, path: Path) -> None:
+def _write_gate_report(cfg: RunConfig, mcfg, params, test_v: data_mod.Series, path: Path) -> None:
     """Channel-to-expert assignment diagnostics on the first test batch."""
     from . import moe as moe_mod
 
-    series, _ = load_series(cfg)
-    _, _, test_v = prepare_splits(cfg, series)
     sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
     batch = sampler.gather(sampler.origins[: cfg.batch_size])
     band = model_mod.low_frequency_band(mcfg, params, batch.x)
-    rows = moe_mod.gate_report(params, mcfg.moe, band, series.channel_names, prefix="moe.")
+    rows = moe_mod.gate_report(params, mcfg.moe, band, test_v.channel_names, prefix="moe.")
     moe_mod.write_gate_report_csv(rows, path, mcfg.moe.num_experts)
 
 
@@ -158,16 +154,18 @@ def make_run_dir(cfg: RunConfig) -> Path:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     seeds = cfg.seed_list()
+    series, dataset_name = load_series(cfg)
+    splits = prepare_splits(cfg, series)
     run_dir = make_run_dir(cfg)
     write_config(cfg, run_dir / "config.json")
 
     reports, all_details = [], []
     for seed in seeds:
-        report, details, mcfg, params = run_one_seed(cfg, seed)
+        report, details, mcfg, params = run_one_seed(cfg, seed, splits, dataset_name)
         suffix = "" if len(seeds) == 1 else f"_seed{seed}"
         model_mod.save_model(mcfg, params, run_dir / f"checkpoint{suffix}.json")
         if mcfg.moe is not None:
-            _write_gate_report(cfg, mcfg, params, run_dir / f"gates{suffix}.csv")
+            _write_gate_report(cfg, mcfg, params, splits[2], run_dir / f"gates{suffix}.csv")
         reports.append(report)
         all_details.append(details)
         print(
@@ -230,30 +228,47 @@ def _grid_cell_config(cfg: RunConfig, token: str) -> RunConfig:
     )
 
 
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    tokens = [t for t in (args.grid or "").split(",") if t.strip()]
+def _run_grid(
+    cfg: RunConfig,
+    key: str,
+    cells: list,
+    cell_config: Callable[[Any], RunConfig],
+    csv_name: str,
+    measure_infer: bool,
+) -> int:
+    """One training run per grid cell, on data loaded once, written to ``csv_name``.
+
+    ``cell_config(cell)`` gives each cell's config. A failed cell records an
+    ``error:<reason>`` row and the grid goes on.
+    """
+    series, dataset_name = load_series(cfg)
     run_dir = make_run_dir(cfg)
     write_config(cfg, run_dir / "config.json")
     rows = []
-    for token in tokens:
+    for cell in cells:
         try:
-            cell_cfg = _grid_cell_config(cfg, token)
-            report, details, _, _ = run_one_seed(cell_cfg, cell_cfg.seed)
-            rows.append(
-                {"cell": token, "status": "ok", **dict(zip(ev.RunReport.CSV_FIELDS, report.csv_row()))}
-            )
-            print(f"cell {token}: mse {report.mse:.6f} mae {report.mae:.6f}")
+            cell_cfg = cell_config(cell)
+            splits = prepare_splits(cell_cfg, series)
+            report, _, _, _ = run_one_seed(cell_cfg, cell_cfg.seed, splits, dataset_name, measure_infer)
+            rows.append({key: cell, "status": "ok", **dict(zip(ev.RunReport.CSV_FIELDS, report.csv_row()))})
+            print(f"{key} {cell}: mse {report.mse:.6f} mae {report.mae:.6f}")
         except WavetsError as exc:
-            rows.append({"cell": token, "status": f"error:{exc.reason}"})
-            print(f"cell {token}: failed ({exc.reason}: {exc})", file=sys.stderr)
-    header = ["cell", "status", *ev.RunReport.CSV_FIELDS]
-    with open(run_dir / "ablation.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, restval="")
+            rows.append({key: cell, "status": f"error:{exc.reason}"})
+            print(f"{key} {cell}: failed ({exc.reason}: {exc})", file=sys.stderr)
+    with open(run_dir / csv_name, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[key, "status", *ev.RunReport.CSV_FIELDS], restval="")
         writer.writeheader()
         writer.writerows(rows)
     print(f"artifacts: {run_dir}")
     return 0
+
+
+def cmd_ablate(args) -> int:
+    cfg = resolve_config(args)
+    tokens = [t for t in (args.grid or "").split(",") if t.strip()]
+    return _run_grid(
+        cfg, "cell", tokens, lambda token: _grid_cell_config(cfg, token), "ablation.csv", measure_infer=True
+    )
 
 
 _BAND_LABEL_APPROX = "approx"
@@ -336,10 +351,6 @@ def cmd_benchmark(args) -> int:
 
 
 def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: int):
-    from .autodiff import constant, mse_loss
-    from .model import forward, init_params
-    from .optim import Adam
-
     rng = np.random.default_rng(0)
     length = mcfg.lookback + mcfg.horizon + bench_windows
     series = data_mod.Series(
@@ -347,15 +358,12 @@ def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: i
         channel_names=[f"ch{i}" for i in range(mcfg.channels)],
     )
     sampler = data_mod.WindowSampler(series, mcfg.lookback, mcfg.horizon)
-    params = init_params(mcfg, 0)
+    params = model_mod.init_params(mcfg, 0)
     optimizer = Adam(params, lr=cfg.lr)
 
     def one_epoch():
         for batch in sampler.batches(cfg.batch_size):
-            optimizer.zero_grad()
-            loss = mse_loss(forward(mcfg, params, batch.x), constant(batch.y))
-            loss.backward()
-            optimizer.step()
+            train_step(mcfg, params, optimizer, batch)
 
     epoch_s = ev.time_mean(one_epoch, repeats=3)
     single = sampler.gather(sampler.origins[:1])
@@ -366,24 +374,9 @@ def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: i
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
-    run_dir = make_run_dir(cfg)
-    write_config(cfg, run_dir / "config.json")
-    rows = []
-    for length in lengths:
-        try:
-            cell_cfg = replace(cfg, lookback=length)
-            report, _, _, _ = run_one_seed(cell_cfg, cell_cfg.seed, measure_infer=False)
-            rows.append({"L": length, "mse": repr(report.mse), "mae": repr(report.mae), "status": "ok"})
-            print(f"L={length}: mse {report.mse:.6f} mae {report.mae:.6f}")
-        except WavetsError as exc:
-            rows.append({"L": length, "mse": "", "mae": "", "status": f"error:{exc.reason}"})
-            print(f"L={length}: failed ({exc.reason}: {exc})", file=sys.stderr)
-    with open(run_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["L", "mse", "mae", "status"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"artifacts: {run_dir}")
-    return 0
+    return _run_grid(
+        cfg, "L", lengths, lambda length: replace(cfg, lookback=length), "sweep.csv", measure_infer=False
+    )
 
 
 def cmd_synth(args) -> int:

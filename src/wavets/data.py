@@ -243,16 +243,14 @@ class WindowBatch:
 
 
 class WindowSampler:
-    """Stride-``stride`` sliding windows over a series.
+    """Stride-1 sliding windows over a series.
 
-    Exactly ``T - L - S + 1`` windows exist at stride 1; batches are cut
-    from a zero-copy sliding view, in deterministic order unless a shuffle
+    Exactly ``T - L - S + 1`` windows exist; batches are cut from a
+    zero-copy sliding view, in deterministic order unless a shuffle
     generator is supplied.
     """
 
-    def __init__(self, series: Series, lookback: int, horizon: int, stride: int = 1):
-        if stride < 1:
-            raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    def __init__(self, series: Series, lookback: int, horizon: int):
         total = series.length
         if total < lookback + horizon:
             raise SeriesTooShortError(
@@ -261,7 +259,7 @@ class WindowSampler:
         self.lookback = lookback
         self.horizon = horizon
         self.values = series.values
-        self.origins = np.arange(0, total - lookback - horizon + 1, stride)
+        self.origins = np.arange(total - lookback - horizon + 1)
         # (T - L + 1, L, N) view; row t is values[t : t + L].
         self._windows = np.lib.stride_tricks.sliding_window_view(
             series.values, lookback + horizon, axis=0
@@ -288,18 +286,6 @@ class WindowSampler:
             order = shuffle.permutation(order)
         for start in range(0, len(order), batch_size):
             yield self.gather(order[start : start + batch_size])
-
-
-def windows(
-    series: Series,
-    lookback: int,
-    horizon: int,
-    stride: int = 1,
-    batch_size: int = 32,
-    shuffle: np.random.Generator | None = None,
-) -> Iterator[WindowBatch]:
-    """Convenience wrapper over :class:`WindowSampler`."""
-    return WindowSampler(series, lookback, horizon, stride).batches(batch_size, shuffle)
 
 
 SYNTH_KINDS = ("sine_mix", "trend_sine", "noise_walk")

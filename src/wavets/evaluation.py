@@ -1,49 +1,61 @@
 """Metrics, parameter and MAC accounting, timing, and run reports.
 
-Parameter counts come from a closed form that must match the live tally
-of an instantiated model exactly. MAC accounting uses the usual reporting
-convention for lightweight forecasters: one multiply-accumulate per
-multiply, forward pass only, batch 32 for headline numbers. The headline
-``macs`` figure covers the linear layers (the model's learnable compute);
-the fixed wavelet transform is tracked separately as ``transform`` and
-included in ``total``.
+Parameter counts are the model's own parameter shapes, summed per block.
+MAC accounting uses the usual reporting convention for lightweight
+forecasters: one multiply-accumulate per multiply, forward pass only,
+batch 32 for headline numbers. The headline ``macs`` figure covers the
+linear layers (the model's learnable compute); the fixed wavelet
+transform is tracked separately as ``transform`` and included in
+``total``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import WindowBatch
 from .exceptions import InvalidConfigError, ShapeMismatchError
-from .model import ModelConfig
+from .model import ModelConfig, param_shapes
 from .wavelet import get_bank
 
 
-def mse(pred: np.ndarray, true: np.ndarray) -> float:
-    if pred.shape != true.shape:
-        raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
-    return float(np.mean((pred - true) ** 2))
+def accumulate_errors(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
+    """Stream (prediction, target) batches of shape (B, S, N) into the errors.
 
-
-def mae(pred: np.ndarray, true: np.ndarray) -> float:
-    if pred.shape != true.shape:
-        raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
-    return float(np.mean(np.abs(pred - true)))
-
-
-def per_horizon_errors(pred: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step-wise MSE/MAE over (B, S, N) predictions: two length-S vectors."""
-    if pred.shape != true.shape:
-        raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
-    diff = pred - true
-    return (diff**2).mean(axis=(0, 2)), np.abs(diff).mean(axis=(0, 2))
+    Per-step squared and absolute error sums accumulate batch by batch, so
+    no prediction outlives its batch (wide datasets would otherwise cost
+    gigabytes). Returns the window-weighted MSE and MAE, their per-horizon-
+    step breakdown and the window count.
+    """
+    sq_sum = abs_sum = 0.0
+    windows = channels = 0
+    for pred, true in pairs:
+        if pred.shape != true.shape:
+            raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
+        diff = pred - true
+        sq_sum = sq_sum + (diff**2).sum(axis=(0, 2))
+        abs_sum = abs_sum + np.abs(diff).sum(axis=(0, 2))
+        windows += true.shape[0]
+        channels = true.shape[2]
+    if not windows:
+        raise InvalidConfigError("no windows to score")
+    step_mse = sq_sum / (windows * channels)
+    step_mae = abs_sum / (windows * channels)
+    return {
+        "mse": float(step_mse.mean()),
+        "mae": float(step_mae.mean()),
+        "per_horizon_mse": [float(v) for v in step_mse],
+        "per_horizon_mae": [float(v) for v in step_mae],
+        "windows": windows,
+    }
 
 
 def persistence_baseline(batch: WindowBatch) -> np.ndarray:
@@ -58,34 +70,23 @@ class ParamCount:
     breakdown: dict[str, int]
 
 
-def count_params(cfg: ModelConfig) -> ParamCount:
-    """Closed-form learnable parameter count with a per-block breakdown.
+# Parameter-name prefix -> accounting block.
+_PARAM_BLOCKS = (
+    ("lf.", "lf_head"),
+    ("hf.", "hf_head"),
+    ("moe.gate.", "moe_gate"),
+    ("moe.expert", "moe_experts"),
+    ("delta", "delta"),
+    ("revin.", "revin_affine"),
+)
 
-    Must (and is tested to) equal the enumerated size of init_params(cfg).
-    """
-    half, horizon, channels = cfg.half, cfg.horizon, cfg.channels
+
+def count_params(cfg: ModelConfig) -> ParamCount:
+    """Learnable parameter count of ``param_shapes(cfg)``, summed by block."""
     breakdown: dict[str, int] = {}
-    if cfg.variant in ("B", "S", "LF"):
-        if cfg.lf_hidden:
-            breakdown["lf_head"] = (
-                half * cfg.lf_hidden + cfg.lf_hidden + cfg.lf_hidden * horizon + horizon
-            )
-        else:
-            breakdown["lf_head"] = half * horizon + horizon
-    if cfg.variant in ("B", "M", "HF"):
-        breakdown["hf_head"] = half * horizon + horizon
-    if cfg.variant == "I":
-        breakdown["lf_head"] = half * (horizon // 2) + horizon // 2
-        breakdown["hf_head"] = half * (horizon // 2) + horizon // 2
-    if cfg.variant == "M":
-        assert cfg.moe is not None
-        experts, hidden = cfg.moe.num_experts, cfg.moe.hidden
-        breakdown["moe_experts"] = experts * (half * hidden + hidden + hidden * horizon + horizon)
-        breakdown["moe_gate"] = half * experts + experts
-    if cfg.has_delta():
-        breakdown["delta"] = channels if cfg.delta_per_channel else 1
-    if cfg.revin_affine:
-        breakdown["revin_affine"] = 2 * channels
+    for name, shape in param_shapes(cfg).items():
+        block = next(block for prefix, block in _PARAM_BLOCKS if name.startswith(prefix))
+        breakdown[block] = breakdown.get(block, 0) + math.prod(shape)
     return ParamCount(total=sum(breakdown.values()), breakdown=breakdown)
 
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .autodiff import Tensor, constant, mse_loss
-from .data import Series, WindowSampler
+from .data import Series, WindowBatch, WindowSampler
+from .evaluation import accumulate_errors
 from .model import ModelConfig, forward, init_params
 from .optim import Adam
 
@@ -54,6 +56,13 @@ class TrainResult:
         return float(np.mean([h.seconds for h in self.history]))
 
 
+def _scored_pairs(
+    cfg: ModelConfig, params: dict[str, Tensor], sampler: WindowSampler, batch_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(prediction, target) pairs over every window of the sampler, batch by batch."""
+    return ((forward(cfg, params, batch.x).data, batch.y) for batch in sampler.batches(batch_size))
+
+
 def evaluate_mse(
     cfg: ModelConfig,
     params: dict[str, Tensor],
@@ -61,13 +70,16 @@ def evaluate_mse(
     batch_size: int,
 ) -> float:
     """Window-weighted MSE over every window of the sampler."""
-    total_sq = 0.0
-    count = 0
-    for batch in sampler.batches(batch_size):
-        pred = forward(cfg, params, batch.x).data
-        total_sq += float(((pred - batch.y) ** 2).sum())
-        count += batch.y.size
-    return total_sq / count
+    return accumulate_errors(_scored_pairs(cfg, params, sampler, batch_size))["mse"]
+
+
+def train_step(cfg: ModelConfig, params: dict[str, Tensor], optimizer: Adam, batch: WindowBatch) -> float:
+    """One optimizer update on a batch; returns the batch MSE before the update."""
+    optimizer.zero_grad()
+    loss = mse_loss(forward(cfg, params, batch.x), constant(batch.y))
+    loss.backward()
+    optimizer.step()
+    return loss.item()
 
 
 def train_model(
@@ -98,11 +110,7 @@ def train_model(
         start = time.perf_counter()
         batch_losses = []
         for batch in train_sampler.batches(settings.batch_size, shuffle=shuffle_rng):
-            optimizer.zero_grad()
-            loss = mse_loss(forward(cfg, params, batch.x), constant(batch.y))
-            loss.backward()
-            optimizer.step()
-            batch_losses.append(loss.item() * batch.y.size)
+            batch_losses.append(train_step(cfg, params, optimizer, batch) * batch.y.size)
         train_mse = float(np.sum(batch_losses) / (len(train_sampler) * cfg.horizon * cfg.channels))
         val_mse = evaluate_mse(cfg, params, val_sampler, settings.batch_size)
         result.history.append(
@@ -133,27 +141,6 @@ def evaluate_model(
     test_split: Series,
     batch_size: int = 32,
 ) -> dict:
-    """Test-set metrics plus the per-horizon-step breakdown.
-
-    Accumulates per-step error sums batch by batch instead of materializing
-    every prediction (wide datasets would otherwise cost gigabytes).
-    """
+    """Test-set metrics plus the per-horizon-step breakdown."""
     sampler = WindowSampler(test_split, cfg.lookback, cfg.horizon)
-    sq_sum = np.zeros(cfg.horizon)
-    abs_sum = np.zeros(cfg.horizon)
-    windows = 0
-    for batch in sampler.batches(batch_size):
-        diff = forward(cfg, params, batch.x).data - batch.y
-        sq_sum += (diff**2).sum(axis=(0, 2))
-        abs_sum += np.abs(diff).sum(axis=(0, 2))
-        windows += batch.y.shape[0]
-    per_step = windows * cfg.channels
-    step_mse = sq_sum / per_step
-    step_mae = abs_sum / per_step
-    return {
-        "mse": float(step_mse.mean()),
-        "mae": float(step_mae.mean()),
-        "per_horizon_mse": [float(v) for v in step_mse],
-        "per_horizon_mae": [float(v) for v in step_mae],
-        "windows": windows,
-    }
+    return accumulate_errors(_scored_pairs(cfg, params, sampler, batch_size))

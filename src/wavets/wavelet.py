@@ -187,12 +187,7 @@ def idwt_arrays(approx: np.ndarray, detail: np.ndarray, bank: FilterBank) -> np.
         raise ShapeMismatchError(
             f"band shapes differ: {approx.shape} vs {detail.shape}"
         )
-    half = approx.shape[-1]
-    out = np.zeros(approx.shape[:-1] + (2 * half,))
-    for k in range(bank.length):
-        contrib = approx * bank.low_pass[k] + detail * bank.high_pass[k]
-        out[..., k % 2 :: 2] += np.roll(contrib, k // 2, axis=-1)
-    return out
+    return synthesize_band(approx, bank.low_pass) + synthesize_band(detail, bank.high_pass)
 
 
 def dwt(x: np.ndarray, bank: str | FilterBank) -> BandPair:

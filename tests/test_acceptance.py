@@ -14,7 +14,7 @@ from wavets import autodiff as ad
 from wavets import evaluation as ev
 from wavets import moe as moe_mod
 from wavets import wavelet as wv
-from wavets.cli import main, run_one_seed
+from wavets.cli import load_series, main, prepare_splits, run_one_seed
 from wavets.config import RunConfig
 from wavets.data import synth
 from wavets.evaluation import read_reports_csv
@@ -22,6 +22,12 @@ from wavets.model import VARIANTS, ModelConfig, init_params, loss_and_grads
 from wavets.moe import MoEConfig
 
 from conftest import max_rel_err, numeric_grad
+
+
+def _dataset(cfg):
+    """The prepared splits and dataset name that ``run_one_seed`` takes."""
+    series, name = load_series(cfg)
+    return prepare_splits(cfg, series), name
 
 
 def report(number, ok, message):
@@ -161,11 +167,12 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_parameter_accounting():
-    from test_evaluation import _random_config
+    from test_evaluation import _random_config, count_params_oracle
 
     rng = np.random.default_rng(3)
     exact = all(
-        ev.count_params(cfg).total == sum(p.data.size for p in init_params(cfg, 0).values())
+        ev.count_params(cfg).breakdown == count_params_oracle(cfg)
+        and ev.count_params(cfg).total == sum(p.data.size for p in init_params(cfg, 0).values())
         for cfg in (_random_config(rng) for _ in range(50))
     )
     b_total = ev.count_params(ModelConfig("B", 720, 96, 321)).total
@@ -200,7 +207,7 @@ def test_criterion_5_synthetic_training():
         horizon=24,
         seed=0,
     )
-    run_report, details, _, _ = run_one_seed(cfg, seed=0, measure_infer=False)
+    run_report, details, _, _ = run_one_seed(cfg, 0, *_dataset(cfg), measure_infer=False)
     elapsed = time.perf_counter() - start
     persistence_mse = details["persistence"]["mse"]
     train_curve = [h["train_mse"] for h in details["history"][:5]]
@@ -229,8 +236,10 @@ def _etth1_config(path, variant="B", **overrides):
 def test_criterion_6_etth1_reproduction(etth1_path):
     start = time.perf_counter()
     mses, maes = [], []
+    cfg = _etth1_config(etth1_path)
+    dataset = _dataset(cfg)
     for seed in (0, 1, 2):
-        run_report, _, _, _ = run_one_seed(_etth1_config(etth1_path), seed=seed, measure_infer=False)
+        run_report, _, _, _ = run_one_seed(cfg, seed, *dataset, measure_infer=False)
         mses.append(run_report.mse)
         maes.append(run_report.mae)
     elapsed = time.perf_counter() - start
@@ -241,9 +250,10 @@ def test_criterion_6_etth1_reproduction(etth1_path):
 
 def test_criterion_7_etth1_ablation_ordering(etth1_path):
     results = {}
+    dataset = _dataset(_etth1_config(etth1_path))
     for variant in ("B", "LF", "HF", "I"):
         run_report, _, _, _ = run_one_seed(
-            _etth1_config(etth1_path, variant=variant), seed=0, measure_infer=False
+            _etth1_config(etth1_path, variant=variant), 0, *dataset, measure_infer=False
         )
         results[variant] = run_report.mse
     ok = results["HF"] > results["LF"] > results["B"] and results["I"] > results["B"]

@@ -179,6 +179,15 @@ def test_gradient_accumulates_through_shared_subexpression():
     assert np.allclose(x.grad, [12.0], atol=1e-12)
 
 
+def test_gradient_shared_between_inputs_is_not_overwritten():
+    # add hands one buffer to both inputs; a's later gradient must not leak into b's
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    b = ad.Tensor([3.0, 5.0], requires_grad=True)
+    ad.mean(ad.add(ad.add(a, b), ad.mul(a, a))).backward()
+    assert np.array_equal(b.grad, [0.5, 0.5])
+    assert np.allclose(a.grad, (1.0 + 2.0 * a.data) / 2.0, atol=1e-15)
+
+
 def test_ops_on_constants_record_no_parents():
     rng = np.random.default_rng(7)
     a, b = ad.constant(rng.normal(size=(2, 4))), ad.constant(rng.normal(size=(2, 4)) + 3.0)

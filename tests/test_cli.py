@@ -231,6 +231,53 @@ def test_sweep_single_length(tmp_path):
     assert rows[0]["status"] == "ok"
 
 
+def test_sweep_failed_cell_writes_error_row(tmp_path):
+    out = tmp_path / "runs"
+    code = main([
+        "sweep", "--lengths", "15,16",
+        "--data", "synth:sine_mix",
+        "--synth-length", "400", "--synth-channels", "2",
+        "--horizon", "4", "--max-epochs", "1", "--out", str(out),
+    ])
+    assert code == 0  # recorded per cell, the sweep goes on
+    (run_dir,) = run_dirs(out)
+    rows = list(read_reports_csv(run_dir / "sweep.csv"))
+    assert [(r["L"], r["status"]) for r in rows] == [("15", "error:config"), ("16", "ok")]
+    assert rows[0]["mse"] == rows[0]["mae"] == ""
+    assert rows[1]["lookback"] == "16" and float(rows[1]["mse"]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--seeds", "0,1", "--variant", "M", "--moe-experts", "2", "--moe-hidden", "4"],
+        ["ablate", "--grid", "S,B"],
+        ["sweep", "--lengths", "16,32"],
+    ],
+    ids=["train", "ablate", "sweep"],
+)
+def test_each_command_parses_its_csv_once(tmp_path, monkeypatch, command):
+    path = tmp_path / "series.csv"
+    data.save_csv(data.synth("sine_mix", 400, 3, seed=1), path)
+    calls = []
+    load_csv = data.load_csv
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(data, "load_csv", counting_load_csv)
+    out = tmp_path / "runs"
+    assert main([
+        *command, "--data", str(path), "--lookback", "16", "--horizon", "4",
+        "--max-epochs", "1", "--out", str(out),
+    ]) == 0
+    assert len(calls) == 1
+    (run_dir,) = run_dirs(out)
+    if command[0] == "train":
+        assert (run_dir / "gates_seed0.csv").exists() and (run_dir / "gates_seed1.csv").exists()
+
+
 def test_synth_roundtrip(tmp_path):
     out_csv = tmp_path / "series.csv"
     assert main([

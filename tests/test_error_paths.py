@@ -104,12 +104,6 @@ def test_csv_all_rows_nan(tmp_path):
         data.load_csv(path)
 
 
-def test_sampler_rejects_bad_stride():
-    series = data.Series(np.zeros((30, 1)), ["a"])
-    with pytest.raises(InvalidConfigError):
-        data.WindowSampler(series, 4, 2, stride=0)
-
-
 def test_model_config_range_checks():
     with pytest.raises(InvalidConfigError):
         ModelConfig("B", 8, 0, 2)

@@ -2,42 +2,63 @@ import numpy as np
 import pytest
 
 from wavets import evaluation as ev
-from wavets.data import Series, WindowBatch, synth
-from wavets.exceptions import ShapeMismatchError
-from wavets.model import ModelConfig, init_params
+from wavets.data import Series, WindowBatch, WindowSampler, synth
+from wavets.exceptions import InvalidConfigError, ShapeMismatchError
+from wavets.model import ModelConfig, init_params, predict
 from wavets.moe import MoEConfig
-from wavets.training import TrainSettings, train_model
+from wavets.training import TrainSettings, evaluate_model, train_model
+
+
+def _one_batch(pred, true):
+    return ev.accumulate_errors([(pred, true)])
 
 
 def test_metric_examples():
-    zero = np.zeros(3)
-    assert ev.mse(zero, zero) == 0.0
-    assert ev.mae(zero, zero) == 0.0
-    assert ev.mse(np.array([3.0]), np.array([1.0])) == 4.0
-    assert ev.mae(np.array([3.0]), np.array([1.0])) == 2.0
+    zero = np.zeros((1, 3, 1))
+    assert _one_batch(zero, zero)["mse"] == 0.0
+    assert _one_batch(zero, zero)["mae"] == 0.0
+    assert _one_batch(np.full((1, 1, 1), 3.0), np.ones((1, 1, 1)))["mse"] == 4.0
+    assert _one_batch(np.full((1, 1, 1), 3.0), np.ones((1, 1, 1)))["mae"] == 2.0
     with pytest.raises(ShapeMismatchError):
-        ev.mse(np.zeros(3), np.zeros(4))
+        _one_batch(np.zeros((1, 3, 1)), np.zeros((1, 4, 1)))
+    with pytest.raises(ShapeMismatchError):  # a later batch is checked too
+        ev.accumulate_errors([(zero, zero), (np.zeros((2, 3, 1)), np.zeros((2, 3, 2)))])
 
 
 def test_metric_aggregation_and_permutation_invariance():
     rng = np.random.default_rng(0)
     pred = rng.normal(size=(10, 4, 3))
     true = rng.normal(size=(10, 4, 3))
-    per_window = [ev.mse(pred[i], true[i]) for i in range(10)]
-    assert abs(ev.mse(pred, true) - np.mean(per_window)) < 1e-12
+    whole = _one_batch(pred, true)
+    per_window = [_one_batch(pred[i : i + 1], true[i : i + 1])["mse"] for i in range(10)]
+    assert abs(whole["mse"] - np.mean(per_window)) < 1e-12
+    assert abs(whole["mse"] - np.mean((pred - true) ** 2)) < 1e-12
+    assert abs(whole["mae"] - np.mean(np.abs(pred - true))) < 1e-12
     order = rng.permutation(10)
-    assert abs(ev.mse(pred[order], true[order]) - ev.mse(pred, true)) < 1e-15
-    assert abs(ev.mae(pred[order], true[order]) - ev.mae(pred, true)) < 1e-15
+    shuffled = _one_batch(pred[order], true[order])
+    assert abs(shuffled["mse"] - whole["mse"]) < 1e-15
+    assert abs(shuffled["mae"] - whole["mae"]) < 1e-15
+    streamed = ev.accumulate_errors([(pred[:3], true[:3]), (pred[3:], true[3:])])
+    assert streamed["windows"] == 10
+    assert abs(streamed["mse"] - whole["mse"]) < 1e-15
 
 
 def test_per_horizon_errors():
     rng = np.random.default_rng(1)
     pred = rng.normal(size=(6, 5, 2))
     true = rng.normal(size=(6, 5, 2))
-    step_mse, step_mae = ev.per_horizon_errors(pred, true)
+    metrics = _one_batch(pred, true)
+    step_mse, step_mae = np.array(metrics["per_horizon_mse"]), np.array(metrics["per_horizon_mae"])
     assert step_mse.shape == (5,)
-    assert abs(step_mse.mean() - ev.mse(pred, true)) < 1e-12
-    assert abs(step_mae.mean() - ev.mae(pred, true)) < 1e-12
+    assert np.max(np.abs(step_mse - ((pred - true) ** 2).mean(axis=(0, 2)))) < 1e-12
+    assert np.max(np.abs(step_mae - np.abs(pred - true).mean(axis=(0, 2)))) < 1e-12
+    assert abs(step_mse.mean() - metrics["mse"]) < 1e-12
+    assert abs(step_mae.mean() - metrics["mae"]) < 1e-12
+
+
+def test_no_windows_is_rejected():
+    with pytest.raises(InvalidConfigError):
+        ev.accumulate_errors([])
 
 
 def test_persistence_baseline():
@@ -50,7 +71,32 @@ def test_persistence_baseline():
     constant = WindowBatch(
         x=np.full((2, 6, 1), 5.0), y=np.full((2, 3, 1), 5.0), origins=np.arange(2)
     )
-    assert ev.mse(ev.persistence_baseline(constant), constant.y) == 0.0
+    assert _one_batch(ev.persistence_baseline(constant), constant.y)["mse"] == 0.0
+
+
+def _reference_metrics(cfg, params, split):
+    """Metrics from every test window stacked into one array."""
+    sampler = WindowSampler(split, cfg.lookback, cfg.horizon)
+    batch = sampler.gather(sampler.origins)
+    diff = predict(cfg, params, batch.x) - batch.y
+    return (diff**2).mean(), np.abs(diff).mean(), (diff**2).mean(axis=(0, 2)), np.abs(diff).mean(axis=(0, 2))
+
+
+def test_evaluate_model_matches_stacked_reference_at_any_batch_size():
+    series = synth("sine_mix", 300, 3, seed=2)
+    cfg = ModelConfig("M", 16, 6, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3))
+    params = init_params(cfg, 4)
+    mse, mae, step_mse, step_mae = _reference_metrics(cfg, params, series)
+    by_batch = {size: evaluate_model(cfg, params, series, batch_size=size) for size in (7, 32)}
+    for metrics in by_batch.values():
+        assert metrics["windows"] == 300 - 16 - 6 + 1
+        assert abs(metrics["mse"] - mse) < 1e-12
+        assert abs(metrics["mae"] - mae) < 1e-12
+        assert np.max(np.abs(np.array(metrics["per_horizon_mse"]) - step_mse)) < 1e-12
+        assert np.max(np.abs(np.array(metrics["per_horizon_mae"]) - step_mae)) < 1e-12
+    for key in ("mse", "mae"):
+        assert abs(by_batch[7][key] - by_batch[32][key]) < 1e-12
+    assert np.max(np.abs(np.subtract(by_batch[7]["per_horizon_mse"], by_batch[32]["per_horizon_mse"]))) < 1e-12
 
 
 def test_count_params_headline_figures():
@@ -90,12 +136,44 @@ def _random_config(rng):
     )
 
 
+def count_params_oracle(cfg):
+    """Closed-form per-block parameter count, written out independently of
+    ``param_shapes`` so that ``count_params`` (which sums those shapes) has
+    something to be checked against."""
+    half, horizon, channels = cfg.half, cfg.horizon, cfg.channels
+    breakdown = {}
+    if cfg.variant in ("B", "S", "LF"):
+        if cfg.lf_hidden:
+            breakdown["lf_head"] = (
+                half * cfg.lf_hidden + cfg.lf_hidden + cfg.lf_hidden * horizon + horizon
+            )
+        else:
+            breakdown["lf_head"] = half * horizon + horizon
+    if cfg.variant in ("B", "M", "HF"):
+        breakdown["hf_head"] = half * horizon + horizon
+    if cfg.variant == "I":
+        breakdown["lf_head"] = half * (horizon // 2) + horizon // 2
+        breakdown["hf_head"] = half * (horizon // 2) + horizon // 2
+    if cfg.variant == "M":
+        experts, hidden = cfg.moe.num_experts, cfg.moe.hidden
+        breakdown["moe_experts"] = experts * (half * hidden + hidden + hidden * horizon + horizon)
+        breakdown["moe_gate"] = half * experts + experts
+    if cfg.has_delta():
+        breakdown["delta"] = channels if cfg.delta_per_channel else 1
+    if cfg.revin_affine:
+        breakdown["revin_affine"] = 2 * channels
+    return breakdown
+
+
 def test_count_params_matches_live_enumeration_50_random_configs():
     rng = np.random.default_rng(42)
     for _ in range(50):
         cfg = _random_config(rng)
         live = sum(p.data.size for p in init_params(cfg, 0).values())
-        assert ev.count_params(cfg).total == live, cfg
+        counted = ev.count_params(cfg)
+        oracle = count_params_oracle(cfg)
+        assert counted.breakdown == oracle, cfg
+        assert counted.total == sum(oracle.values()) == live, cfg
 
 
 def test_count_macs_headline_figures():

@@ -57,6 +57,18 @@ def test_config_validation():
         ModelConfig("B", 8, 4, 2, delta_mode="frozen")
 
 
+def test_bank_longer_than_window_rejected_at_config():
+    with pytest.raises(InvalidConfigError):
+        ModelConfig("S", 4, 2, 1, bank="sym4")  # 8 taps > lookback 4
+    with pytest.raises(InvalidConfigError):
+        ModelConfig("I", 16, 6, 3, bank="sym4")  # I synthesizes the 6-step horizon
+    cfg = ModelConfig("I", 16, 8, 3, bank="sym4")
+    rng = np.random.default_rng(5)
+    loss, grads = loss_and_grads(cfg, init_params(cfg, 0), rng.normal(size=(2, 16, 3)), rng.normal(size=(2, 8, 3)))
+    assert np.isfinite(loss)
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_output_shape(variant):
     cfg = tiny_config(variant)
