@@ -10,6 +10,7 @@ row of each split is predictable, but window targets never cross back.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,21 +79,28 @@ def _parse_fast(path: Path, start: int, columns: int) -> np.ndarray | None:
     return values
 
 
-def load_csv(path: str | Path, timestep: str = "") -> Series:
-    """Load a header-ed CSV; a leading timestamp column is dropped.
-
-    Rows containing any NaN are rejected and counted in the log, matching
-    the Series invariant that ingested values are NaN-free.
-    """
-    path = Path(path)
+def _read_rows(path: Path, limit: int | None = None) -> tuple[list[str], list[list[str]]]:
+    """The header and up to ``limit`` data rows (all of them by default)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyFileError(f"{path} is empty") from None
-        rows = list(reader)
-    if not rows:
+        return header, list(itertools.islice(reader, limit))
+
+
+def load_csv(path: str | Path, timestep: str = "") -> Series:
+    """Load a header-ed CSV; a leading timestamp column is dropped.
+
+    Rows containing any NaN are rejected and counted in the log, matching
+    the Series invariant that ingested values are NaN-free. Only the header
+    and the first data row go through the csv module unless the vectorized
+    parse fails.
+    """
+    path = Path(path)
+    header, first = _read_rows(path, limit=1)
+    if not first:
         raise EmptyFileError(f"{path} has a header but no data rows")
 
     drop_first = False
@@ -101,7 +109,7 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
     else:
         # No recognized name: drop the first column only if it is not numeric.
         try:
-            float(rows[0][0])
+            float(first[0][0])
         except (ValueError, IndexError):
             drop_first = True
     start = 1 if drop_first else 0
@@ -111,6 +119,7 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
 
     values = _parse_fast(path, start, len(names))
     if values is None:
+        _, rows = _read_rows(path)
         values = np.empty((len(rows), len(names)))
         for i, row in enumerate(rows):
             if len(row) - start != len(names):

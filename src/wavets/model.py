@@ -17,6 +17,12 @@ only in which heads exist and how the low-frequency band is mapped:
   M   mixture-of-experts low-pass head + delta * high-pass head
   I   half-horizon heads per band fused by the inverse transform
 
+With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
+inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses a
+trained model into one (S, L) matrix shared by all channels plus an
+(S, N) offset; :func:`predict` serves those variants from the fold and
+the rest from the tape forward.
+
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
 """
@@ -24,6 +30,7 @@ checkpoint format stay oblivious to the architecture.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +51,8 @@ from .autodiff import (
     swap_last2,
 )
 from .exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError
-from .revin import RevinState, revin_forward, revin_inverse
-from .wavelet import get_bank
+from .revin import RevinState, check_gain, compute_stats, revin_forward, revin_inverse
+from .wavelet import get_bank, idwt_arrays, synthesize_band
 
 VARIANTS = ("B", "S", "M", "I", "LF", "HF")
 
@@ -215,6 +222,16 @@ def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor) -> Tenso
     return linear(band, params["lf.weight"], params["lf.bias"])
 
 
+def _lookback(cfg: ModelConfig, x: Tensor | np.ndarray) -> np.ndarray:
+    """A (B, L, N) lookback batch as a float64 array; raises on any other shape."""
+    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
+        raise ShapeMismatchError(
+            f"input shape {x.shape} does not match (B, {cfg.lookback}, {cfg.channels})"
+        )
+    return x
+
+
 def _prologue(
     cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray
 ) -> tuple[Tensor, Tensor, RevinState]:
@@ -223,11 +240,7 @@ def _prologue(
     The lookback is a constant: it is copied channel-major once and split
     off the tape, so backward stops at the band-domain affine.
     """
-    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
-        raise ShapeMismatchError(
-            f"input shape {x.shape} does not match (B, {cfg.lookback}, {cfg.channels})"
-        )
+    x = _lookback(cfg, x)
     _check_params(cfg, params)
     per_channel = constant(np.ascontiguousarray(np.swapaxes(x, 1, 2)))  # (B, N, L)
     bands = dwt_pair(per_channel, get_bank(cfg.bank))
@@ -261,9 +274,63 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     return revin_inverse(swap_last2(fused), state)
 
 
+def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray] | None:
+    """A linear variant as ``(weight (S, L), offset (S, N))``; None for the rest.
+
+    Per channel, with RevIN's lookback mean and std (eps included), the
+    model forecasts ``weight @ (x - mean) + mean + std * offset``. With the
+    head weights taken to the horizon domain (``la``, ``ld`` of shape
+    (L/2, S), delta inside ``ld``, and the fused head bias ``f0``):
+
+      weight = idwt(la^T, ld^T)
+      offset = (sqrt(2) * bias * sum_i la[i] + f0 - bias) / gain
+
+    M, an MLP low-pass head (``lf_hidden > 0``) and a per-channel delta are
+    not one shared map, so they return None and keep the tape forward.
+    """
+    if cfg.variant == "M" or cfg.lf_hidden or cfg.delta_per_channel:
+        return None
+    _check_params(cfg, params)
+    bank = get_bank(cfg.bank)
+    head = cfg.horizon // 2 if cfg.variant == "I" else cfg.horizon
+    absent = (np.zeros((cfg.half, head)), np.zeros(head))
+    low_w, low_b = (params["lf.weight"].data, params["lf.bias"].data) if "lf.weight" in params else absent
+    high_w, high_b = absent
+    if "hf.weight" in params:
+        delta = _delta(cfg, params).data
+        high_w, high_b = delta * params["hf.weight"].data, delta * params["hf.bias"].data
+    if cfg.variant == "I":  # the heads emit horizon bands: synthesize them along the horizon
+        la, ld = synthesize_band(low_w, bank.low_pass), synthesize_band(high_w, bank.high_pass)
+        f0 = idwt_arrays(low_b, high_b, bank)
+    else:
+        la, ld, f0 = low_w, high_w, low_b + high_b
+    gain, bias = np.ones(cfg.channels), np.zeros(cfg.channels)
+    if cfg.revin_affine:
+        gain, bias = params["revin.gain"].data, params["revin.bias"].data
+        check_gain(gain)
+    weight = idwt_arrays(la.T, ld.T, bank)
+    offset = (math.sqrt(2.0) * la.sum(axis=0)[:, None] * bias + f0[:, None] - bias) / gain
+    return weight, offset
+
+
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """Forward pass returning a plain array."""
-    return forward(cfg, params, x).data
+    """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array.
+
+    The linear variants are served from :func:`fold`, rebuilt on every call
+    so that it always matches the parameters (the optimizer updates them in
+    place); the others run the tape :func:`forward`. Both raise the same
+    errors.
+    """
+    x = _lookback(cfg, x)
+    folded = fold(cfg, params)
+    if folded is None:
+        return forward(cfg, params, x).data
+    weight, offset = folded
+    mean, std, centered = compute_stats(x)
+    out = weight @ centered  # (S, L) @ (B, L, N)
+    out += mean[:, None, :]
+    out += std[:, None, :] * offset
+    return out
 
 
 def low_frequency_band(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:

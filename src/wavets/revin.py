@@ -20,7 +20,9 @@ identities move the per-channel affine into the band domain:
   A' = gain * A_n + sqrt(2) * bias,   D' = gain * D_n
 
 which equals the transform of the time-domain ``gain * x_n + bias``.
-:func:`compute_stats` keeps the time-domain definition.
+:func:`compute_stats` keeps the time-domain definition; the folded
+forecast of the linear variants (``model.fold``) reads its statistics
+from it.
 """
 
 from __future__ import annotations
@@ -49,13 +51,28 @@ class RevinState:
     bias: Tensor | None
 
 
-def compute_stats(values: np.ndarray, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and (eps-stabilized, population) std over the time axis of (B, L, N)."""
-    if values.shape[1] < 2:
-        raise DegenerateWindowError(f"need at least 2 time steps, got {values.shape[1]}")
+def compute_stats(
+    values: np.ndarray, eps: float = DEFAULT_EPS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and (eps-stabilized, population) std over the time axis of (B, L, N),
+    plus the centred values they were taken from.
+
+    Two-pass: the lookback is centred once, and the variance sums the
+    squares of the centred values, so large offsets cost no precision.
+    """
+    length = values.shape[1]
+    if length < 2:
+        raise DegenerateWindowError(f"need at least 2 time steps, got {length}")
     mean = values.mean(axis=1)
-    var = values.var(axis=1)
-    return mean, np.sqrt(var + eps)
+    centered = values - mean[:, None, :]
+    var = np.einsum("bln,bln->bn", centered, centered) / length
+    return mean, np.sqrt(var + eps), centered
+
+
+def check_gain(gain: np.ndarray) -> None:
+    """Reject an affine gain too close to zero to divide by."""
+    if np.min(np.abs(gain)) < 1e-12:
+        raise ZeroGainError("affine gain too close to zero to invert")
 
 
 def revin_forward(
@@ -93,8 +110,7 @@ def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:
     if state.bias is not None:
         out = sub(out, state.bias)
     if state.gain is not None:
-        if np.min(np.abs(state.gain.data)) < 1e-12:
-            raise ZeroGainError("affine gain too close to zero to invert")
+        check_gain(state.gain.data)
         out = div(out, state.gain)
     out = mul(out, constant(state.std[:, None, :]))
     return add(out, constant(state.mean[:, None, :]))

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Tensor, constant, mse_loss
 from .data import Series, WindowBatch, WindowSampler
 from .evaluation import accumulate_errors
-from .model import ModelConfig, forward, init_params
+from .model import ModelConfig, forward, init_params, predict
 from .optim import Adam
 
 
@@ -60,7 +60,7 @@ def _scored_pairs(
     cfg: ModelConfig, params: dict[str, Tensor], sampler: WindowSampler, batch_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(prediction, target) pairs over every window of the sampler, batch by batch."""
-    return ((forward(cfg, params, batch.x).data, batch.y) for batch in sampler.batches(batch_size))
+    return ((predict(cfg, params, batch.x), batch.y) for batch in sampler.batches(batch_size))
 
 
 def evaluate_mse(

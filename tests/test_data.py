@@ -64,6 +64,22 @@ def test_load_csv_empty_inputs(tmp_path):
         data.load_csv(write(tmp_path, "a,b\n", name="header_only.csv"))
 
 
+def test_load_csv_reads_only_header_and_first_row_of_a_clean_file(tmp_path, monkeypatch):
+    path = write(tmp_path, "date,a,b\n" + "".join(f"2020-01-{d:02d},{d},{-d}\n" for d in range(1, 29)))
+    yielded = []
+    real = data.csv.reader
+
+    def counted(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            yielded.append(row)
+            yield row
+
+    monkeypatch.setattr(data.csv, "reader", counted)
+    series = data.load_csv(path)
+    assert series.length == 28
+    assert len(yielded) <= 2
+
+
 def test_save_load_roundtrip(tmp_path):
     series = data.synth("noise_walk", 50, 3, seed=2)
     path = tmp_path / "walk.csv"

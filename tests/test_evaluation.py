@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from wavets import evaluation as ev
+from wavets import model as model_mod
 from wavets.data import Series, WindowBatch, WindowSampler, synth
-from wavets.exceptions import InvalidConfigError, ShapeMismatchError
-from wavets.model import ModelConfig, init_params, predict
+from wavets.exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError, ZeroGainError
+from wavets.model import ModelConfig, forward, init_params
 from wavets.moe import MoEConfig
-from wavets.training import TrainSettings, evaluate_model, train_model
+from wavets.training import TrainSettings, evaluate_model, evaluate_mse, train_model
 
 
 def _one_batch(pred, true):
@@ -75,28 +76,80 @@ def test_persistence_baseline():
 
 
 def _reference_metrics(cfg, params, split):
-    """Metrics from every test window stacked into one array."""
+    """Metrics from every test window stacked into one array, predicted on the tape."""
     sampler = WindowSampler(split, cfg.lookback, cfg.horizon)
     batch = sampler.gather(sampler.origins)
-    diff = predict(cfg, params, batch.x) - batch.y
+    diff = forward(cfg, params, batch.x).data - batch.y
     return (diff**2).mean(), np.abs(diff).mean(), (diff**2).mean(axis=(0, 2)), np.abs(diff).mean(axis=(0, 2))
+
+
+# The folded linear variants and one that keeps the tape.
+EVAL_CONFIGS = {
+    "B": ModelConfig("B", 16, 6, 3, bank="haar"),
+    "I": ModelConfig("I", 16, 6, 3, bank="d4"),
+    "M": ModelConfig("M", 16, 6, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3)),
+}
+
+
+def _perturbed_params(cfg, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    return params
 
 
 def test_evaluate_model_matches_stacked_reference_at_any_batch_size():
     series = synth("sine_mix", 300, 3, seed=2)
-    cfg = ModelConfig("M", 16, 6, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3))
-    params = init_params(cfg, 4)
-    mse, mae, step_mse, step_mae = _reference_metrics(cfg, params, series)
-    by_batch = {size: evaluate_model(cfg, params, series, batch_size=size) for size in (7, 32)}
-    for metrics in by_batch.values():
-        assert metrics["windows"] == 300 - 16 - 6 + 1
-        assert abs(metrics["mse"] - mse) < 1e-12
-        assert abs(metrics["mae"] - mae) < 1e-12
-        assert np.max(np.abs(np.array(metrics["per_horizon_mse"]) - step_mse)) < 1e-12
-        assert np.max(np.abs(np.array(metrics["per_horizon_mae"]) - step_mae)) < 1e-12
-    for key in ("mse", "mae"):
-        assert abs(by_batch[7][key] - by_batch[32][key]) < 1e-12
-    assert np.max(np.abs(np.subtract(by_batch[7]["per_horizon_mse"], by_batch[32]["per_horizon_mse"]))) < 1e-12
+    for name, cfg in EVAL_CONFIGS.items():
+        params = _perturbed_params(cfg, 4)
+        mse, mae, step_mse, step_mae = _reference_metrics(cfg, params, series)
+        by_batch = {size: evaluate_model(cfg, params, series, batch_size=size) for size in (7, 32)}
+        for metrics in by_batch.values():
+            assert metrics["windows"] == 300 - 16 - 6 + 1
+            assert abs(metrics["mse"] - mse) < 1e-10, name
+            assert abs(metrics["mae"] - mae) < 1e-10, name
+            assert np.max(np.abs(np.array(metrics["per_horizon_mse"]) - step_mse)) < 1e-10, name
+            assert np.max(np.abs(np.array(metrics["per_horizon_mae"]) - step_mae)) < 1e-10, name
+        for key in ("mse", "mae"):
+            assert abs(by_batch[7][key] - by_batch[32][key]) < 1e-12, name
+        assert np.max(np.abs(np.subtract(by_batch[7]["per_horizon_mse"], by_batch[32]["per_horizon_mse"]))) < 1e-12
+
+
+@pytest.mark.parametrize("variant", EVAL_CONFIGS)
+def test_linear_variants_evaluate_without_the_tape(monkeypatch, variant):
+    cfg = EVAL_CONFIGS[variant]
+    series = synth("sine_mix", 120, 3, seed=3)
+    params = _perturbed_params(cfg, 5)
+    calls = []
+    real = model_mod.forward
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "forward", counted)
+    evaluate_model(cfg, params, series, batch_size=32)
+    evaluate_mse(cfg, params, WindowSampler(series, cfg.lookback, cfg.horizon), 32)
+    if variant == "M":
+        assert len(calls) > 0
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("variant", EVAL_CONFIGS)
+def test_evaluate_model_raises_what_predict_raises(variant):
+    cfg = EVAL_CONFIGS[variant]
+    series = synth("sine_mix", 60, 3, seed=4)
+    params = init_params(cfg, 0)
+    with pytest.raises(ShapeMismatchError):
+        evaluate_model(cfg, params, synth("sine_mix", 60, 2, seed=4))
+    other = init_params(EVAL_CONFIGS["I" if variant == "B" else "B"], 0)
+    with pytest.raises(ConfigMismatchError):
+        evaluate_model(cfg, other, series)
+    params["revin.gain"].data[:] = 0.0
+    with pytest.raises(ZeroGainError):
+        evaluate_model(cfg, params, series)
 
 
 def test_count_params_headline_figures():

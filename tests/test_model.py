@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavets import autodiff as ad
 from wavets import model as model_mod
@@ -15,6 +16,7 @@ from wavets.exceptions import (
 from wavets.model import (
     ModelConfig,
     VARIANTS,
+    fold,
     forward,
     init_params,
     load_model,
@@ -347,7 +349,7 @@ def test_variant_i_matches_independent_trace():
 
 def _time_domain_prologue(cfg, params, x):
     """Reference prologue: time-domain RevIN on the tape, swap, then the DWT."""
-    mean, std = compute_stats(x)
+    mean, std, _ = compute_stats(x)
     out = ad.constant((x - mean[:, None, :]) / std[:, None, :])
     gain, bias = params.get("revin.gain"), params.get("revin.bias")
     if gain is not None:
@@ -380,14 +382,66 @@ def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    variant=st.sampled_from(["B", "S", "LF", "HF", "I"]),
+    bank=st.sampled_from(wv.BANK_NAMES),
+    affine=st.booleans(),
+    delta_mode=st.sampled_from(["learnable", "fixed"]),
+    batch=st.integers(1, 3),
+    channels=st.integers(1, 4),
+    half=st.integers(1, 12),
+    horizon=st.integers(1, 12),
+    offset_ratio=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    spread=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_fold_matches_tape_forward(
+    variant, bank, affine, delta_mode, batch, channels, half, horizon, offset_ratio, spread, seed
+):
+    taps = wv.get_bank(bank).length
+    lookback = 2 * max(half, taps // 2)
+    if variant == "I":  # even horizon of at least the bank's length
+        horizon = 2 * max((horizon + 1) // 2, taps // 2)
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(
+        variant, lookback, horizon, channels, bank=bank, revin_affine=affine,
+        delta_mode=delta_mode, delta_init=float(rng.normal()),
+    )
+    params = init_params(cfg, rng)
+    for name, p in params.items():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    if affine:  # gains of either sign, away from zero
+        params["revin.gain"].data = rng.choice([-1.0, 1.0], channels) * rng.uniform(0.5, 2.0, channels)
+    x = offset_ratio * spread + spread * rng.normal(size=(batch, lookback, channels))
+
+    weight, offset = fold(cfg, params)
+    assert weight.shape == (horizon, lookback)
+    assert offset.shape == (horizon, channels)
+    assert np.max(np.abs(predict(cfg, params, x) - forward(cfg, params, x).data)) < 1e-10
+
+    for other in (
+        ModelConfig("M", lookback, horizon, channels, bank=bank, moe=MoEConfig(num_experts=2, hidden=3)),
+        ModelConfig("S", lookback, horizon, channels, bank=bank, lf_hidden=3),
+        ModelConfig("B", lookback, horizon, channels, bank=bank, delta_per_channel=True),
+    ):
+        assert fold(other, init_params(other, 0)) is None
+
+
 @pytest.mark.parametrize("variant", ["B", "M"])
 def test_training_never_synthesizes(monkeypatch, variant):
+    """Training and validation never run the transform's backward on batch data.
+
+    M validates on the tape and synthesizes nothing. B validates through
+    the fold, which synthesizes only its (S, L/2) head weights: no call may
+    see an array sized by the batch.
+    """
     calls = []
     real = wv.synthesize_band
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(coeffs, taps):
+        calls.append(np.shape(coeffs))
+        return real(coeffs, taps)
 
     monkeypatch.setattr(wv, "synthesize_band", counted)
     # the counter sees the transform's backward whenever it runs
@@ -401,7 +455,12 @@ def test_training_never_synthesizes(monkeypatch, variant):
     settings = TrainSettings(batch_size=8, max_epochs=1)
     result = train_model(cfg, series, series, settings)
     assert result.epochs_trained == 1
-    assert calls == []
+    if variant == "M":
+        assert calls == []
+    else:
+        assert calls  # validation folds the heads
+        for shape in calls:  # never a (B, N, L/2) band nor its (B*N, L/2) flattening
+            assert len(shape) == 2 and shape[0] <= cfg.horizon, shape
 
 
 def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
