@@ -7,9 +7,10 @@ the DAG of live tensors; ``backward()`` on a scalar walks it once in
 reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
-maps, ReLU, softmax, elementwise arithmetic with broadcasting, reshapes
-and axis swaps, the (fixed, linear) wavelet analysis/synthesis pair, and
-mean-squared-error reduction.
+maps, one shared matrix applied on the left of a batch (the folded
+linear forecaster), ReLU, softmax, elementwise arithmetic with
+broadcasting, reshapes and axis swaps, the (fixed, linear) wavelet
+analysis/synthesis pair, and mean-squared-error reduction.
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -225,6 +226,27 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
             w._accumulate(flat_x.T @ flat_g)
 
     return _record(out_data, (x, w), backward)
+
+
+def left_matmul(w: Tensor, x: Tensor) -> Tensor:
+    """``w @ x`` with one (S, L) matrix ``w`` applied to every (L, N) slice of ``x``.
+
+    The weight gradient is ``sum_b g_b @ x_b^T``; no gradient is formed
+    for an ``x`` that needs none.
+    """
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-2] != w.shape[1]:
+        raise ShapeMismatchError(f"cannot left-matmul {w.shape} with {x.shape}")
+    out_data = w.data @ x.data
+
+    def backward(g: Array) -> None:
+        if w._needs_grad():
+            flat_x = x.data.reshape((-1,) + x.shape[-2:])
+            flat_g = g.reshape((-1,) + g.shape[-2:])
+            w._accumulate((flat_g @ np.swapaxes(flat_x, -1, -2)).sum(axis=0))
+        if x._needs_grad():
+            x._accumulate(w.data.T @ g)
+
+    return _record(out_data, (w, x), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

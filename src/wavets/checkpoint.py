@@ -45,20 +45,33 @@ def save_params(params: dict[str, Tensor | np.ndarray], path: str | Path) -> Non
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as float32 arrays keyed by parameter name."""
+    """Read a checkpoint back as float32 arrays keyed by parameter name.
+
+    Anything but a well-formed manifest of this format and version raises
+    :class:`ParseError`.
+    """
     try:
         manifest = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint file {path}: {exc}") from exc
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ParseError(f"{path} is not a {FORMAT_NAME} file")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise ParseError(
+            f"{path} has checkpoint version {manifest.get('version')!r}; expected {FORMAT_VERSION}"
+        )
+    entries = manifest.get("params")
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: 'params' must be a list of parameter entries")
     out: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        values = np.asarray(entry["values"], dtype=np.float32)
-        expected = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        if values.size != expected:
-            raise ParseError(
-                f"parameter {entry['name']!r}: {values.size} values for shape {entry['shape']}"
-            )
-        out[entry["name"]] = values.reshape(entry["shape"])
+    for index, entry in enumerate(entries):
+        try:
+            name, shape = entry["name"], entry["shape"]
+            values = np.asarray(entry["values"], dtype=np.float32)
+            expected = int(np.prod(shape)) if shape else 1
+            if values.size != expected:
+                raise ParseError(f"parameter {name!r}: {values.size} values for shape {shape}")
+            out[name] = values.reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed parameter entry {index}: {exc!r}") from exc
     return out

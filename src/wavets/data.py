@@ -278,10 +278,10 @@ class WindowSampler:
         return len(self.origins)
 
     def gather(self, origins: np.ndarray) -> WindowBatch:
-        block = self._windows[origins]
+        # Each fancy-indexed slice is one fresh C-contiguous copy.
         return WindowBatch(
-            x=np.ascontiguousarray(block[:, : self.lookback]),
-            y=np.ascontiguousarray(block[:, self.lookback :]),
+            x=self._windows[origins, : self.lookback],
+            y=self._windows[origins, self.lookback :],
             origins=origins,
         )
 

@@ -1,14 +1,15 @@
 """WaveTS model family: variants assembled from the transform, RevIN,
 the autodiff ops, and (for the M variant) the mixture of experts.
 
-All variants share one pipeline: a one-level wavelet split of each
-channel's lookback, per-window normalization of the two bands (statistics
-from the bands by Parseval, the affine applied to the bands), half-length
-linear heads, a delta-weighted fusion of the high-frequency prediction,
-and inverse normalization. The split and the statistics are fixed
-functions of the input, so they stay off the autodiff tape; only the
-band-domain affine and what follows it record gradients. Variants differ
-only in which heads exist and how the low-frequency band is mapped:
+All variants are defined by one pipeline, :func:`band_forward`: a
+one-level wavelet split of each channel's lookback, per-window
+normalization of the two bands (statistics from the bands by Parseval,
+the affine applied to the bands), half-length linear heads, a
+delta-weighted fusion of the high-frequency prediction, and inverse
+normalization. The split and the statistics are fixed functions of the
+input, so they stay off the autodiff tape; only the band-domain affine and
+what follows it record gradients. Variants differ only in which heads
+exist and how the low-frequency band is mapped:
 
   B   low-pass linear head + delta * high-pass linear head
   S   low-pass head only (no delta parameter)
@@ -18,10 +19,14 @@ only in which heads exist and how the low-frequency band is mapped:
   I   half-horizon heads per band fused by the inverse transform
 
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
-inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses a
-trained model into one (S, L) matrix shared by all channels plus an
-(S, N) offset; :func:`predict` serves those variants from the fold and
-the rest from the tape forward.
+inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
+model into one (S, L) matrix shared by all channels plus an (S, N)
+offset. The fold is built on the tape from the weights, and
+:func:`forward` runs those variants through it for training, validation,
+evaluation and inference alike: the transform then runs on the (S, L)
+weights rather than on the (B, N, L) batch. The other variants run
+:func:`band_forward`, which is also the reference the fold is tested
+against.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -42,17 +47,22 @@ from .autodiff import (
     Tensor,
     add,
     constant,
+    div,
     dwt_pair,
     idwt_pair,
+    left_matmul,
     linear,
+    matmul,
     mse_loss,
     mul,
     relu,
+    reshape,
+    sub,
     swap_last2,
 )
-from .exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError
+from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
 from .revin import RevinState, check_gain, compute_stats, revin_forward, revin_inverse
-from .wavelet import get_bank, idwt_arrays, synthesize_band
+from .wavelet import get_bank
 
 VARIANTS = ("B", "S", "M", "I", "LF", "HF")
 
@@ -132,11 +142,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        data = dict(data)
-        moe_cfg = data.pop("moe", None)
-        if moe_cfg is not None:
-            moe_cfg = moe_mod.MoEConfig(**moe_cfg)
-        return cls(moe=moe_cfg, **data)
+        """The inverse of :meth:`to_dict`; a malformed dict raises InvalidConfigError."""
+        try:
+            data = dict(data)
+            moe_cfg = data.pop("moe", None)
+            if moe_cfg is not None:
+                moe_cfg = moe_mod.MoEConfig(**moe_cfg)
+            return cls(moe=moe_cfg, **data)
+        except (TypeError, ValueError) as exc:  # unknown or missing keys, wrong value types
+            raise InvalidConfigError(f"invalid model config: {exc}") from exc
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -248,8 +262,13 @@ def _prologue(
     return approx, detail, state
 
 
-def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
-    """Predict (B, S, N) from a lookback batch (B, L, N)."""
+def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
+    """Predict (B, S, N) from a lookback batch (B, L, N) through the bands.
+
+    Every variant can run here; :func:`forward` sends M, ``lf_hidden > 0``
+    and a per-channel delta here, and the tests use it as the reference
+    for the folded variants.
+    """
     approx, detail, state = _prologue(cfg, params, x)
 
     if cfg.variant in ("S", "LF"):
@@ -274,8 +293,8 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     return revin_inverse(swap_last2(fused), state)
 
 
-def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray] | None:
-    """A linear variant as ``(weight (S, L), offset (S, N))``; None for the rest.
+def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] | None:
+    """A linear variant as ``(weight (S, L), offset)`` on the tape; None for the rest.
 
     Per channel, with RevIN's lookback mean and std (eps included), the
     model forecasts ``weight @ (x - mean) + mean + std * offset``. With the
@@ -285,57 +304,70 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[np.ndarray, np.nd
       weight = idwt(la^T, ld^T)
       offset = (sqrt(2) * bias * sum_i la[i] + f0 - bias) / gain
 
+    The offset is (S, N), or (S, 1) without the affine. Both are functions
+    of the parameters alone, so the transform runs on the weights rather
+    than on the batch, and backward reaches every parameter through them.
     M, an MLP low-pass head (``lf_hidden > 0``) and a per-channel delta are
-    not one shared map, so they return None and keep the tape forward.
+    not one shared map, so they return None and keep :func:`band_forward`.
     """
     if cfg.variant == "M" or cfg.lf_hidden or cfg.delta_per_channel:
         return None
     _check_params(cfg, params)
     bank = get_bank(cfg.bank)
     head = cfg.horizon // 2 if cfg.variant == "I" else cfg.horizon
-    absent = (np.zeros((cfg.half, head)), np.zeros(head))
-    low_w, low_b = (params["lf.weight"].data, params["lf.bias"].data) if "lf.weight" in params else absent
-    high_w, high_b = absent
+    zero_w, zero_b = constant(np.zeros((cfg.half, head))), constant(np.zeros(head))
+    low_w, low_b = (params["lf.weight"], params["lf.bias"]) if "lf.weight" in params else (zero_w, zero_b)
+    high_w, high_b = zero_w, zero_b
     if "hf.weight" in params:
-        delta = _delta(cfg, params).data
-        high_w, high_b = delta * params["hf.weight"].data, delta * params["hf.bias"].data
+        delta = _delta(cfg, params)
+        high_w, high_b = mul(delta, params["hf.weight"]), mul(delta, params["hf.bias"])
     if cfg.variant == "I":  # the heads emit horizon bands: synthesize them along the horizon
-        la, ld = synthesize_band(low_w, bank.low_pass), synthesize_band(high_w, bank.high_pass)
-        f0 = idwt_arrays(low_b, high_b, bank)
+        la, ld = idwt_pair(low_w, zero_w, bank), idwt_pair(zero_w, high_w, bank)
+        f0 = idwt_pair(low_b, high_b, bank)
     else:
-        la, ld, f0 = low_w, high_w, low_b + high_b
-    gain, bias = np.ones(cfg.channels), np.zeros(cfg.channels)
+        la, ld, f0 = low_w, high_w, add(low_b, high_b)
+    la_t = swap_last2(la)  # (S, L/2)
+    weight = idwt_pair(la_t, swap_last2(ld), bank)
+    offset = reshape(f0, (cfg.horizon, 1))
     if cfg.revin_affine:
-        gain, bias = params["revin.gain"].data, params["revin.bias"].data
-        check_gain(gain)
-    weight = idwt_arrays(la.T, ld.T, bank)
-    offset = (math.sqrt(2.0) * la.sum(axis=0)[:, None] * bias + f0[:, None] - bias) / gain
+        gain, bias = params["revin.gain"], params["revin.bias"]
+        check_gain(gain.data)
+        la_sum = matmul(la_t, constant(np.ones((cfg.half, 1))))  # (S, 1)
+        lifted = mul(mul(la_sum, constant(math.sqrt(2.0))), bias)  # (S, N)
+        offset = div(sub(add(lifted, offset), bias), gain)
     return weight, offset
+
+
+def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
+    """Predict (B, S, N) from a lookback batch (B, L, N) on the tape.
+
+    The linear variants run through :func:`fold`: time-domain RevIN
+    statistics, one shared matrix on the centred lookback, then the mean
+    and the scaled offset. The batch is never transformed and gets no
+    gradient. The other variants run :func:`band_forward`.
+    """
+    x = _lookback(cfg, x)
+    folded = fold(cfg, params)
+    if folded is None:
+        return band_forward(cfg, params, x)
+    weight, offset = folded
+    mean, std, centered = compute_stats(x)
+    out = add(left_matmul(weight, constant(centered)), constant(mean[:, None, :]))
+    return add(out, mul(constant(std[:, None, :]), offset))
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
     """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array.
 
-    The linear variants are served from :func:`fold`, rebuilt on every call
-    so that it always matches the parameters (the optimizer updates them in
-    place); the others run the tape :func:`forward`. Both raise the same
-    errors.
+    The fold is rebuilt on every call, so it always matches the parameters
+    (the optimizer updates them in place).
     """
-    x = _lookback(cfg, x)
-    folded = fold(cfg, params)
-    if folded is None:
-        return forward(cfg, params, x).data
-    weight, offset = folded
-    mean, std, centered = compute_stats(x)
-    out = weight @ centered  # (S, L) @ (B, L, N)
-    out += mean[:, None, :]
-    out += std[:, None, :] * offset
-    return out
+    return forward(cfg, params, x).data
 
 
 def low_frequency_band(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
     """The normalized (B, N, L/2) approximation band the low-pass head sees,
-    from the same prologue as :func:`forward`; used for gate diagnostics."""
+    from the same prologue as :func:`band_forward`; used for gate diagnostics."""
     return _prologue(cfg, params, x)[0].data
 
 
@@ -378,7 +410,12 @@ def save_model(cfg: ModelConfig, params: dict[str, Tensor], checkpoint_path: str
 def load_model(checkpoint_path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Load checkpoint + sidecar; every parameter name and shape is checked
     against the config before returning."""
-    cfg = ModelConfig.from_dict(json.loads(config_sidecar_path(checkpoint_path).read_text()))
+    sidecar = config_sidecar_path(checkpoint_path)
+    try:
+        raw_cfg = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid model config file {sidecar}: {exc}") from exc
+    cfg = ModelConfig.from_dict(raw_cfg)
     raw = ckpt.load_params(checkpoint_path)
     params = {name: Tensor(values, requires_grad=True) for name, values in raw.items()}
     _check_params(cfg, params)

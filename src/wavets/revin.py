@@ -20,9 +20,12 @@ identities move the per-channel affine into the band domain:
   A' = gain * A_n + sqrt(2) * bias,   D' = gain * D_n
 
 which equals the transform of the time-domain ``gain * x_n + bias``.
-:func:`compute_stats` keeps the time-domain definition; the folded
-forecast of the linear variants (``model.fold``) reads its statistics
-from it.
+:func:`compute_stats` keeps the time-domain definition. The linear
+variants train and forecast through ``model.fold``, which never splits
+the batch: ``model.forward`` reads their statistics from it and applies
+the affine inside the folded offset, so only the band path (M, an MLP
+low-pass head, a per-channel delta) calls :func:`revin_forward` and
+:func:`revin_inverse`.
 """
 
 from __future__ import annotations

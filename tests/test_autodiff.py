@@ -35,6 +35,25 @@ def test_linear_shape_errors():
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError):
         ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(3)))
+    with pytest.raises(ShapeMismatchError):
+        ad.left_matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2, 3))))
+
+
+def test_left_matmul_gradients_match_finite_differences():
+    rng = np.random.default_rng(3)
+    w = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    target = rng.normal(size=(3, 2, 4))
+    out = ad.left_matmul(w, x)
+    assert np.array_equal(out.data, np.stack([w.data @ x_b for x_b in x.data]))
+    ad.mse_loss(out, ad.constant(target)).backward()
+
+    def f():
+        return float(np.mean((w.data @ x.data - target) ** 2))
+
+    num_w, num_x = numeric_grad(f, [w.data, x.data])
+    assert max_rel_err(w.grad, num_w) < 1e-4
+    assert max_rel_err(x.grad, num_x) < 1e-4
 
 
 def test_linear_gradients_match_finite_differences():
@@ -195,7 +214,8 @@ def test_ops_on_constants_record_no_parents():
     bank = wv.get_bank("d4")
     results = [
         ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b), ad.neg(a),
-        ad.matmul(a, w), ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
+        ad.matmul(a, w), ad.left_matmul(ad.swap_last2(w), ad.swap_last2(a)),
+        ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
         ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
         ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), *ad.dwt_pair(a, bank),
         ad.idwt_pair(a, b, bank),
@@ -216,6 +236,11 @@ def test_constant_inputs_get_no_gradient():
     assert w.grad is not None and gain.grad is not None
     # d/dgain_i mean(diag(gain) x w) = sum_j (x w)[i, j] / size
     assert np.allclose(gain.grad, (x.data @ w.data).sum(axis=1) / 6, atol=1e-15)
+    shared = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    batch = ad.constant(rng.normal(size=(5, 4, 2)))
+    ad.mean(ad.left_matmul(shared, batch)).backward()
+    assert batch.grad is None
+    assert np.allclose(shared.grad, batch.data.sum(axis=(0, 2))[None, :].repeat(3, 0) / 30, atol=1e-15)
 
 
 def test_backward_requires_scalar():
@@ -299,3 +324,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     wrong.write_text(json.dumps({"format": "something-else", "params": []}))
     with pytest.raises(ParseError):
         ckpt.load_params(wrong)
+    entry = {"name": "w", "shape": [2], "values": [1.0, 2.0]}
+    head = {"format": ckpt.FORMAT_NAME, "version": ckpt.FORMAT_VERSION}
+    for manifest in (
+        [entry],  # a top-level list
+        head,  # no params
+        {**head, "version": 7, "params": [entry]},
+        {"format": ckpt.FORMAT_NAME, "params": [entry]},  # no version
+        {**head, "params": {"w": entry}},
+        {**head, "params": [{**entry, "values": ["x", 2.0]}]},  # a non-numeric value
+        {**head, "params": [{"name": "w", "values": [1.0]}]},  # no shape
+        {**head, "params": [[1.0, 2.0]]},
+        {**head, "params": [{**entry, "shape": ["2"]}]},
+    ):
+        wrong.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError):
+            ckpt.load_params(wrong)
+    wrong.write_text(json.dumps({**head, "params": [entry]}))
+    assert np.array_equal(ckpt.load_params(wrong)["w"], [1.0, 2.0])

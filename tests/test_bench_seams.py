@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path[:0] = [str(BENCH_DIR)]
@@ -24,10 +25,20 @@ from wavets.model import ModelConfig  # noqa: E402
 from wavets.moe import MoEConfig  # noqa: E402
 
 
-def test_tracer_hooks_record_train_and_eval_spans():
+SPLIT = ((0, 120), (100, 160), (140, 200))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig("M", 16, 4, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3)),
+        ModelConfig("B", 16, 4, 3, bank="haar"),  # trains through the fold
+    ],
+    ids=["M-d4", "B-haar"],
+)
+def test_tracer_hooks_record_train_and_eval_spans(cfg):
     series = synth("sine_mix", 200, 3, seed=0)
-    train, val, test = (Series(series.values[a:b], series.channel_names) for a, b in ((0, 120), (100, 160), (140, 200)))
-    cfg = ModelConfig("M", 16, 4, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3))
+    train, val, test = (Series(series.values[a:b], series.channel_names) for a, b in SPLIT)
     tracer = Tracer()
     workloads.install(tracer)
     try:

@@ -114,6 +114,35 @@ def test_eval_subcommand(tmp_path, capsys):
     assert "test mse" in capsys.readouterr().out
 
 
+def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main([*TINY_TRAIN, "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    checkpoint = run_dir / "checkpoint.json"
+    sidecar = run_dir / "checkpoint.config.json"
+    good = {path: path.read_text() for path in (checkpoint, sidecar)}
+    manifest = json.loads(good[checkpoint])
+    config = json.loads(good[sidecar])
+    cases = [
+        (checkpoint, json.dumps({**manifest, "version": 7}), "data"),
+        (checkpoint, json.dumps({k: v for k, v in manifest.items() if k != "params"}), "data"),
+        (checkpoint, json.dumps(manifest["params"]), "data"),
+        (sidecar, good[sidecar][:-5], "data"),
+        (sidecar, json.dumps({**config, "lookbak": 16}), "config"),
+    ]
+    for path, text, reason in cases:
+        path.write_text(text)
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(checkpoint),
+            "--data", "synth:sine_mix", "--synth-length", "600", "--synth-channels", "2",
+        ])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1, text
+        assert len(err) == 1 and err[0].startswith(f"error {reason}: "), err
+        path.write_text(good[path])
+
+
 def test_decompose_constant_column_and_reconstruct(tmp_path):
     csv_path = tmp_path / "input.csv"
     rng = np.random.default_rng(0)

@@ -193,6 +193,15 @@ def test_windows_are_contiguous_pairs():
         assert batch.y[i, 0, 0] == float(origin + 6)  # horizon starts right after
     total = sum(b.x.shape[0] for b in batches)
     assert total == 40 - 6 - 3 + 1
+    # Each gather is one C-contiguous copy per side, equal to direct slices.
+    values = np.random.default_rng(0).normal(size=(40, 3))
+    sampler = data.WindowSampler(data.Series(values, ["a", "b", "c"]), lookback=6, horizon=3)
+    batch = sampler.gather(np.array([5, 0, 31]))
+    for arr in (batch.x, batch.y):
+        assert arr.flags["C_CONTIGUOUS"] and arr.flags["OWNDATA"]
+    for i, origin in enumerate(batch.origins):
+        assert np.array_equal(batch.x[i], values[origin : origin + 6])
+        assert np.array_equal(batch.y[i], values[origin + 6 : origin + 9])
 
 
 def test_window_shuffle_determinism():

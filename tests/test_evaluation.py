@@ -5,7 +5,7 @@ from wavets import evaluation as ev
 from wavets import model as model_mod
 from wavets.data import Series, WindowBatch, WindowSampler, synth
 from wavets.exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError, ZeroGainError
-from wavets.model import ModelConfig, forward, init_params
+from wavets.model import ModelConfig, band_forward, init_params
 from wavets.moe import MoEConfig
 from wavets.training import TrainSettings, evaluate_model, evaluate_mse, train_model
 
@@ -76,14 +76,14 @@ def test_persistence_baseline():
 
 
 def _reference_metrics(cfg, params, split):
-    """Metrics from every test window stacked into one array, predicted on the tape."""
+    """Metrics from every test window stacked into one array, predicted on the band path."""
     sampler = WindowSampler(split, cfg.lookback, cfg.horizon)
     batch = sampler.gather(sampler.origins)
-    diff = forward(cfg, params, batch.x).data - batch.y
+    diff = band_forward(cfg, params, batch.x).data - batch.y
     return (diff**2).mean(), np.abs(diff).mean(), (diff**2).mean(axis=(0, 2)), np.abs(diff).mean(axis=(0, 2))
 
 
-# The folded linear variants and one that keeps the tape.
+# The folded linear variants and one that keeps the band path.
 EVAL_CONFIGS = {
     "B": ModelConfig("B", 16, 6, 3, bank="haar"),
     "I": ModelConfig("I", 16, 6, 3, bank="d4"),
@@ -117,18 +117,20 @@ def test_evaluate_model_matches_stacked_reference_at_any_batch_size():
 
 
 @pytest.mark.parametrize("variant", EVAL_CONFIGS)
-def test_linear_variants_evaluate_without_the_tape(monkeypatch, variant):
+def test_linear_variants_never_run_the_band_path(monkeypatch, variant):
+    """B and I train, validate and evaluate through the fold; M through the bands."""
     cfg = EVAL_CONFIGS[variant]
     series = synth("sine_mix", 120, 3, seed=3)
     params = _perturbed_params(cfg, 5)
     calls = []
-    real = model_mod.forward
+    real = model_mod.band_forward
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(model_mod, "forward", counted)
+    monkeypatch.setattr(model_mod, "band_forward", counted)
+    train_model(cfg, series, series, TrainSettings(batch_size=32, max_epochs=1))
     evaluate_model(cfg, params, series, batch_size=32)
     evaluate_mse(cfg, params, WindowSampler(series, cfg.lookback, cfg.horizon), 32)
     if variant == "M":

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wavets import autodiff as ad
 from wavets import model as model_mod
 from wavets import moe as moe_mod
+from wavets import training as training_mod
 from wavets import wavelet as wv
 from wavets.data import synth
 from wavets.exceptions import (
@@ -16,6 +17,7 @@ from wavets.exceptions import (
 from wavets.model import (
     ModelConfig,
     VARIANTS,
+    band_forward,
     fold,
     forward,
     init_params,
@@ -28,7 +30,7 @@ from wavets.model import (
 from wavets.moe import MoEConfig
 from wavets.optim import Adam
 from wavets.revin import RevinState, compute_stats
-from wavets.training import TrainSettings, train_model
+from wavets.training import TrainSettings, evaluate_model, train_model
 
 from conftest import max_rel_err, numeric_grad
 
@@ -369,17 +371,31 @@ def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
     x = rng.normal(size=(4, 16, 3)) * 3.0 + 20.0
     y = rng.normal(size=(4, 8, 3)) * 3.0 + 20.0
 
+    # predict and loss_and_grads run the band path for every variant
+    monkeypatch.setattr(model_mod, "forward", band_forward)
     pred = predict(cfg, params, x)
     loss, grads = loss_and_grads(cfg, params, x, y)
-    monkeypatch.setattr(model_mod, "_prologue", _time_domain_prologue)
+    prologues = []
+    monkeypatch.setattr(
+        model_mod, "_prologue", lambda *args: prologues.append(1) or _time_domain_prologue(*args)
+    )
     pred_ref = predict(cfg, params, x)
     loss_ref, grads_ref = loss_and_grads(cfg, params, x, y)
 
+    assert len(prologues) == 2
     assert np.max(np.abs(pred - pred_ref)) < 1e-10
     assert abs(loss - loss_ref) < 1e-10
     for name, grad in grads_ref.items():
         assert np.any(grad != 0), name
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
+
+
+def _band_loss_and_grads(cfg, params, x, y):
+    for p in params.values():
+        p.zero_grad()
+    loss = ad.mse_loss(band_forward(cfg, params, x), ad.constant(y))
+    loss.backward()
+    return loss.item(), {name: p.grad for name, p in params.items()}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -399,6 +415,7 @@ def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
 def test_fold_matches_tape_forward(
     variant, bank, affine, delta_mode, batch, channels, half, horizon, offset_ratio, spread, seed
 ):
+    """The fold's prediction, loss and every gradient match the band path."""
     taps = wv.get_bank(bank).length
     lookback = 2 * max(half, taps // 2)
     if variant == "I":  # even horizon of at least the bank's length
@@ -414,11 +431,17 @@ def test_fold_matches_tape_forward(
     if affine:  # gains of either sign, away from zero
         params["revin.gain"].data = rng.choice([-1.0, 1.0], channels) * rng.uniform(0.5, 2.0, channels)
     x = offset_ratio * spread + spread * rng.normal(size=(batch, lookback, channels))
+    y = offset_ratio * spread + spread * rng.normal(size=(batch, horizon, channels))
 
     weight, offset = fold(cfg, params)
     assert weight.shape == (horizon, lookback)
-    assert offset.shape == (horizon, channels)
-    assert np.max(np.abs(predict(cfg, params, x) - forward(cfg, params, x).data)) < 1e-10
+    assert offset.shape == (horizon, channels if affine else 1)
+    assert np.max(np.abs(predict(cfg, params, x) - band_forward(cfg, params, x).data)) < 1e-10
+    loss, grads = loss_and_grads(cfg, params, x, y)
+    loss_ref, grads_ref = _band_loss_and_grads(cfg, params, x, y)
+    assert abs(loss - loss_ref) < 1e-10
+    for name, grad in grads_ref.items():
+        assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
 
     for other in (
         ModelConfig("M", lookback, horizon, channels, bank=bank, moe=MoEConfig(num_experts=2, hidden=3)),
@@ -428,39 +451,71 @@ def test_fold_matches_tape_forward(
         assert fold(other, init_params(other, 0)) is None
 
 
-@pytest.mark.parametrize("variant", ["B", "M"])
+@pytest.mark.parametrize("variant", ["B", "I", "M"])
 def test_training_never_synthesizes(monkeypatch, variant):
-    """Training and validation never run the transform's backward on batch data.
+    """Training never runs the transform, forward or backward, on batch data.
 
-    M validates on the tape and synthesizes nothing. B validates through
-    the fold, which synthesizes only its (S, L/2) head weights: no call may
-    see an array sized by the batch.
+    M trains on the band path: it splits each batch but never runs the
+    transform's backward. B and I train through the fold, which analyses
+    and synthesizes only weight-sized arrays: no call may see an array
+    with a batch-sized leading dimension.
     """
-    calls = []
-    real = wv.synthesize_band
+    calls = {"dwt_arrays": [], "synthesize_band": []}
+    for name in calls:
+        real = getattr(wv, name)
 
-    def counted(coeffs, taps):
-        calls.append(np.shape(coeffs))
-        return real(coeffs, taps)
+        def counted(*args, _real=real, _seen=calls[name]):
+            _seen.append(np.shape(args[0]))
+            return _real(*args)
 
-    monkeypatch.setattr(wv, "synthesize_band", counted)
-    # the counter sees the transform's backward whenever it runs
+        monkeypatch.setattr(wv, name, counted)
+    # the counters see the transform, forward and backward, whenever it runs
     x = ad.Tensor(np.ones((1, 4)), requires_grad=True)
     ad.mean(ad.dwt_pair(x, wv.get_bank("haar"))[0]).backward()
-    assert len(calls) == 1
+    assert calls == {"dwt_arrays": [(1, 4)], "synthesize_band": [(1, 2)]}
 
-    calls.clear()
-    cfg = tiny_config(variant)
+    calls["dwt_arrays"].clear()
+    calls["synthesize_band"].clear()
+    # batches of 5 (and a last one of 4) differ from every model dimension
+    cfg = tiny_config(variant, lookback=16, horizon=6, bank="d4")
     series = synth("sine_mix", 80, cfg.channels, seed=0)
-    settings = TrainSettings(batch_size=8, max_epochs=1)
+    settings = TrainSettings(batch_size=5, max_epochs=1)
     result = train_model(cfg, series, series, settings)
     assert result.epochs_trained == 1
     if variant == "M":
-        assert calls == []
-    else:
-        assert calls  # validation folds the heads
-        for shape in calls:  # never a (B, N, L/2) band nor its (B*N, L/2) flattening
-            assert len(shape) == 2 and shape[0] <= cfg.horizon, shape
+        assert calls["synthesize_band"] == []
+        return
+    weight_dims = (cfg.lookback, cfg.half, cfg.horizon, cfg.horizon // 2)
+    for name, shapes in calls.items():
+        assert shapes, name
+        for shape in shapes:  # never a (B, N, L/2) band nor a (B, ...) flattening
+            assert len(shape) <= 2 and shape[0] in weight_dims, (name, shape)
+
+
+@pytest.mark.parametrize("variant, bank", [("B", "haar"), ("I", "d4")])
+def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
+    """Several epochs through the fold land where the band path lands."""
+    cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank=bank)
+    series = synth("sine_mix", 260, 3, seed=6)
+    train, val, test = series, synth("sine_mix", 90, 3, seed=7), synth("sine_mix", 90, 3, seed=8)
+    settings = TrainSettings(batch_size=16, max_epochs=4, patience=10)
+
+    def run():
+        result = train_model(cfg, train, val, settings, seed=3)
+        return result, evaluate_model(cfg, result.params, test)
+
+    folded, folded_metrics = run()
+    # the reference trains, validates and evaluates on the band path
+    monkeypatch.setattr(training_mod, "forward", band_forward)
+    monkeypatch.setattr(model_mod, "forward", band_forward)
+    banded, banded_metrics = run()
+
+    assert folded.epochs_trained == banded.epochs_trained == 4
+    assert folded.best_epoch == banded.best_epoch
+    for name, p in banded.params.items():  # relative to each tensor's largest entry
+        assert np.max(np.abs(folded.params[name].data - p.data)) <= 1e-9 * np.max(np.abs(p.data)), name
+    for key in ("mse", "mae"):
+        assert abs(folded_metrics[key] - banded_metrics[key]) <= 1e-9 * abs(banded_metrics[key]), key
 
 
 def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
