@@ -140,8 +140,9 @@ def constant(data) -> Tensor:
 
 def _record(data, parents: tuple[Tensor, ...], backward: Callable[[Array], None]) -> Tensor:
     """An op's result: on the tape only if some input needs a gradient."""
-    if any(p._needs_grad() for p in parents):
-        return Tensor(data, _parents=parents, _backward=backward)
+    for p in parents:
+        if p.requires_grad or p._parents:
+            return Tensor(data, _parents=parents, _backward=backward)
     return Tensor(data)
 
 

@@ -169,13 +169,17 @@ def synthesize_band(coeffs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Upsample-and-filter one coefficient band back to full length.
 
     Tap k scatters coefficient n to position (2n + k) mod L, i.e. the
-    parity-(k % 2) slots rolled by k // 2.
+    parity-(k % 2) slots rolled by k // 2. The roll is two slice adds, so
+    the fixed cost stays small on the (S, L/2) head weights of the fold.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     half = coeffs.shape[-1]
     out = np.zeros(coeffs.shape[:-1] + (2 * half,))
     for k in range(len(taps)):
-        out[..., k % 2 :: 2] += np.roll(coeffs * taps[k], k // 2, axis=-1)
+        slots, shift = out[..., k % 2 :: 2], k // 2 % max(half, 1)
+        slots[..., shift:] += coeffs[..., : half - shift] * taps[k]
+        if shift:
+            slots[..., :shift] += coeffs[..., half - shift :] * taps[k]
     return out
 
 

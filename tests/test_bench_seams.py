@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path[:0] = [str(BENCH_DIR)]
@@ -28,15 +27,7 @@ from wavets.moe import MoEConfig  # noqa: E402
 SPLIT = ((0, 120), (100, 160), (140, 200))
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        ModelConfig("M", 16, 4, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3)),
-        ModelConfig("B", 16, 4, 3, bank="haar"),  # trains through the fold
-    ],
-    ids=["M-d4", "B-haar"],
-)
-def test_tracer_hooks_record_train_and_eval_spans(cfg):
+def _assert_train_and_eval_spans(cfg):
     series = synth("sine_mix", 200, 3, seed=0)
     train, val, test = (Series(series.values[a:b], series.channel_names) for a, b in SPLIT)
     tracer = Tracer()
@@ -51,3 +42,12 @@ def test_tracer_hooks_record_train_and_eval_spans(cfg):
     for name in ("training.validation", "model.forward", "training.evaluate_model", "optim.step"):
         assert name in recorded, name
     assert training.forward.__module__ == "wavets.model"  # the originals are back
+
+
+def test_tracer_hooks_record_train_and_eval_spans():
+    _assert_train_and_eval_spans(ModelConfig("M", 16, 4, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3)))
+
+
+def test_tracer_hooks_record_fold_training_spans():
+    """B trains through the fold, which the same spans must still attribute."""
+    _assert_train_and_eval_spans(ModelConfig("B", 16, 4, 3, bank="haar"))
