@@ -9,7 +9,8 @@ a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
 maps, one shared matrix applied on the left of a batch (the folded
 linear forecaster), ReLU, softmax, elementwise arithmetic with
-broadcasting, reshapes and axis swaps, the (fixed, linear) wavelet
+broadcasting, reshapes, axis swaps, slices and concatenation (the fused
+mixture-of-experts layers), the (fixed, linear) wavelet
 analysis/synthesis pair, and mean-squared-error reduction.
 
 Gradients accumulate by addition so shared subexpressions are handled.
@@ -213,17 +214,21 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w`` with ``x`` of shape (..., Din) and ``w`` of shape (Din, Dout)."""
+    """``x @ w`` with ``x`` of shape (..., Din) and ``w`` of shape (Din, Dout).
+
+    The leading axes of ``x`` are flattened, so a batch runs as one
+    (rows, Din) product rather than as one product per leading index.
+    """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(f"cannot matmul {x.shape} with {w.shape}")
-    out_data = x.data @ w.data
+    flat_x = x.data.reshape(-1, x.shape[-1])
+    out_data = (flat_x @ w.data).reshape(x.shape[:-1] + (w.shape[1],))
 
     def backward(g: Array) -> None:
+        flat_g = g.reshape(-1, w.shape[1])
         if x._needs_grad():
-            x._accumulate(g @ w.data.T)
+            x._accumulate((flat_g @ w.data.T).reshape(x.shape))
         if w._needs_grad():
-            flat_x = x.data.reshape(-1, x.shape[-1])
-            flat_g = g.reshape(-1, w.shape[-1])
             w._accumulate(flat_x.T @ flat_g)
 
     return _record(out_data, (x, w), backward)
@@ -322,15 +327,28 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(x.data.reshape(shape), (x,), backward)
 
 
-def slice_lastdim(x: Tensor, index: int) -> Tensor:
-    """Keep-dims slice ``x[..., index:index+1]``."""
+def slice_lastdim(x: Tensor, start: int, stop: int | None = None) -> Tensor:
+    """Keep-dims slice ``x[..., start:stop]``; ``stop`` defaults to ``start + 1``."""
+    stop = start + 1 if stop is None else stop
 
     def backward(g: Array) -> None:
         full = np.zeros_like(x.data)
-        full[..., index : index + 1] = g
+        full[..., start:stop] = g
         x._accumulate(full)
 
-    return _record(x.data[..., index : index + 1], (x,), backward)
+    return _record(x.data[..., start:stop], (x,), backward)
+
+
+def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along ``axis``; each input's gradient is its slice of the result's."""
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward(g: Array) -> None:
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+            if t._needs_grad():
+                t._accumulate(part)
+
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def dwt_pair(x: Tensor, bank: wavelet.FilterBank) -> tuple[Tensor, Tensor]:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor
 from .exceptions import ParseError
 
@@ -28,7 +29,7 @@ def _buffer(value) -> np.ndarray:
 
 
 def save_params(params: dict[str, Tensor | np.ndarray], path: str | Path) -> None:
-    """Write parameters to ``path``, sorted by name for stable bytes."""
+    """Write parameters to ``path`` atomically, sorted by name for stable bytes."""
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -41,7 +42,9 @@ def save_params(params: dict[str, Tensor | np.ndarray], path: str | Path) -> Non
             for name in sorted(params)
         ],
     }
-    Path(path).write_text(json.dumps(manifest, indent=1) + "\n")
+    with atomic_write(path) as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:

@@ -23,6 +23,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import model as model_mod
 from . import wavelet
+from .atomic import atomic_write
 from .config import RunConfig, add_config_arguments, config_hash, resolve_config, write_config
 from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
 from .optim import Adam
@@ -188,9 +189,9 @@ def cmd_train(args) -> int:
             f"{len(reports)} seeds: mse {summary['mse_mean']:.6f}±{summary['mse_std']:.6f} "
             f"mae {summary['mae_mean']:.6f}±{summary['mae_std']:.6f}"
         )
-    (run_dir / "details.json").write_text(
-        json.dumps({"runs": all_details, "summary": summary}, indent=1, sort_keys=True) + "\n"
-    )
+    with atomic_write(run_dir / "details.json") as fh:
+        json.dump({"runs": all_details, "summary": summary}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     print(f"artifacts: {run_dir}")
     return 0
 

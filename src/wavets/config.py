@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
 from .exceptions import InvalidConfigError
 from .model import ModelConfig
 from .moe import MoEConfig
@@ -186,4 +187,6 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def write_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

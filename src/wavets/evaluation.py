@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import WindowBatch
 from .exceptions import InvalidConfigError, ShapeMismatchError
 from .model import ModelConfig, param_shapes
@@ -244,9 +245,10 @@ class RunReport:
 
 
 def write_reports_csv(reports: Sequence[RunReport], path: str | Path) -> None:
-    lines = [",".join(RunReport.CSV_FIELDS)]
-    lines += [",".join(r.csv_row()) for r in reports]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(",".join(RunReport.CSV_FIELDS) + "\n")
+        for r in reports:
+            fh.write(",".join(r.csv_row()) + "\n")
 
 
 def read_reports_csv(path: str | Path) -> list[dict[str, str]]:

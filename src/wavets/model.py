@@ -3,13 +3,14 @@ the autodiff ops, and (for the M variant) the mixture of experts.
 
 All variants are defined by one pipeline, :func:`band_forward`: a
 one-level wavelet split of each channel's lookback, per-window
-normalization of the two bands (statistics from the bands by Parseval,
-the affine applied to the bands), half-length linear heads, a
-delta-weighted fusion of the high-frequency prediction, and inverse
-normalization. The split and the statistics are fixed functions of the
-input, so they stay off the autodiff tape; only the band-domain affine and
-what follows it record gradients. Variants differ only in which heads
-exist and how the low-frequency band is mapped:
+normalization of the two bands (statistics from the bands by Parseval),
+half-length heads with RevIN's affine applied after each head's first
+layer, a delta-weighted fusion of the high-frequency prediction, and
+inverse normalization. The split and the normalized bands are fixed
+functions of the input, so they stay off the autodiff tape: backward
+stops at the first layers' weights and never forms a band-sized
+gradient. Variants differ only in which heads exist and how the
+low-frequency band is mapped:
 
   B   low-pass linear head + delta * high-pass linear head
   S   low-pass head only (no delta parameter)
@@ -17,6 +18,9 @@ exist and how the low-frequency band is mapped:
   HF  delta * high-pass head only
   M   mixture-of-experts low-pass head + delta * high-pass head
   I   half-horizon heads per band fused by the inverse transform
+
+M's gate and experts run as one fused first layer and one stacked second
+layer (see :mod:`wavets.moe`).
 
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
@@ -37,12 +41,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import moe as moe_mod
+from .atomic import atomic_write
 from .autodiff import (
     Tensor,
     add,
@@ -61,10 +68,21 @@ from .autodiff import (
     swap_last2,
 )
 from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
-from .revin import RevinState, check_gain, compute_stats, revin_forward, revin_inverse
+from .revin import (
+    RevinState,
+    affine_approx,
+    affine_linear,
+    check_gain,
+    compute_stats,
+    revin_forward,
+    revin_inverse,
+)
 from .wavelet import get_bank
 
 VARIANTS = ("B", "S", "M", "I", "LF", "HF")
+
+# A head's first layer: (band, weight, bias) -> output, RevIN's affine included.
+FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
 
 # Which variants carry a high-frequency weighting parameter at all.
 _DELTA_VARIANTS = ("B", "M", "I", "HF")
@@ -229,11 +247,11 @@ def _delta(cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     return constant(cfg.delta_init)
 
 
-def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor) -> Tensor:
+def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor, first_layer: FirstLayer) -> Tensor:
     if cfg.lf_hidden:
-        hidden = relu(linear(band, params["lf.w1"], params["lf.b1"]))
+        hidden = relu(first_layer(band, params["lf.w1"], params["lf.b1"]))
         return linear(hidden, params["lf.w2"], params["lf.b2"])
-    return linear(band, params["lf.weight"], params["lf.bias"])
+    return first_layer(band, params["lf.weight"], params["lf.bias"])
 
 
 def _lookback(cfg: ModelConfig, x: Tensor | np.ndarray) -> np.ndarray:
@@ -249,10 +267,10 @@ def _lookback(cfg: ModelConfig, x: Tensor | np.ndarray) -> np.ndarray:
 def _prologue(
     cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray
 ) -> tuple[Tensor, Tensor, RevinState]:
-    """Normalized, affine-mapped (B, N, L/2) bands of a (B, L, N) lookback batch.
+    """Normalized (B, N, L/2) bands of a (B, L, N) lookback batch, as constants,
+    plus the RevIN state that carries the affine.
 
-    The lookback is a constant: it is copied channel-major once and split
-    off the tape, so backward stops at the band-domain affine.
+    The lookback is copied channel-major once and split off the tape.
     """
     x = _lookback(cfg, x)
     _check_params(cfg, params)
@@ -267,27 +285,31 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.nda
 
     Every variant can run here; :func:`forward` sends M, ``lf_hidden > 0``
     and a per-channel delta here, and the tests use it as the reference
-    for the folded variants.
+    for the folded variants. Each head's first layer is
+    :func:`~wavets.revin.affine_linear`, which applies RevIN's affine to
+    its output, so the bands stay constants.
     """
     approx, detail, state = _prologue(cfg, params, x)
+    low_layer = partial(affine_linear, state=state, approx=True)
+    high_layer = partial(affine_linear, state=state, approx=False)
 
     if cfg.variant in ("S", "LF"):
-        fused = _lf_head(cfg, params, approx)
+        fused = _lf_head(cfg, params, approx, low_layer)
     elif cfg.variant == "B":
-        low = _lf_head(cfg, params, approx)
-        high = linear(detail, params["hf.weight"], params["hf.bias"])
+        low = _lf_head(cfg, params, approx, low_layer)
+        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
         fused = add(low, mul(_delta(cfg, params), high))
     elif cfg.variant == "HF":
-        high = linear(detail, params["hf.weight"], params["hf.bias"])
+        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
         fused = mul(_delta(cfg, params), high)
     elif cfg.variant == "M":
         assert cfg.moe is not None
-        low = moe_mod.moe_forward(params, cfg.moe, approx, prefix="moe.")
-        high = linear(detail, params["hf.weight"], params["hf.bias"])
+        low = moe_mod.moe_forward(params, cfg.moe, approx, prefix="moe.", first_layer=low_layer)
+        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
         fused = add(low, mul(_delta(cfg, params), high))
     else:  # variant I: predict per band at half horizon, fuse by synthesis
-        low = linear(approx, params["lf.weight"], params["lf.bias"])
-        high = linear(detail, params["hf.weight"], params["hf.bias"])
+        low = low_layer(approx, params["lf.weight"], params["lf.bias"])
+        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
         fused = idwt_pair(low, mul(_delta(cfg, params), high), get_bank(cfg.bank))
 
     return revin_inverse(swap_last2(fused), state)
@@ -366,9 +388,10 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
 
 
 def low_frequency_band(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """The normalized (B, N, L/2) approximation band the low-pass head sees,
-    from the same prologue as :func:`band_forward`; used for gate diagnostics."""
-    return _prologue(cfg, params, x)[0].data
+    """The affine-mapped (B, N, L/2) approximation band, ``gain * A_n + sqrt(2) * bias``:
+    the band whose gate and expert first layers M computes; used for gate diagnostics."""
+    approx, _, state = _prologue(cfg, params, x)
+    return affine_approx(approx.data, state)
 
 
 def loss_and_grads(
@@ -400,11 +423,11 @@ def config_sidecar_path(checkpoint_path: str | Path) -> Path:
 
 
 def save_model(cfg: ModelConfig, params: dict[str, Tensor], checkpoint_path: str | Path) -> None:
-    """Write the checkpoint plus its model-config sidecar."""
+    """Write the checkpoint plus its model-config sidecar, each atomically."""
     ckpt.save_params(params, checkpoint_path)
-    config_sidecar_path(checkpoint_path).write_text(
-        json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n"
-    )
+    with atomic_write(config_sidecar_path(checkpoint_path)) as fh:
+        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_model(checkpoint_path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:

@@ -3,7 +3,19 @@
 A softmax gate maps each channel's coefficients to a probability vector
 over experts; every expert is a two-layer ReLU MLP and the mixture is the
 dense gate-weighted sum of all expert outputs (no top-k sparsification).
-Expert evaluation order is fixed, so results are reproducible.
+
+:func:`moe_forward` runs the gate and all E experts as two matmuls. The
+first takes the gate's and every expert's first-layer weights,
+concatenated on the tape into one (Din, E + E*H) matrix. The second takes
+the experts' second-layer weights stacked into one (E*H, S) matrix, after
+each expert's hidden units are scaled by its gate probability, so that
+the contraction over E*H is the gate-weighted sum:
+
+  sum_e p_e * (h_e @ w2_e + b2_e) = (p * h) @ [w2_0; ...; w2_{E-1}] + p @ [b2_0; ...; b2_{E-1}]
+
+Checkpoints keep one tensor per expert and layer; the concatenation is
+rebuilt from them on every call, so the optimizer updates them in place.
+The expert order is fixed, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -12,10 +24,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, add, linear, mul, relu, slice_lastdim, softmax_lastdim
+from .autodiff import Tensor, add, concat, linear, matmul, mul, relu, reshape, slice_lastdim, softmax_lastdim
 from .exceptions import InvalidConfigError, ShapeMismatchError
 
 
@@ -67,15 +80,35 @@ def expert_forward(params: dict[str, Tensor], index: int, x: Tensor, prefix: str
     return linear(hidden, params[_key(prefix, f"expert{index}.w2")], params[_key(prefix, f"expert{index}.b2")])
 
 
-def moe_forward(params: dict[str, Tensor], cfg: MoEConfig, x: Tensor, prefix: str = "") -> Tensor:
-    """Dense mixture: sum_e gate[..., e] * expert_e(x), summed in index order."""
-    weights = gate(params, x, prefix)
-    out: Tensor | None = None
-    for e in range(cfg.num_experts):
-        term = mul(slice_lastdim(weights, e), expert_forward(params, e, x, prefix))
-        out = term if out is None else add(out, term)
-    assert out is not None
-    return out
+def moe_forward(
+    params: dict[str, Tensor],
+    cfg: MoEConfig,
+    x: Tensor,
+    prefix: str = "",
+    first_layer: Callable[[Tensor, Tensor, Tensor], Tensor] | None = None,
+) -> Tensor:
+    """Dense mixture: sum_e gate[..., e] * expert_e(x), from two fused matmuls.
+
+    ``first_layer(x, weight, bias)`` applies the concatenated first layer
+    (:func:`linear` by default); ``model.band_forward`` passes one that
+    applies RevIN's affine after the matmul.
+    """
+    num, hidden = cfg.num_experts, cfg.hidden
+
+    def joined(leaf: str, first: tuple[str, ...] = (), axis: int = -1) -> Tensor:
+        names = [*first, *(f"expert{e}.{leaf}" for e in range(num))]
+        return concat([params[_key(prefix, name)] for name in names], axis=axis)
+
+    weight = joined("w1", ("gate.weight",))  # (Din, E + E*H)
+    if x.shape[-1] != weight.shape[0]:
+        raise ShapeMismatchError(f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}")
+    pre = (first_layer or linear)(x, weight, joined("b1", ("gate.bias",)))  # (..., E + E*H)
+    probs = softmax_lastdim(slice_lastdim(pre, 0, num))  # (..., E)
+    lead = pre.shape[:-1]
+    units = reshape(relu(slice_lastdim(pre, num, num + num * hidden)), lead + (num, hidden))
+    scaled = reshape(mul(units, reshape(probs, lead + (num, 1))), lead + (num * hidden,))
+    w2, b2 = joined("w2", axis=0), reshape(joined("b2"), (num, -1))  # (E*H, S), (E, S)
+    return add(matmul(scaled, w2), matmul(probs, b2))
 
 
 def gate_entropy(probabilities: np.ndarray) -> np.ndarray:

@@ -14,18 +14,23 @@ statistics from the bands alone:
   mean = sqrt(2) * sum(A) / L
   var  = (sum((A - sqrt(2)*mean)^2) + sum(D^2)) / L
 
-(the two-pass form: the mean is taken out before squaring). The same
-identities move the per-channel affine into the band domain:
+(the two-pass form: the mean is taken out before squaring).
+:func:`revin_forward` returns the normalized bands as constants and leaves
+the per-channel affine to the heads. The affine of the time-domain
+``gain * x_n + bias`` is ``(gain * A_n + sqrt(2) * bias, gain * D_n)`` on
+the bands, and it commutes with a head's first layer:
 
-  A' = gain * A_n + sqrt(2) * bias,   D' = gain * D_n
+  (gain * A_n + sqrt(2) * bias) @ W + b = gain * (A_n @ W) + sqrt(2) * bias (x) colsum(W) + b
+  (gain * D_n) @ W + b                  = gain * (D_n @ W) + b
 
-which equals the transform of the time-domain ``gain * x_n + bias``.
-:func:`compute_stats` keeps the time-domain definition. The linear
-variants train and forecast through ``model.fold``, which never splits
-the batch: ``model.forward`` reads their statistics from it and applies
-the affine inside the folded offset, so only the band path (M, an MLP
-low-pass head, a per-channel delta) calls :func:`revin_forward` and
-:func:`revin_inverse`.
+:func:`affine_linear` computes the right-hand sides, so the affine acts on
+the (B, N, H) first-layer output, and backward forms no band-sized
+gradient and no input gradient for the band. :func:`compute_stats` keeps
+the time-domain definition. The linear variants train and forecast
+through ``model.fold``, which never splits the batch: ``model.forward``
+reads their statistics from it and applies the affine inside the folded
+offset, so only the band path (M, an MLP low-pass head, a per-channel
+delta) calls :func:`revin_forward` and :func:`revin_inverse`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, constant, div, mul, reshape, sub
+from .autodiff import Tensor, add, constant, div, linear, matmul, mul, reshape, sub
 from .exceptions import DegenerateWindowError, ZeroGainError
 
 DEFAULT_EPS = 1e-5
@@ -86,8 +91,9 @@ def revin_forward(
 ) -> tuple[tuple[Tensor, Tensor], RevinState]:
     """Normalize the (approx, detail) bands, each (B, N, L/2), of a lookback.
 
-    Returns the normalized, affine-mapped band pair and the time-domain
-    statistics that :func:`revin_inverse` needs.
+    Returns the normalized bands as constants and the state: the
+    time-domain statistics plus the affine, which :func:`affine_linear`
+    applies after a head's first layer and :func:`revin_inverse` undoes.
     """
     approx, detail = (b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64) for b in bands)
     length = 2 * approx.shape[-1]
@@ -97,14 +103,42 @@ def revin_forward(
     centered = approx - _SQRT2 * mean[..., None]
     var = (np.square(centered).sum(axis=-1) + np.square(detail).sum(axis=-1)) / length
     std = np.sqrt(var + eps)
-    out_a = constant(centered / std[..., None])
-    out_d = constant(detail / std[..., None])
-    if gain is not None:
-        gain_col = reshape(gain, gain.shape + (1,))  # (N, 1) broadcasts over (B, N, L/2)
-        out_a, out_d = mul(out_a, gain_col), mul(out_d, gain_col)
-    if bias is not None:
-        out_a = add(out_a, mul(reshape(bias, bias.shape + (1,)), constant(_SQRT2)))
-    return (out_a, out_d), RevinState(mean=mean, std=std, eps=eps, gain=gain, bias=bias)
+    bands_n = constant(centered / std[..., None]), constant(detail / std[..., None])
+    return bands_n, RevinState(mean=mean, std=std, eps=eps, gain=gain, bias=bias)
+
+
+def _column(param: Tensor) -> Tensor:
+    return reshape(param, param.shape + (1,))  # (N, 1) broadcasts over (B, N, D)
+
+
+def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, approx: bool) -> Tensor:
+    """A head's first layer on the affine-mapped band: ``(gain * x + shift) @ weight + bias``.
+
+    ``x`` is a normalized (B, N, Din) band from :func:`revin_forward`; the
+    shift is ``sqrt(2) * bias`` on the approximation band (``approx``) and
+    zero on the detail band. The affine is applied to the (B, N, Dout)
+    output, ``gain * (x @ weight) + shift (x) colsum(weight) + bias``.
+    Without the affine this is :func:`linear`.
+    """
+    if state.gain is None and state.bias is None:
+        return linear(x, weight, bias)
+    out = matmul(x, weight)
+    if state.gain is not None:
+        out = mul(out, _column(state.gain))
+    if approx and state.bias is not None:
+        colsum = matmul(constant(np.ones((1, weight.shape[0]))), weight)  # (1, Dout)
+        bias = add(mul(_column(state.bias), mul(colsum, constant(_SQRT2))), bias)  # (N, Dout)
+    return add(out, bias)
+
+
+def affine_approx(approx: np.ndarray, state: RevinState) -> np.ndarray:
+    """The affine-mapped approximation band ``gain * A_n + sqrt(2) * bias`` as an
+    array: the band whose first layer :func:`affine_linear` computes."""
+    if state.gain is not None:
+        approx = approx * state.gain.data[:, None]
+    if state.bias is not None:
+        approx = approx + state.bias.data[:, None] * _SQRT2
+    return approx
 
 
 def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:

@@ -1,0 +1,62 @@
+"""The reference forward the band path is tested against.
+
+It is the pipeline the paper describes, written the plain way: time-domain
+RevIN with the affine on the tape, the DWT of the affine-mapped lookback
+on the tape, each head as ``linear`` on its band (the public
+``moe_forward`` for M), the delta-weighted fusion and the inverse
+normalization. It shares no head or RevIN code with ``model.band_forward``,
+which takes the bands as constants and applies the affine after each
+head's first layer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wavets import autodiff as ad
+from wavets import moe as moe_mod
+from wavets import wavelet as wv
+from wavets.revin import compute_stats
+
+
+def _delta(cfg, params):
+    if cfg.has_delta():
+        return params["delta"]
+    shape = (cfg.channels, 1) if cfg.delta_per_channel else ()
+    return ad.constant(np.full(shape, cfg.delta_init))
+
+
+def reference_forward(cfg, params, x):
+    """(B, S, N) forecasts of a (B, L, N) lookback batch, on the tape."""
+    x = np.asarray(x.data if isinstance(x, ad.Tensor) else x, dtype=np.float64)
+    mean, std, _ = compute_stats(x)
+    normalized = ad.constant((x - mean[:, None, :]) / std[:, None, :])
+    gain, bias = params.get("revin.gain"), params.get("revin.bias")
+    if gain is not None:
+        normalized = ad.add(ad.mul(normalized, gain), bias)
+    bank = wv.get_bank(cfg.bank)
+    approx, detail = ad.dwt_pair(ad.swap_last2(normalized), bank)  # (B, N, L/2) each
+
+    def high():
+        return ad.mul(_delta(cfg, params), ad.linear(detail, params["hf.weight"], params["hf.bias"]))
+
+    if cfg.variant == "M":
+        fused = ad.add(moe_mod.moe_forward(params, cfg.moe, approx, prefix="moe."), high())
+    elif cfg.variant == "I":
+        low = ad.linear(approx, params["lf.weight"], params["lf.bias"])
+        fused = ad.idwt_pair(low, high(), bank)
+    elif cfg.variant == "HF":
+        fused = high()
+    else:  # B, S, LF
+        if cfg.lf_hidden:
+            hidden = ad.relu(ad.linear(approx, params["lf.w1"], params["lf.b1"]))
+            fused = ad.linear(hidden, params["lf.w2"], params["lf.b2"])
+        else:
+            fused = ad.linear(approx, params["lf.weight"], params["lf.bias"])
+        if cfg.variant == "B":
+            fused = ad.add(fused, high())
+
+    out = ad.swap_last2(fused)  # (B, S, N)
+    if gain is not None:
+        out = ad.div(ad.sub(out, bias), gain)
+    return ad.add(ad.mul(out, ad.constant(std[:, None, :])), ad.constant(mean[:, None, :]))

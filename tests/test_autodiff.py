@@ -166,6 +166,31 @@ def test_softmax_relu_swap_slice_gradients(seed):
     assert max_rel_err(x.grad, num_x) < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_concat_and_slice_range_gradients(seed):
+    rng = np.random.default_rng(300 + seed)
+    a = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = ad.constant(rng.normal(size=(3, 1)))
+    c = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    d = ad.Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    weights = rng.normal(size=(5, 4))
+
+    def run():
+        joined = ad.concat([ad.concat([a, b, c]), d], axis=0)  # (5, 7)
+        out = ad.mul(ad.slice_lastdim(joined, 2, 6), ad.constant(weights))
+        return ad.mean(ad.mul(out, ad.slice_lastdim(joined, 1, 5)))
+
+    run().backward()
+    assert b.grad is None
+
+    def f():
+        joined = np.concatenate([np.concatenate([a.data, b.data, c.data], axis=-1), d.data])
+        return float(np.mean(joined[:, 2:6] * weights * joined[:, 1:5]))
+
+    for tensor, num in zip((a, c, d), numeric_grad(f, [a.data, c.data, d.data])):
+        assert max_rel_err(tensor.grad, num) < 1e-4
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("bank_name", ["haar", "d4"])
 def test_transform_op_gradients(seed, bank_name):
@@ -217,7 +242,8 @@ def test_ops_on_constants_record_no_parents():
         ad.matmul(a, w), ad.left_matmul(ad.swap_last2(w), ad.swap_last2(a)),
         ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
         ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
-        ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), *ad.dwt_pair(a, bank),
+        ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), ad.slice_lastdim(a, 1, 3),
+        ad.concat([a, b]), *ad.dwt_pair(a, bank),
         ad.idwt_pair(a, b, bank),
     ]
     for out in results:

@@ -279,8 +279,15 @@ def test_timing_stability_and_scaling():
         predict(cfg, params, x)  # warm up
         return min(ev.time_mean(lambda: predict(cfg, params, x), repeats=20) for _ in range(3))
 
-    small, large = forward_time(16), forward_time(160)
-    assert large > 2.0 * small  # 10x channels should cost clearly more
+    # 10x channels should cost clearly more; like the stability half, retry
+    # so that one burst of host load during the small run cannot fail it
+    ratios = []
+    for _ in range(3):
+        small, large = forward_time(16), forward_time(160)
+        ratios.append(large / small)
+        if ratios[-1] > 2.0:
+            break
+    assert max(ratios) > 2.0, ratios
 
 
 def test_zero_epoch_run_reports_no_timing():

@@ -7,7 +7,7 @@ from wavets import model as model_mod
 from wavets import moe as moe_mod
 from wavets import training as training_mod
 from wavets import wavelet as wv
-from wavets.data import synth
+from wavets.data import WindowBatch, synth
 from wavets.exceptions import (
     ConfigMismatchError,
     InvalidConfigError,
@@ -29,10 +29,10 @@ from wavets.model import (
 )
 from wavets.moe import MoEConfig
 from wavets.optim import Adam
-from wavets.revin import RevinState, compute_stats
-from wavets.training import TrainSettings, evaluate_model, train_model
+from wavets.training import TrainSettings, evaluate_model, train_model, train_step
 
 from conftest import max_rel_err, numeric_grad
+from reference import reference_forward
 
 TINY = dict(lookback=8, horizon=4, channels=2)
 
@@ -349,20 +349,22 @@ def test_variant_i_matches_independent_trace():
     assert np.max(np.abs(predict(cfg, params, x) - want)) < 1e-12
 
 
-def _time_domain_prologue(cfg, params, x):
-    """Reference prologue: time-domain RevIN on the tape, swap, then the DWT."""
-    mean, std, _ = compute_stats(x)
-    out = ad.constant((x - mean[:, None, :]) / std[:, None, :])
-    gain, bias = params.get("revin.gain"), params.get("revin.bias")
-    if gain is not None:
-        out = ad.add(ad.mul(out, gain), bias)
-    approx, detail = ad.dwt_pair(ad.swap_last2(out), wv.get_bank(cfg.bank))
-    return approx, detail, RevinState(mean=mean, std=std, eps=1e-5, gain=gain, bias=bias)
+def _loss_and_grads(forward_fn, cfg, params, x, y):
+    """Prediction, loss and gradients of ``forward_fn`` on the tape."""
+    for p in params.values():
+        p.zero_grad()
+    pred = forward_fn(cfg, params, x)
+    loss = ad.mse_loss(pred, ad.constant(y))
+    loss.backward()
+    return pred.data, loss.item(), {name: p.grad for name, p in params.items()}
 
 
 @pytest.mark.parametrize("bank", wv.BANK_NAMES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
+def test_band_prologue_matches_time_domain_prologue(variant, bank):
+    """band_forward, with constant bands and RevIN's affine after each head's
+    first layer, matches the reference, which normalizes and maps the
+    lookback on the tape before the transform."""
     cfg = tiny_config(variant, lookback=16, horizon=8, channels=3, bank=bank)
     rng = np.random.default_rng(30)
     params = init_params(cfg, rng)
@@ -371,18 +373,9 @@ def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
     x = rng.normal(size=(4, 16, 3)) * 3.0 + 20.0
     y = rng.normal(size=(4, 8, 3)) * 3.0 + 20.0
 
-    # predict and loss_and_grads run the band path for every variant
-    monkeypatch.setattr(model_mod, "forward", band_forward)
-    pred = predict(cfg, params, x)
-    loss, grads = loss_and_grads(cfg, params, x, y)
-    prologues = []
-    monkeypatch.setattr(
-        model_mod, "_prologue", lambda *args: prologues.append(1) or _time_domain_prologue(*args)
-    )
-    pred_ref = predict(cfg, params, x)
-    loss_ref, grads_ref = loss_and_grads(cfg, params, x, y)
+    pred, loss, grads = _loss_and_grads(band_forward, cfg, params, x, y)
+    pred_ref, loss_ref, grads_ref = _loss_and_grads(reference_forward, cfg, params, x, y)
 
-    assert len(prologues) == 2
     assert np.max(np.abs(pred - pred_ref)) < 1e-10
     assert abs(loss - loss_ref) < 1e-10
     for name, grad in grads_ref.items():
@@ -390,12 +383,100 @@ def test_band_prologue_matches_time_domain_prologue(monkeypatch, variant, bank):
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
 
 
-def _band_loss_and_grads(cfg, params, x, y):
+@pytest.mark.parametrize(
+    "variant, overrides",
+    [
+        ("S", dict(lf_hidden=3)),
+        ("B", dict(lf_hidden=3, delta_per_channel=True)),
+        ("I", dict(delta_per_channel=True)),
+        ("HF", dict(delta_per_channel=True, revin_affine=False)),
+    ],
+)
+def test_unfoldable_heads_match_the_reference_forward(variant, overrides):
+    """The MLP low-pass head and a per-channel delta, which forward sends to
+    band_forward, match the reference in prediction, loss and gradients."""
+    cfg = tiny_config(variant, lookback=16, horizon=8, channels=3, bank="d4", **overrides)
+    assert fold(cfg, init_params(cfg, 0)) is None
+    rng = np.random.default_rng(33)
+    params = init_params(cfg, rng)
     for p in params.values():
-        p.zero_grad()
-    loss = ad.mse_loss(band_forward(cfg, params, x), ad.constant(y))
-    loss.backward()
-    return loss.item(), {name: p.grad for name, p in params.items()}
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(4, 16, 3)) * 3.0 - 7.0
+    y = rng.normal(size=(4, 8, 3)) * 3.0 - 7.0
+
+    pred_ref, loss_ref, grads_ref = _loss_and_grads(reference_forward, cfg, params, x, y)
+    assert np.max(np.abs(predict(cfg, params, x) - pred_ref)) < 1e-10
+    loss, grads = loss_and_grads(cfg, params, x, y)
+    assert abs(loss - loss_ref) < 1e-10
+    for name, grad in grads_ref.items():
+        assert np.any(grad != 0), name
+        assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    bank=st.sampled_from(wv.BANK_NAMES),
+    affine=st.booleans(),
+    delta_mode=st.sampled_from(["learnable", "fixed"]),
+    per_channel=st.booleans(),
+    experts=st.integers(1, 3),
+    hidden=st.integers(1, 5),
+    batch=st.integers(1, 3),
+    channels=st.integers(1, 4),
+    half=st.integers(1, 10),
+    horizon=st.integers(1, 8),
+    offset_ratio=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    spread=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_m_matches_the_reference_forward(
+    bank, affine, delta_mode, per_channel, experts, hidden, batch, channels, half, horizon,
+    offset_ratio, spread, seed,
+):
+    """M's prediction, loss and every gradient match the reference forward."""
+    lookback = 2 * max(half, wv.get_bank(bank).length // 2)
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(
+        "M", lookback, horizon, channels, bank=bank, revin_affine=affine, delta_mode=delta_mode,
+        delta_per_channel=per_channel, delta_init=float(rng.normal()),
+        moe=MoEConfig(num_experts=experts, hidden=hidden),
+    )
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    if affine:  # gains of either sign, away from zero
+        params["revin.gain"].data = rng.choice([-1.0, 1.0], channels) * rng.uniform(0.5, 2.0, channels)
+    x = offset_ratio * spread + spread * rng.normal(size=(batch, lookback, channels))
+    y = offset_ratio * spread + spread * rng.normal(size=(batch, horizon, channels))
+
+    pred_ref, loss_ref, grads_ref = _loss_and_grads(reference_forward, cfg, params, x, y)
+    assert np.max(np.abs(predict(cfg, params, x) - pred_ref)) < 1e-10
+    loss, grads = loss_and_grads(cfg, params, x, y)
+    assert abs(loss - loss_ref) < 1e-10
+    assert set(grads) == set(grads_ref)
+    for name, grad in grads_ref.items():
+        assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
+
+
+def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
+    """The bands are constants: no tensor in an M train step gets a gradient
+    shaped like a (B, N, L/2) band or the (B, N, L) lookback."""
+    cfg = ModelConfig("M", 20, 6, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3))
+    rng = np.random.default_rng(32)
+    params = init_params(cfg, rng)
+    batch = WindowBatch(x=rng.normal(size=(5, 20, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    shapes = []
+    real = ad.Tensor._accumulate
+
+    def spy(self, g):
+        shapes.append(np.shape(g))
+        real(self, g)
+
+    monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
+    train_step(cfg, params, Adam(params), batch)
+    assert (5, 3, cfg.half) not in shapes
+    assert (5, 3, cfg.lookback) not in shapes
+    assert (5, 3, 8) in shapes  # the spy saw the fused first layer's (B, N, E + E*H) gradient
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -438,7 +519,7 @@ def test_fold_matches_tape_forward(
     assert offset.shape == (horizon, channels if affine else 1)
     assert np.max(np.abs(predict(cfg, params, x) - band_forward(cfg, params, x).data)) < 1e-10
     loss, grads = loss_and_grads(cfg, params, x, y)
-    loss_ref, grads_ref = _band_loss_and_grads(cfg, params, x, y)
+    _, loss_ref, grads_ref = _loss_and_grads(band_forward, cfg, params, x, y)
     assert abs(loss - loss_ref) < 1e-10
     for name, grad in grads_ref.items():
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
@@ -492,9 +573,10 @@ def test_training_never_synthesizes(monkeypatch, variant):
             assert len(shape) <= 2 and shape[0] in weight_dims, (name, shape)
 
 
-@pytest.mark.parametrize("variant, bank", [("B", "haar"), ("I", "d4")])
+@pytest.mark.parametrize("variant, bank", [("B", "haar"), ("I", "d4"), ("M", "d4")])
 def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
-    """Several epochs through the fold land where the band path lands."""
+    """Several epochs through the fold (B, I) or through band_forward (M)
+    land where the reference forward lands."""
     cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank=bank)
     series = synth("sine_mix", 260, 3, seed=6)
     train, val, test = series, synth("sine_mix", 90, 3, seed=7), synth("sine_mix", 90, 3, seed=8)
@@ -504,21 +586,23 @@ def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
         result = train_model(cfg, train, val, settings, seed=3)
         return result, evaluate_model(cfg, result.params, test)
 
-    folded, folded_metrics = run()
-    # the reference trains, validates and evaluates on the band path
-    monkeypatch.setattr(training_mod, "forward", band_forward)
-    monkeypatch.setattr(model_mod, "forward", band_forward)
+    fast, fast_metrics = run()
+    # the reference trains, validates and evaluates on the time-domain band path
+    monkeypatch.setattr(training_mod, "forward", reference_forward)
+    monkeypatch.setattr(model_mod, "forward", reference_forward)
     banded, banded_metrics = run()
 
-    assert folded.epochs_trained == banded.epochs_trained == 4
-    assert folded.best_epoch == banded.best_epoch
+    assert fast.epochs_trained == banded.epochs_trained == 4
+    assert fast.best_epoch == banded.best_epoch
     for name, p in banded.params.items():  # relative to each tensor's largest entry
-        assert np.max(np.abs(folded.params[name].data - p.data)) <= 1e-9 * np.max(np.abs(p.data)), name
+        assert np.max(np.abs(fast.params[name].data - p.data)) <= 1e-9 * np.max(np.abs(p.data)), name
     for key in ("mse", "mae"):
-        assert abs(folded_metrics[key] - banded_metrics[key]) <= 1e-9 * abs(banded_metrics[key]), key
+        assert abs(fast_metrics[key] - banded_metrics[key]) <= 1e-9 * abs(banded_metrics[key]), key
 
 
 def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
+    """The gate's logits on the diagnostics band are the logits of M's fused
+    first layer, which applies RevIN's affine after the matmul."""
     cfg = tiny_config("M", bank="d4")
     rng = np.random.default_rng(31)
     params = init_params(cfg, rng)
@@ -528,11 +612,14 @@ def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
     seen = []
     real = moe_mod.moe_forward
 
-    def spy(params, cfg, band, prefix=""):
-        seen.append(band.data.copy())
-        return real(params, cfg, band, prefix=prefix)
+    def spy(params, cfg, band, prefix="", first_layer=None):
+        seen.append((band, first_layer))
+        return real(params, cfg, band, prefix=prefix, first_layer=first_layer)
 
     monkeypatch.setattr(moe_mod, "moe_forward", spy)
     predict(cfg, params, x)
-    (gate_input,) = seen
-    assert np.array_equal(model_mod.low_frequency_band(cfg, params, x), gate_input)
+    ((band, first_layer),) = seen
+    weight, bias = params["moe.gate.weight"], params["moe.gate.bias"]
+    logits = first_layer(band, weight, bias).data
+    diagnostics = ad.linear(ad.constant(model_mod.low_frequency_band(cfg, params, x)), weight, bias).data
+    assert np.max(np.abs(logits - diagnostics)) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavets import moe
-from wavets.autodiff import Tensor
+from wavets.autodiff import Tensor, add, mean, mul, slice_lastdim
 from wavets.data import synth
 from wavets.exceptions import InvalidConfigError, ShapeMismatchError
 from wavets.wavelet import dwt_arrays, get_bank
@@ -118,6 +118,34 @@ def test_single_expert_mixture_is_identity():
     mixture = moe.moe_forward(params, cfg, x).data
     solo = moe.expert_forward(params, 0, x).data
     assert np.max(np.abs(mixture - solo)) < 1e-6
+
+
+@pytest.mark.parametrize("experts", [1, 3])
+def test_fused_mixture_matches_the_per_expert_loop(experts):
+    """The two fused matmuls match sum_e gate_e * expert_e(x), in value and in
+    every gradient, the input's included."""
+    cfg = moe.MoEConfig(num_experts=experts, hidden=4)
+
+    def run(mixture):
+        params = make_params(cfg, 5, 3, seed=10, scale=0.8)
+        x = Tensor(np.random.default_rng(11).normal(size=(2, 4, 5)), requires_grad=True)
+        out = mixture(params, x)
+        mean(mul(out, out)).backward()
+        return out.data, {name: p.grad for name, p in [*params.items(), ("x", x)]}
+
+    def loop(params, x):
+        probs = moe.gate(params, x)
+        terms = [mul(slice_lastdim(probs, e), moe.expert_forward(params, e, x)) for e in range(experts)]
+        out = terms[0]
+        for term in terms[1:]:
+            out = add(out, term)
+        return out
+
+    fused, fused_grads = run(lambda params, x: moe.moe_forward(params, cfg, x))
+    looped, looped_grads = run(loop)
+    assert np.max(np.abs(fused - looped)) < 1e-12
+    for name, grad in looped_grads.items():
+        assert np.max(np.abs(fused_grads[name] - grad)) < 1e-12, name
 
 
 def test_identical_experts_ignore_gate():

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 from wavets import wavelet as wv
 from wavets.autodiff import Tensor, mean, mul, swap_last2
 from wavets.exceptions import DegenerateWindowError, ZeroGainError
-from wavets.revin import RevinState, compute_stats, revin_forward, revin_inverse
+from wavets.revin import (
+    RevinState,
+    affine_approx,
+    affine_linear,
+    compute_stats,
+    revin_forward,
+    revin_inverse,
+)
 
 
 def _unit_affine(channels):
@@ -22,6 +29,13 @@ def _bands(x, bank="haar"):
 def _time_domain(out, bank="haar"):
     """Back to (B, L, N) from a band pair returned by revin_forward."""
     return np.swapaxes(wv.idwt_arrays(out[0].data, out[1].data, wv.get_bank(bank)), 1, 2)
+
+
+def _mapped(bands, state):
+    """The affine-mapped bands, from affine_linear with an identity first layer."""
+    half = bands[0].shape[-1]
+    eye, zero = Tensor(np.eye(half)), Tensor(np.zeros(half))
+    return tuple(affine_linear(band, eye, zero, state, approx) for band, approx in zip(bands, (True, False)))
 
 
 def test_hand_computed_four_points():
@@ -69,7 +83,7 @@ def test_roundtrip_float64():
     gain = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
     bias = Tensor(rng.normal(size=3), requires_grad=True)
     out, state = revin_forward(_bands(x), gain, bias)
-    back = revin_inverse(_time_domain(out), state)
+    back = revin_inverse(_time_domain(_mapped(out, state)), state)
     assert np.max(np.abs(back.data - x)) < 1e-12
 
 
@@ -112,8 +126,9 @@ def test_affine_parameters_receive_gradients():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 8, 3))
     gain, bias = _unit_affine(3)
-    (approx, _), state = revin_forward(_bands(x), gain, bias)
-    per_step = swap_last2(approx)  # (B, L/2, N), shaped like a forecast
+    bands, state = revin_forward(_bands(x), gain, bias)
+    assert all(not band.requires_grad and not band._parents for band in bands)  # constants
+    per_step = swap_last2(_mapped(bands, state)[0])  # (B, L/2, N), shaped like a forecast
     restored = revin_inverse(mul(per_step, per_step), state)
     mean(restored).backward()
     assert gain.grad is not None and np.any(gain.grad != 0)
@@ -131,18 +146,23 @@ def test_affine_parameters_receive_gradients():
     seed=st.integers(0, 2**16),
 )
 def test_band_domain_matches_time_domain(bank, batch, channels, half, offset_ratio, spread, seed):
-    """Bands of the time-domain normalize-plus-affine, statistics from compute_stats."""
+    """Bands of the time-domain normalize-plus-affine, statistics from compute_stats.
+
+    The affine rides in the state: affine_linear with an identity first
+    layer and affine_approx both give the bands of the mapped lookback."""
     rng = np.random.default_rng(seed)
     x = offset_ratio * spread + spread * rng.normal(size=(batch, 2 * half, channels))
     gain = Tensor(rng.uniform(0.5, 2.0, size=channels))
     bias = Tensor(rng.normal(size=channels))
 
-    (approx, detail), state = revin_forward(_bands(x, bank), gain, bias)
+    bands, state = revin_forward(_bands(x, bank), gain, bias)
+    approx, detail = _mapped(bands, state)
 
     mean_ref, std_ref, _ = compute_stats(x)
     affine = (x - mean_ref[:, None, :]) / std_ref[:, None, :] * gain.data + bias.data
     approx_ref, detail_ref = _bands(affine, bank)
     assert np.max(np.abs(approx.data - approx_ref)) < 1e-10
     assert np.max(np.abs(detail.data - detail_ref)) < 1e-10
+    assert np.max(np.abs(affine_approx(bands[0].data, state) - approx_ref)) < 1e-10
     assert np.max(np.abs(state.mean - mean_ref)) <= 1e-10 * np.max(np.abs(x))
     assert np.max(np.abs(state.std / std_ref - 1.0)) < 1e-10
