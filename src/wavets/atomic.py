@@ -18,11 +18,13 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     new one and never part of one. If the block raises, the temporary file
     is removed and ``path`` is left as it was. The file is not synced, so
     this guards against a failed or killed writer, not against power loss.
+    The handle does no newline translation (``newline=""``), as the csv
+    module expects, so the bytes written are the text given.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with open(tmp, "x") as fh:
+        with open(tmp, "x", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -7,11 +7,12 @@ the DAG of live tensors; ``backward()`` on a scalar walks it once in
 reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
-maps, one shared matrix applied on the left of a batch (the folded
-linear forecaster), ReLU, softmax, elementwise arithmetic with
-broadcasting, reshapes, axis swaps, slices and concatenation (the fused
-mixture-of-experts layers), the (fixed, linear) wavelet
-analysis/synthesis pair, and mean-squared-error reduction.
+maps, the folded linear forecast (one shared matrix applied on the left
+of a centred batch plus its mean and scaled offset, as one op), ReLU,
+softmax, elementwise arithmetic with broadcasting, reshapes, axis swaps,
+slices and concatenation (the fused mixture-of-experts layers), the
+(fixed, linear) wavelet analysis/synthesis pair, and the mean squared
+error (one op).
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -234,25 +235,55 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     return _record(out_data, (x, w), backward)
 
 
-def left_matmul(w: Tensor, x: Tensor) -> Tensor:
-    """``w @ x`` with one (S, L) matrix ``w`` applied to every (L, N) slice of ``x``.
+def folded_forecast(weight: Tensor, offset: Tensor, centred: Tensor, mean: Tensor, std: Tensor) -> Tensor:
+    """The folded linear forecast ``weight @ centred + mean + std * offset``.
 
-    The weight gradient is ``sum_b g_b @ x_b^T``; no gradient is formed
-    for an ``x`` that needs none.
+    One (S, L) matrix ``weight`` is applied to every (L, N) slice of the
+    centred lookback ``centred``; ``mean`` and ``std`` (one value per
+    slice and channel, e.g. (B, N)) broadcast over the horizon, and
+    ``offset`` is (S, N) or (S, 1). The sum is built in place on the
+    matmul's output, one (S, N) slice at a time: the mean is added first,
+    then ``std * offset``. The weight gradient is ``sum_b g_b @
+    centred_b^T``, the offset gradient ``std * g`` summed over the batch;
+    no gradient is formed for an input that needs none.
     """
-    if w.ndim != 2 or x.ndim < 2 or x.shape[-2] != w.shape[1]:
-        raise ShapeMismatchError(f"cannot left-matmul {w.shape} with {x.shape}")
-    out_data = w.data @ x.data
+    if weight.ndim != 2 or centred.ndim < 2 or centred.shape[-2] != weight.shape[1]:
+        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {centred.shape}")
+    stats_shape = centred.shape[:-2] + centred.shape[-1:]
+    if mean.shape != stats_shape or std.shape != stats_shape:
+        raise ShapeMismatchError(
+            f"mean {mean.shape} and std {std.shape} must be {stats_shape} for {centred.shape}"
+        )
+    if offset.ndim != 2 or offset.shape[0] != weight.shape[0] or offset.shape[1] not in (1, centred.shape[-1]):
+        raise ShapeMismatchError(
+            f"offset shape {offset.shape} does not fit ({weight.shape[0]}, {centred.shape[-1]})"
+        )
+    out_data = weight.data @ centred.data
+    # Slice by slice, so each std * offset product is added while in cache.
+    slices = zip(
+        out_data.reshape((-1,) + out_data.shape[-2:]),
+        mean.data.reshape(-1, mean.shape[-1]),
+        std.data.reshape(-1, std.shape[-1]),
+    )
+    for out_b, mean_b, std_b in slices:
+        out_b += mean_b
+        out_b += std_b * offset.data
 
     def backward(g: Array) -> None:
-        if w._needs_grad():
-            flat_x = x.data.reshape((-1,) + x.shape[-2:])
+        if weight._needs_grad():
+            flat_x = centred.data.reshape((-1,) + centred.shape[-2:])
             flat_g = g.reshape((-1,) + g.shape[-2:])
-            w._accumulate((flat_g @ np.swapaxes(flat_x, -1, -2)).sum(axis=0))
-        if x._needs_grad():
-            x._accumulate(w.data.T @ g)
+            weight._accumulate((flat_g @ np.swapaxes(flat_x, -1, -2)).sum(axis=0))
+        if offset._needs_grad():
+            offset._accumulate(_unbroadcast(g * np.expand_dims(std.data, -2), offset.shape))
+        if centred._needs_grad():
+            centred._accumulate(weight.data.T @ g)
+        if mean._needs_grad():
+            mean._accumulate(g.sum(axis=-2))
+        if std._needs_grad():
+            std._accumulate((g * offset.data).sum(axis=-2))
 
-    return _record(out_data, (w, x), backward)
+    return _record(out_data, (weight, offset, centred, mean, std), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -299,12 +330,23 @@ def mean(x: Tensor) -> Tensor:
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean of squared differences; gradient is 2*(pred-target)/count."""
+    """Mean of squared differences as one op; gradient is 2*(pred-target)/count.
+
+    The difference is formed once, and backward scales it in one pass.
+    """
     target = _wrap(target)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"pred shape {pred.shape} != target shape {target.shape}")
-    diff = sub(pred, target)
-    return mean(mul(diff, diff))
+    diff = pred.data - target.data
+
+    def backward(g: Array) -> None:
+        scaled = diff * (2.0 * float(g) / diff.size)
+        if pred._needs_grad():
+            pred._accumulate(scaled)
+        if target._needs_grad():
+            target._accumulate(-scaled)
+
+    return _record(np.square(diff).mean(), (pred, target), backward)
 
 
 def swap_last2(x: Tensor) -> Tensor:

@@ -256,7 +256,7 @@ def _run_grid(
         except WavetsError as exc:
             rows.append({key: cell, "status": f"error:{exc.reason}"})
             print(f"{key} {cell}: failed ({exc.reason}: {exc})", file=sys.stderr)
-    with open(run_dir / csv_name, "w", newline="") as fh:
+    with atomic_write(run_dir / csv_name) as fh:
         writer = csv.DictWriter(fh, fieldnames=[key, "status", *ev.RunReport.CSV_FIELDS], restval="")
         writer.writeheader()
         writer.writerows(rows)
@@ -280,7 +280,7 @@ def cmd_decompose(args) -> int:
     bank = wavelet.get_bank(args.bank)
     bands = wavelet.dwt_multi(series.values.T, bank, args.levels)  # channels on rows
     out_path = Path(args.output)
-    with open(out_path, "w", newline="") as fh:
+    with atomic_write(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "band", "index", "value"])
         for level, pair in enumerate(bands, start=1):
@@ -343,7 +343,7 @@ def cmd_benchmark(args) -> int:
     writer.writeheader()
     writer.writerows(rows)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
+        with atomic_write(args.output) as fh:
             file_writer = csv.DictWriter(fh, fieldnames=header)
             file_writer.writeheader()
             file_writer.writerows(rows)
@@ -422,7 +422,8 @@ def cmd_table(args) -> int:
     text = "\n".join(lines)
     print(text, end="")
     if args.output:
-        Path(args.output).write_text(text)
+        with atomic_write(args.output) as fh:
+            fh.write(text)
     return 0
 
 

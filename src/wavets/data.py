@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
 from .exceptions import (
     EmptyFileError,
     InvalidConfigError,
@@ -139,8 +140,8 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
 
 
 def save_csv(series: Series, path: str | Path) -> None:
-    """Write a Series in the same shape load_csv reads (no timestamp column)."""
-    with open(path, "w", newline="") as fh:
+    """Write a Series, atomically, in the same shape load_csv reads (no timestamp column)."""
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(series.channel_names)
         for row in series.values:
@@ -251,12 +252,25 @@ class WindowBatch:
     origins: np.ndarray  # (B,)
 
 
+def _is_run(origins: np.ndarray, count: int) -> bool:
+    """Whether ``origins`` is one ascending run ``o, o+1, ...`` of in-range window indices."""
+    return (
+        origins.ndim == 1
+        and origins.size > 0
+        and np.issubdtype(origins.dtype, np.integer)
+        and 0 <= origins[0]
+        and origins[-1] < count
+        and bool((np.diff(origins) == 1).all())
+    )
+
+
 class WindowSampler:
     """Stride-1 sliding windows over a series.
 
     Exactly ``T - L - S + 1`` windows exist; batches are cut from a
     zero-copy sliding view, in deterministic order unless a shuffle
-    generator is supplied.
+    generator is supplied. An unshuffled batch is a run of consecutive
+    origins, so it comes back as read-only views of the series.
     """
 
     def __init__(self, series: Series, lookback: int, horizon: int):
@@ -269,7 +283,7 @@ class WindowSampler:
         self.horizon = horizon
         self.values = series.values
         self.origins = np.arange(total - lookback - horizon + 1)
-        # (T - L + 1, L, N) view; row t is values[t : t + L].
+        # Read-only (T - L - S + 1, L + S, N) view; row t is values[t : t + L + S].
         self._windows = np.lib.stride_tricks.sliding_window_view(
             series.values, lookback + horizon, axis=0
         ).transpose(0, 2, 1)
@@ -278,12 +292,21 @@ class WindowSampler:
         return len(self.origins)
 
     def gather(self, origins: np.ndarray) -> WindowBatch:
-        # Each fancy-indexed slice is one fresh C-contiguous copy.
-        return WindowBatch(
-            x=self._windows[origins, : self.lookback],
-            y=self._windows[origins, self.lookback :],
-            origins=origins,
-        )
+        """The windows starting at ``origins``.
+
+        One ascending run of consecutive origins is a slice of the sliding
+        view: ``x`` and ``y`` are then read-only views that share memory
+        with the series, and nothing is copied. Any other set of origins
+        (a shuffled batch, gaps, repeats) is fancy-indexed, which gives
+        fresh C-contiguous copies.
+        """
+        origins = np.asarray(origins)
+        if _is_run(origins, len(self._windows)):
+            picked = self._windows[origins[0] : origins[-1] + 1]
+            x, y = picked[:, : self.lookback], picked[:, self.lookback :]
+        else:
+            x, y = self._windows[origins, : self.lookback], self._windows[origins, self.lookback :]
+        return WindowBatch(x=x, y=y, origins=origins)
 
     def batches(
         self,

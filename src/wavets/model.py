@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -56,8 +56,8 @@ from .autodiff import (
     constant,
     div,
     dwt_pair,
+    folded_forecast,
     idwt_pair,
-    left_matmul,
     linear,
     matmul,
     mse_loss,
@@ -87,6 +87,10 @@ FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
 # Which variants carry a high-frequency weighting parameter at all.
 _DELTA_VARIANTS = ("B", "M", "I", "HF")
 
+# The Python types a scalar config field accepts, by its annotation; a bool
+# is no int here, and an int is a float.
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -103,6 +107,15 @@ class ModelConfig:
     moe: moe_mod.MoEConfig | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, accepted = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            bool_as_number = isinstance(value, bool) and f.type != "bool"
+            if accepted and (bool_as_number or not isinstance(value, accepted)):
+                raise InvalidConfigError(f"{f.name} must be a {f.type}, got {value!r}")
+        if not math.isfinite(self.delta_init):
+            raise InvalidConfigError(f"delta_init must be finite, got {self.delta_init}")
+        if self.moe is not None and not isinstance(self.moe, moe_mod.MoEConfig):
+            raise InvalidConfigError(f"moe must be an MoEConfig, got {self.moe!r}")
         if self.variant not in VARIANTS:
             raise InvalidConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.lookback < 2 or self.lookback % 2:
@@ -364,9 +377,11 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     """Predict (B, S, N) from a lookback batch (B, L, N) on the tape.
 
     The linear variants run through :func:`fold`: time-domain RevIN
-    statistics, one shared matrix on the centred lookback, then the mean
-    and the scaled offset. The batch is never transformed and gets no
-    gradient. The other variants run :func:`band_forward`.
+    statistics, then one :func:`~wavets.autodiff.folded_forecast` op that
+    applies the shared matrix to the centred lookback and adds the mean
+    and the scaled offset in place on the matmul's output. The batch is
+    never transformed and gets no gradient. The other variants run
+    :func:`band_forward`.
     """
     x = _lookback(cfg, x)
     folded = fold(cfg, params)
@@ -374,8 +389,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
         return band_forward(cfg, params, x)
     weight, offset = folded
     mean, std, centered = compute_stats(x)
-    out = add(left_matmul(weight, constant(centered)), constant(mean[:, None, :]))
-    return add(out, mul(constant(std[:, None, :]), offset))
+    return folded_forecast(weight, offset, constant(centered), constant(mean), constant(std))
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:

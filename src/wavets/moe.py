@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor, add, concat, linear, matmul, mul, relu, reshape, slice_lastdim, softmax_lastdim
 from .exceptions import InvalidConfigError, ShapeMismatchError
 
@@ -38,6 +39,10 @@ class MoEConfig:
     hidden: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("num_experts", "hidden"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be an int, got {value!r}")
         if self.num_experts < 1:
             raise InvalidConfigError(f"num_experts must be >= 1, got {self.num_experts}")
         if self.hidden < 1:
@@ -146,7 +151,7 @@ def gate_report(
 
 def write_gate_report_csv(rows: list[dict], path: str | Path, num_experts: int) -> None:
     header = ["channel"] + [f"expert_{e}" for e in range(num_experts)] + ["argmax", "entropy"]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         for row in rows:

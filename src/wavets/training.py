@@ -91,7 +91,7 @@ def train_model(
 ) -> TrainResult:
     """Fit ``cfg`` on the train split, early-stopping on validation MSE.
 
-    Returns the parameters of the best validation epoch.
+    Returns the parameters of the best validation epoch, with no gradients.
     """
     init_rng = np.random.default_rng([seed, 101])
     shuffle_rng = np.random.default_rng([seed, 202])
@@ -130,6 +130,7 @@ def train_model(
             stale += 1
             if stale >= settings.patience:
                 break
+    optimizer.zero_grad()  # the last batch's gradients would outlive the run
     for name, p in params.items():
         p.data = best_snapshot[name]
     return result

@@ -1,4 +1,5 @@
-"""The reference forward the band path is tested against.
+"""The reference forward the band path is tested against, and the op
+compositions the one-op folded forecast and MSE replace.
 
 It is the pipeline the paper describes, written the plain way: time-domain
 RevIN with the affine on the tape, the DWT of the affine-mapped lookback
@@ -60,3 +61,34 @@ def reference_forward(cfg, params, x):
     if gain is not None:
         out = ad.div(ad.sub(out, bias), gain)
     return ad.add(ad.mul(out, ad.constant(std[:, None, :])), ad.constant(mean[:, None, :]))
+
+
+def left_matmul(w, x):
+    """``w @ x`` with one (S, L) matrix applied to every (L, N) slice of ``x``, on the tape."""
+    out_data = w.data @ x.data
+
+    def backward(g):
+        if w._needs_grad():
+            flat_x = x.data.reshape((-1,) + x.shape[-2:])
+            flat_g = g.reshape((-1,) + g.shape[-2:])
+            w._accumulate((flat_g @ np.swapaxes(flat_x, -1, -2)).sum(axis=0))
+        if x._needs_grad():
+            x._accumulate(w.data.T @ g)
+
+    return ad._record(out_data, (w, x), backward)
+
+
+def composed_folded_forecast(weight, offset, centred, mean, std):
+    """``folded_forecast`` as four ops: ``left_matmul``, then ``add`` the mean,
+    then ``add`` the ``mul`` of std and offset."""
+    def horizon_axis(t):
+        return ad.reshape(t, t.shape[:-1] + (1, t.shape[-1]))
+
+    out = ad.add(left_matmul(weight, centred), horizon_axis(mean))
+    return ad.add(out, ad.mul(horizon_axis(std), offset))
+
+
+def composed_mse(pred, target):
+    """``mse_loss`` as three ops: ``sub``, ``mul`` and ``mean``."""
+    diff = ad.sub(pred, target)
+    return ad.mean(ad.mul(diff, diff))

@@ -1,5 +1,6 @@
-"""Checkpoints, sidecars, configs and reports are written atomically."""
+"""Checkpoints, sidecars, configs, reports, gate reports and grid CSVs are written atomically."""
 
+import csv
 import dataclasses
 import os
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from wavets import checkpoint as ckpt
+from wavets import cli
 from wavets import evaluation as ev
 from wavets import model as model_mod
+from wavets import moe as moe_mod
 from wavets.atomic import atomic_write
 from wavets.autodiff import Tensor
 from wavets.config import RunConfig, write_config
@@ -92,3 +95,36 @@ def test_report_serialization_error_keeps_the_previous_report(tmp_path):
 
     other = dataclasses.replace(report, seed=1)
     _unchanged_after(path, lambda: ev.write_reports_csv([other, Broken()], path))
+
+
+def test_gate_report_error_mid_write_keeps_the_previous_report(tmp_path):
+    rows = [
+        {"channel": f"ch{n}", "expert_0": 0.25, "expert_1": 0.75, "argmax": 1, "entropy": 0.56}
+        for n in range(2)
+    ]
+    path = tmp_path / "gates.csv"
+    moe_mod.write_gate_report_csv(rows, path, num_experts=2)
+    assert path.read_text().splitlines()[0] == "channel,expert_0,expert_1,argmax,entropy"
+    broken = [dict(rows[0], expert_0=0.5), {"channel": "ch1"}]  # the second row lacks its values
+    _unchanged_after(path, lambda: moe_mod.write_gate_report_csv(broken, path, num_experts=2), KeyError)
+
+
+def test_grid_csv_error_mid_write_keeps_the_previous_grid(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    write_config(RunConfig(), run_dir / "config.json")  # the grid rewrites it before its cells
+    path = run_dir / "sweep.csv"
+    path.write_text("L,status\n16,ok\n")
+    monkeypatch.setattr(cli, "make_run_dir", lambda cfg: run_dir)
+
+    def writerows(self, rows):  # the header is out; fail after the first row
+        self.writerow(rows[0])
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(csv.DictWriter, "writerows", writerows)
+    args = [
+        "sweep", "--lengths", "15,17",  # odd lookbacks fail their cells at once
+        "--data", "synth:sine_mix", "--synth-length", "400", "--synth-channels", "2",
+        "--horizon", "4", "--out", str(tmp_path),
+    ]
+    _unchanged_after(path, lambda: cli.main(args), RuntimeError)

@@ -16,6 +16,7 @@ from wavets.exceptions import (
 from wavets.optim import Adam
 
 from conftest import max_rel_err, numeric_grad
+from reference import composed_folded_forecast, composed_mse
 
 
 def test_linear_identity():
@@ -35,25 +36,80 @@ def test_linear_shape_errors():
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError):
         ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(3)))
-    with pytest.raises(ShapeMismatchError):
-        ad.left_matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2, 3))))
 
 
-def test_left_matmul_gradients_match_finite_differences():
+def _fold_inputs(rng, batch_shape, length, horizon, channels, offset_channels):
+    """Random (weight, offset, centred, mean, std) for :func:`ad.folded_forecast`."""
+    stats = batch_shape + (channels,)
+    return tuple(
+        ad.Tensor(data, requires_grad=True)
+        for data in (
+            rng.normal(size=(horizon, length)),
+            rng.normal(size=(horizon, offset_channels)),
+            rng.normal(size=batch_shape + (length, channels)),
+            rng.normal(size=stats),
+            rng.uniform(0.5, 2.0, size=stats),
+        )
+    )
+
+
+def test_folded_forecast_shape_errors():
+    def fold(*shapes):
+        return ad.folded_forecast(*(ad.Tensor(np.ones(s)) for s in shapes))
+
+    assert fold((2, 3), (2, 4), (5, 3, 4), (5, 4), (5, 4)).shape == (5, 2, 4)
+    assert fold((2, 3), (2, 1), (3, 4), (4,), (4,)).shape == (2, 4)
+    bad = [
+        ((2, 3), (2, 3), (4, 2, 3), (4, 3), (4, 3)),  # lookback length
+        ((2, 3), (2, 4), (5, 3, 4), (5, 3), (5, 4)),  # mean shape
+        ((2, 3), (2, 4), (5, 3, 4), (5, 4), (4,)),  # std shape
+        ((2, 3), (3, 4), (5, 3, 4), (5, 4), (5, 4)),  # offset horizon
+        ((2, 3), (2, 2), (5, 3, 4), (5, 4), (5, 4)),  # offset channels
+        ((2, 3), (2, 4, 1), (5, 3, 4), (5, 4), (5, 4)),  # offset rank
+    ]
+    for shapes in bad:
+        with pytest.raises(ShapeMismatchError):
+            fold(*shapes)
+
+
+def test_folded_forecast_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    w = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-    x = ad.Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
-    target = rng.normal(size=(3, 2, 4))
-    out = ad.left_matmul(w, x)
-    assert np.array_equal(out.data, np.stack([w.data @ x_b for x_b in x.data]))
-    ad.mse_loss(out, ad.constant(target)).backward()
+    for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
+        inputs = _fold_inputs(rng, (3,), 5, 2, 4, offset_channels)
+        w, offset, x, mean, std = inputs
+        target = rng.normal(size=(3, 2, 4))
+        out = ad.folded_forecast(*inputs)
+        expected = [w.data @ x_b + m_b + s_b * offset.data for x_b, m_b, s_b in zip(x.data, mean.data, std.data)]
+        assert np.array_equal(out.data, np.stack(expected))
+        ad.mse_loss(out, ad.constant(target)).backward()
 
-    def f():
-        return float(np.mean((w.data @ x.data - target) ** 2))
+        def f():
+            pred = w.data @ x.data + mean.data[:, None, :] + std.data[:, None, :] * offset.data
+            return float(np.mean((pred - target) ** 2))
 
-    num_w, num_x = numeric_grad(f, [w.data, x.data])
-    assert max_rel_err(w.grad, num_w) < 1e-4
-    assert max_rel_err(x.grad, num_x) < 1e-4
+        numeric = numeric_grad(f, [t.data for t in inputs])
+        for tensor, num in zip(inputs, numeric):
+            assert tensor.grad.shape == tensor.shape
+            assert max_rel_err(tensor.grad, num) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "batch_shape, length, horizon, channels, offset_channels",
+    [((4,), 6, 3, 5, 5), ((4,), 6, 3, 5, 1), ((2, 3), 4, 2, 3, 3), ((), 6, 4, 2, 2), ((1,), 1, 1, 1, 1)],
+)
+def test_folded_forecast_matches_its_composition(batch_shape, length, horizon, channels, offset_channels):
+    """One op against left_matmul + add + mul + add: values and every gradient bit for bit."""
+    rng = np.random.default_rng(11)
+    fused = _fold_inputs(rng, batch_shape, length, horizon, channels, offset_channels)
+    composed = tuple(ad.Tensor(t.data.copy(), requires_grad=True) for t in fused)
+    upstream = ad.constant(rng.normal(size=batch_shape + (horizon, channels)))
+    out = ad.folded_forecast(*fused)
+    ref = composed_folded_forecast(*composed)
+    assert np.array_equal(out.data, ref.data)
+    ad.mean(ad.mul(out, upstream)).backward()
+    ad.mean(ad.mul(ref, upstream)).backward()
+    for a, b in zip(fused, composed):
+        assert np.array_equal(a.grad, b.grad)
 
 
 def test_linear_gradients_match_finite_differences():
@@ -110,6 +166,37 @@ def test_mse_examples():
     assert abs(loss.item() - 2.0 / 3.0) < 1e-12
     with pytest.raises(ShapeMismatchError):
         ad.mse_loss(ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 5), (2, 3, 4), ()])
+def test_mse_loss_matches_its_composition(shape):
+    """One op against sub, mul and mean: the loss and both gradients bit for bit,
+    also when the loss is scaled before backward."""
+    rng = np.random.default_rng(5)
+    pred, target = rng.normal(size=shape) * 3.0, rng.normal(size=shape)
+    for scale in (1.0, 0.37, -2.5):
+        fused = ad.Tensor(pred.copy(), requires_grad=True), ad.Tensor(target.copy(), requires_grad=True)
+        composed = ad.Tensor(pred.copy(), requires_grad=True), ad.Tensor(target.copy(), requires_grad=True)
+        out, ref = ad.mse_loss(*fused), composed_mse(*composed)
+        assert out.data == ref.data
+        ad.mul(out, ad.constant(scale)).backward()
+        ad.mul(ref, ad.constant(scale)).backward()
+        for a, b in zip(fused, composed):
+            assert np.array_equal(a.grad, b.grad)
+
+
+def test_mse_target_gradient_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    pred = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    target = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    ad.mse_loss(pred, target).backward()
+
+    def f():
+        return float(np.mean((pred.data - target.data) ** 2))
+
+    num_pred, num_target = numeric_grad(f, [pred.data, target.data])
+    assert max_rel_err(pred.grad, num_pred) < 1e-6
+    assert max_rel_err(target.grad, num_target) < 1e-6
 
 
 def test_mse_gradient_closed_form():
@@ -239,7 +326,11 @@ def test_ops_on_constants_record_no_parents():
     bank = wv.get_bank("d4")
     results = [
         ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b), ad.neg(a),
-        ad.matmul(a, w), ad.left_matmul(ad.swap_last2(w), ad.swap_last2(a)),
+        ad.matmul(a, w),
+        ad.folded_forecast(
+            ad.swap_last2(w), ad.constant(np.ones((3, 1))), ad.swap_last2(a),
+            ad.constant(a.data[:, 0]), ad.constant(b.data[:, 0]),
+        ),
         ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
         ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
         ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), ad.slice_lastdim(a, 1, 3),
@@ -264,8 +355,9 @@ def test_constant_inputs_get_no_gradient():
     assert np.allclose(gain.grad, (x.data @ w.data).sum(axis=1) / 6, atol=1e-15)
     shared = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     batch = ad.constant(rng.normal(size=(5, 4, 2)))
-    ad.mean(ad.left_matmul(shared, batch)).backward()
-    assert batch.grad is None
+    mean, std = ad.constant(np.zeros((5, 2))), ad.constant(np.ones((5, 2)))
+    ad.mean(ad.folded_forecast(shared, ad.constant(np.zeros((3, 1))), batch, mean, std)).backward()
+    assert batch.grad is None and mean.grad is None and std.grad is None
     assert np.allclose(shared.grad, batch.data.sum(axis=(0, 2))[None, :].repeat(3, 0) / 30, atol=1e-15)
 
 

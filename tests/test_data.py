@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavets import data
 from wavets.exceptions import (
@@ -204,6 +206,46 @@ def test_windows_are_contiguous_pairs():
         assert np.array_equal(batch.y[i], values[origin + 6 : origin + 9])
 
 
+def test_consecutive_origins_gather_read_only_views():
+    values = np.random.default_rng(1).normal(size=(40, 3))
+    sampler = data.WindowSampler(data.Series(values, ["a", "b", "c"]), lookback=6, horizon=3)
+
+    def check(batch, view):
+        for arr in (batch.x, batch.y):
+            assert np.shares_memory(arr, values) == view
+            assert arr.flags["WRITEABLE"] != view
+            assert view or (arr.flags["C_CONTIGUOUS"] and arr.flags["OWNDATA"])
+        for i, origin in enumerate(batch.origins):
+            assert np.array_equal(batch.x[i], values[origin : origin + 6])
+            assert np.array_equal(batch.y[i], values[origin + 6 : origin + 9])
+
+    for origins in (np.arange(4, 12), sampler.origins[:1], sampler.origins[-3:], sampler.origins):
+        check(sampler.gather(origins), view=True)
+    for batch in sampler.batches(8):  # validation, evaluation and eval order
+        check(batch, view=True)
+    for batch in sampler.batches(8, shuffle=np.random.default_rng(4)):
+        check(batch, view=False)
+    for origins in ([3, 2, 1], [0, 2, 3], [4, 4, 5], [7]):
+        check(sampler.gather(np.array(origins)), view=origins == [7])
+    # negative and out-of-range origins keep fancy indexing's meaning
+    assert np.array_equal(sampler.gather(np.array([-2, -1])).x, sampler.gather(np.array([30, 31])).x)
+    with pytest.raises(IndexError):
+        sampler.gather(np.array([31, 32]))
+
+
+def test_forecasts_from_views_match_forecasts_from_copies():
+    from wavets.model import ModelConfig, init_params, predict
+
+    series = data.synth("noise_walk", 300, 5, seed=3)
+    sampler = data.WindowSampler(series, 32, 8)
+    for cfg in (ModelConfig("B", 32, 8, 5), ModelConfig("I", 32, 8, 5, bank="d4", delta_per_channel=True)):
+        params = init_params(cfg, 0)
+        for batch in sampler.batches(50):
+            assert not batch.x.flags["WRITEABLE"]
+            copied = np.ascontiguousarray(batch.x)
+            assert np.array_equal(predict(cfg, params, batch.x), predict(cfg, params, copied))
+
+
 def test_window_shuffle_determinism():
     series = data.Series(np.arange(30, dtype=float).reshape(-1, 1), ["a"])
     full = data.WindowSampler(series, 4, 2)
@@ -268,3 +310,45 @@ def test_electricity_shape_matches_published_table():
     series = data.load_csv(path)
     assert series.length == 26304
     assert series.channels == 321
+
+
+_CHANNEL_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda name: name not in data._TIMESTAMP_NAMES
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    dated=st.booleans(),
+    data_=st.data(),
+)
+def test_save_csv_load_csv_round_trip(tmp_path_factory, values, dated, data_):
+    """Finite values and channel names survive save_csv -> load_csv bit for bit,
+    a date column is dropped, and every row holding a NaN is dropped."""
+    rows, channels = values.shape
+    names = data_.draw(st.lists(_CHANNEL_NAMES, min_size=channels, max_size=channels, unique=True))
+    nan_rows = np.array(data_.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    written = values.copy()
+    for row in np.flatnonzero(nan_rows):
+        written[row, data_.draw(st.integers(0, channels - 1))] = np.nan
+    path = tmp_path_factory.mktemp("csv") / "series.csv"
+    data.save_csv(data.Series(written, names), path)
+    if dated:
+        header, *lines = path.read_text().splitlines()
+        dated_lines = [f"2020-01-{i + 1:02d},{line}" for i, line in enumerate(lines)]
+        path.write_text("\n".join([f"date,{header}", *dated_lines]) + "\n")
+    if nan_rows.all():
+        with pytest.raises(EmptyFileError):
+            data.load_csv(path)
+        return
+    loaded = data.load_csv(path)
+    kept = values[~nan_rows]
+    assert loaded.channel_names == names
+    assert loaded.values.shape == kept.shape
+    assert np.array_equal(loaded.values, kept)
+    assert np.array_equal(np.signbit(loaded.values), np.signbit(kept))

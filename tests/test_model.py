@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,73 @@ def test_config_validation():
         ModelConfig("HF", 8, 4, 2, lf_hidden=16)
     with pytest.raises(InvalidConfigError):
         ModelConfig("B", 8, 4, 2, delta_mode="frozen")
+
+
+@st.composite
+def model_configs(draw):
+    """Valid ModelConfigs over every variant, bank and option."""
+    variant = draw(st.sampled_from(VARIANTS))
+    bank = draw(st.sampled_from(wv.BANK_NAMES))
+    taps = wv.get_bank(bank).length
+    horizon = draw(st.integers(1, 48))
+    if variant == "I":
+        horizon = max(2 * (horizon // 2), taps)
+    return ModelConfig(
+        variant=variant,
+        lookback=2 * draw(st.integers(taps // 2, 64)),
+        horizon=horizon,
+        channels=draw(st.integers(1, 400)),
+        bank=bank,
+        delta_mode=draw(st.sampled_from(["learnable", "fixed"])),
+        delta_init=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        delta_per_channel=draw(st.booleans()),
+        revin_affine=draw(st.booleans()),
+        lf_hidden=draw(st.integers(0, 32)) if variant in ("B", "S", "LF") else 0,
+        moe=MoEConfig(draw(st.integers(1, 8)), draw(st.integers(1, 128))) if variant == "M" else None,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=model_configs())
+def test_config_dict_round_trips(cfg):
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg  # as a sidecar
+
+
+_WRONG_TYPES = {
+    "variant": [5, None, ["B"]],
+    "lookback": ["16", 16.0, True, None],
+    "horizon": [4.0, "4", False],
+    "channels": [2.5, True, [2]],
+    "bank": [5, None],
+    "delta_mode": [1, None],
+    "delta_init": ["1.0", None, True, float("nan"), float("inf")],
+    "delta_per_channel": [1, "false", None],
+    "revin_affine": [0, "yes"],
+    "lf_hidden": [1.0, "0", None],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=model_configs(), data=st.data())
+def test_malformed_config_dicts_raise_invalid_config(cfg, data):
+    raw = cfg.to_dict()
+    kind = data.draw(st.sampled_from(["missing", "unknown", "type", "moe", "not a dict"]))
+    if kind == "missing":
+        del raw[data.draw(st.sampled_from(["variant", "lookback", "horizon", "channels"]))]
+    elif kind == "unknown":
+        raw[data.draw(st.sampled_from(["lookbak", "experts", "Variant"]))] = 1
+    elif kind == "type":
+        key = data.draw(st.sampled_from(sorted(_WRONG_TYPES)))
+        raw[key] = data.draw(st.sampled_from(_WRONG_TYPES[key]))
+    elif kind == "moe":
+        raw["moe"] = data.draw(
+            st.sampled_from([[4, 64], 4, "moe", {"num_experts": 2.0, "hidden": 4}, {"num_experts": 2, "hiden": 4}])
+        )
+    else:
+        raw = data.draw(st.sampled_from([list(raw.items())[:1], None, "B"]))
+    with pytest.raises(InvalidConfigError):
+        ModelConfig.from_dict(raw)
 
 
 def test_bank_longer_than_window_rejected_at_config():
@@ -477,6 +546,36 @@ def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
     assert (5, 3, cfg.half) not in shapes
     assert (5, 3, cfg.lookback) not in shapes
     assert (5, 3, 8) in shapes  # the spy saw the fused first layer's (B, N, E + E*H) gradient
+
+
+def test_b_train_step_forms_one_horizon_sized_gradient(monkeypatch):
+    """The MSE and the folded forecast are one op each: the only (B, S, N)
+    gradient in a B train step is the one the MSE hands the forecast, and
+    no tensor gets a (B, L, N) lookback gradient."""
+    cfg = ModelConfig("B", 16, 6, 3)
+    rng = np.random.default_rng(33)
+    params = init_params(cfg, rng)
+    batch = WindowBatch(x=rng.normal(size=(5, 16, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    shapes = []
+    real = ad.Tensor._accumulate
+
+    def spy(self, g):
+        shapes.append(np.shape(g))
+        real(self, g)
+
+    monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
+    train_step(cfg, params, Adam(params), batch)
+    assert shapes.count((5, 6, 3)) == 1
+    assert (5, 16, 3) not in shapes
+    assert (6, 16) in shapes  # the fold's (S, L) weight got its gradient
+
+
+@pytest.mark.parametrize("variant", ["B", "M"])
+def test_train_model_returns_parameters_without_gradients(variant):
+    cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank="d4")
+    series = synth("sine_mix", 80, 3, seed=2)
+    result = train_model(cfg, series, series, TrainSettings(batch_size=8, max_epochs=2))
+    assert all(p.grad is None for p in result.params.values())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
