@@ -17,20 +17,19 @@ The package is organized by responsibility:
 
 from .model import ModelConfig, forward, init_params, loss_and_grads, predict
 from .moe import MoEConfig
-from .wavelet import BandPair, FilterBank, dwt, dwt_multi, idwt, idwt_multi
+from .wavelet import FilterBank, dwt_arrays, dwt_multi, idwt_arrays, idwt_multi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandPair",
     "FilterBank",
     "ModelConfig",
     "MoEConfig",
     "__version__",
-    "dwt",
+    "dwt_arrays",
     "dwt_multi",
     "forward",
-    "idwt",
+    "idwt_arrays",
     "idwt_multi",
     "init_params",
     "loss_and_grads",

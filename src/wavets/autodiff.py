@@ -96,43 +96,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; constants are wrapped on the fly.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def constant(data) -> Tensor:
@@ -205,13 +170,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
 
     return _record(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g: Array) -> None:
-        a._accumulate(-g)
-
-    return _record(-a.data, (a,), backward)
 
 
 def matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -334,7 +292,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     The difference is formed once, and backward scales it in one pass.
     """
-    target = _wrap(target)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"pred shape {pred.shape} != target shape {target.shape}")
     diff = pred.data - target.data

@@ -24,7 +24,16 @@ from . import evaluation as ev
 from . import model as model_mod
 from . import wavelet
 from .atomic import atomic_write
-from .config import RunConfig, add_config_arguments, config_hash, resolve_config, write_config
+from .config import (
+    RunConfig,
+    add_config_arguments,
+    apply_overrides,
+    config_hash,
+    given_settings,
+    load_config_file,
+    resolve_config,
+    write_config,
+)
 from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
 from .optim import Adam
 from .training import evaluate_model, train_model, train_step
@@ -196,8 +205,32 @@ def cmd_train(args) -> int:
     return 0
 
 
+# The keys that choose a run's test rows; eval reads them from the run's config.json.
+PROTOCOL_KEYS = (
+    "data", "split", "train_frac", "val_frac", "standardize", "synth_length", "synth_channels", "synth_seed"
+)
+
+
+def _eval_config(args) -> RunConfig:
+    """The flags and ``--config`` file, with the protocol keys taken from the
+    ``config.json`` next to the checkpoint when there is one. A given
+    protocol value that disagrees with that file is a config error."""
+    settings = given_settings(args)
+    given = apply_overrides(RunConfig(), settings)
+    run_file = Path(args.checkpoint).with_name("config.json")
+    if not run_file.exists():
+        return given
+    run = apply_overrides(RunConfig(), load_config_file(run_file))
+    for name in PROTOCOL_KEYS:
+        if name in settings and getattr(given, name) != getattr(run, name):
+            raise InvalidConfigError(
+                f"{name}={getattr(given, name)!r} disagrees with {run_file}, which has {getattr(run, name)!r}"
+            )
+    return replace(given, **{name: getattr(run, name) for name in PROTOCOL_KEYS})
+
+
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
+    cfg = _eval_config(args)
     mcfg, params = model_mod.load_model(args.checkpoint)
     series, dataset_name = load_series(cfg)
     if series.channels != mcfg.channels:
@@ -283,13 +316,13 @@ def cmd_decompose(args) -> int:
     with atomic_write(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "band", "index", "value"])
-        for level, pair in enumerate(bands, start=1):
+        for level, (_, detail) in enumerate(bands, start=1):
             for c, name in enumerate(series.channel_names):
-                for i, value in enumerate(pair.detail[c]):
+                for i, value in enumerate(detail[c]):
                     writer.writerow([name, f"detail{level}", i, repr(float(value))])
-        deepest = bands[-1]
+        deepest_approx = bands[-1][0]
         for c, name in enumerate(series.channel_names):
-            for i, value in enumerate(deepest.approx[c]):
+            for i, value in enumerate(deepest_approx[c]):
                 writer.writerow([name, _BAND_LABEL_APPROX, i, repr(float(value))])
     print(f"wrote {out_path}")
     if args.reconstruct:

@@ -168,17 +168,18 @@ def add_config_arguments(parser: argparse.ArgumentParser) -> None:
             )
 
 
+def given_settings(args: argparse.Namespace) -> dict:
+    """The keys set by the config file and the CLI flags, flags winning; values uncoerced."""
+    settings = load_config_file(args.config) if getattr(args, "config", None) else {}
+    settings.update(
+        {name: getattr(args, name) for name in _FIELDS if getattr(args, name, None) is not None}
+    )
+    return settings
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- config file <- CLI flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = apply_overrides(cfg, load_config_file(args.config))
-    flag_overrides = {
-        name: getattr(args, name)
-        for name in _FIELDS
-        if getattr(args, name, None) is not None
-    }
-    return apply_overrides(cfg, flag_overrides)
+    return apply_overrides(RunConfig(), given_settings(args))
 
 
 def config_hash(cfg: RunConfig) -> str:

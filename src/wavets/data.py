@@ -140,12 +140,17 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
 
 
 def save_csv(series: Series, path: str | Path) -> None:
-    """Write a Series, atomically, in the same shape load_csv reads (no timestamp column)."""
+    """Write a Series, atomically, in the shape load_csv reads: a leading
+    ``time`` column holding the row index, then one column per channel.
+
+    load_csv drops that column, so every channel survives the round trip,
+    also one named like a timestamp column.
+    """
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(series.channel_names)
-        for row in series.values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(["time", *series.channel_names])
+        for index, row in enumerate(series.values):
+            writer.writerow([index, *(repr(float(v)) for v in row)])
 
 
 SPLIT_SCHEMES = ("ratio", "ett_hours", "ett_minutes")

@@ -11,11 +11,10 @@ transform is tracked separately as ``transform`` and included in
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 from .atomic import atomic_write
 from .data import WindowBatch
 from .exceptions import InvalidConfigError, ShapeMismatchError
-from .model import ModelConfig, param_shapes
+from .model import WEIGHT_LEAVES, ModelConfig, param_shapes
 from .wavelet import get_bank
 
 
@@ -113,39 +112,23 @@ class MacCount:
 
 
 def count_macs(cfg: ModelConfig, batch_size: int = 32) -> MacCount:
-    """Closed-form MACs: Din*Dout per linear layer per (sample, channel);
-    the analysis transform adds K*(L/2) per channel (plus K*(S/2) for the
-    synthesis step of variant I)."""
+    """Closed-form MACs: Din*Dout per weight matrix of ``param_shapes(cfg)``
+    per (sample, channel); the analysis transform adds K*(L/2) per channel
+    (plus K*(S/2) for the synthesis step of variant I)."""
     if batch_size < 1:
         raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
-    half, horizon, channels = cfg.half, cfg.horizon, cfg.channels
+    linear = sum(
+        math.prod(shape)
+        for name, shape in param_shapes(cfg).items()
+        if name.rsplit(".", 1)[-1] in WEIGHT_LEAVES
+    )
     taps = get_bank(cfg.bank).length
-
-    if cfg.lf_hidden:
-        lf_linear = half * cfg.lf_hidden + cfg.lf_hidden * horizon
-    else:
-        lf_linear = half * horizon
-    hf_linear = half * horizon
-
-    if cfg.variant in ("S", "LF"):
-        linear = lf_linear
-    elif cfg.variant == "B":
-        linear = lf_linear + hf_linear
-    elif cfg.variant == "HF":
-        linear = hf_linear
-    elif cfg.variant == "I":
-        linear = 2 * half * (horizon // 2)
-    else:  # M
-        assert cfg.moe is not None
-        experts, hidden = cfg.moe.num_experts, cfg.moe.hidden
-        linear = half * experts + experts * (half * hidden + hidden * horizon) + hf_linear
-
-    transform = taps * half
+    transform = taps * cfg.half
     if cfg.variant == "I":
-        transform += taps * (horizon // 2)
+        transform += taps * (cfg.horizon // 2)
     return MacCount(
-        linear_per_sample=linear * channels,
-        transform_per_sample=transform * channels,
+        linear_per_sample=linear * cfg.channels,
+        transform_per_sample=transform * cfg.channels,
         batch_size=batch_size,
     )
 
@@ -201,25 +184,6 @@ class RunReport:
     per_horizon_mae: list[float] = field(default_factory=list)
     hardware: str = ""
 
-    CSV_FIELDS = (
-        "dataset",
-        "variant",
-        "lookback",
-        "horizon",
-        "channels",
-        "bank",
-        "seed",
-        "mse",
-        "mae",
-        "param_count",
-        "macs_per_sample",
-        "macs_per_batch",
-        "transform_macs_per_sample",
-        "epochs_trained",
-        "epoch_time_s",
-        "infer_time_ms",
-    )
-
     def csv_row(self) -> list[str]:
         out = []
         for name in self.CSV_FIELDS:
@@ -240,8 +204,12 @@ class RunReport:
         data.pop("hardware")
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True)
+
+# The CSV columns, in field order: every field but the per-horizon lists and
+# the hardware note, which go to the JSON details.
+RunReport.CSV_FIELDS = tuple(
+    f.name for f in fields(RunReport) if f.name not in ("per_horizon_mse", "per_horizon_mae", "hardware")
+)
 
 
 def write_reports_csv(reports: Sequence[RunReport], path: str | Path) -> None:

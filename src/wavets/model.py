@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -83,6 +83,10 @@ VARIANTS = ("B", "S", "M", "I", "LF", "HF")
 
 # A head's first layer: (band, weight, bias) -> output, RevIN's affine included.
 FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
+
+# Leaf names of the weight matrices: init_params draws them uniformly, and
+# evaluation.count_macs counts Din*Dout multiply-accumulates for each.
+WEIGHT_LEAVES = ("weight", "w1", "w2")
 
 # Which variants carry a high-frequency weighting parameter at all.
 _DELTA_VARIANTS = ("B", "M", "I", "HF")
@@ -155,21 +159,8 @@ class ModelConfig:
         return self.variant in _DELTA_VARIANTS and self.delta_mode == "learnable"
 
     def to_dict(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "channels": self.channels,
-            "bank": self.bank,
-            "delta_mode": self.delta_mode,
-            "delta_init": self.delta_init,
-            "delta_per_channel": self.delta_per_channel,
-            "revin_affine": self.revin_affine,
-            "lf_hidden": self.lf_hidden,
-        }
-        if self.moe is not None:
-            out["moe"] = {"num_experts": self.moe.num_experts, "hidden": self.moe.hidden}
-        return out
+        """Every field as plain JSON values; ``moe`` only when it is set."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -224,15 +215,15 @@ def init_params(cfg: ModelConfig, seed: int | np.random.Generator = 0) -> dict[s
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg).items():
         leaf = name.rsplit(".", 1)[-1]
-        if name == "delta":
+        if leaf in WEIGHT_LEAVES:
+            bound = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-bound, bound, size=shape)
+        elif name == "delta":
             data = np.full(shape, cfg.delta_init)
         elif leaf == "gain":
             data = np.ones(shape)
-        elif leaf in ("bias", "b1", "b2"):
+        else:  # bias, b1, b2
             data = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            data = rng.uniform(-bound, bound, size=shape)
         params[name] = Tensor(data, requires_grad=True)
     return params
 

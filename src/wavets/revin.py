@@ -54,7 +54,6 @@ class RevinState:
 
     mean: np.ndarray  # (B, N)
     std: np.ndarray   # (B, N); already includes eps under the sqrt
-    eps: float
     gain: Tensor | None
     bias: Tensor | None
 
@@ -104,7 +103,7 @@ def revin_forward(
     var = (np.square(centered).sum(axis=-1) + np.square(detail).sum(axis=-1)) / length
     std = np.sqrt(var + eps)
     bands_n = constant(centered / std[..., None]), constant(detail / std[..., None])
-    return bands_n, RevinState(mean=mean, std=std, eps=eps, gain=gain, bias=bias)
+    return bands_n, RevinState(mean=mean, std=std, gain=gain, bias=bias)
 
 
 def _column(param: Tensor) -> Tensor:

@@ -132,24 +132,9 @@ def get_bank(name: str | FilterBank) -> FilterBank:
         ) from None
 
 
-@dataclass
-class BandPair:
-    """Approximation and detail coefficients of one decomposition level."""
-
-    approx: np.ndarray
-    detail: np.ndarray
-    source_length: int
-    filter: str
-
-    def __post_init__(self) -> None:
-        if self.approx.shape != self.detail.shape:
-            raise ShapeMismatchError(
-                f"band shapes differ: {self.approx.shape} vs {self.detail.shape}"
-            )
-
-
-def dwt_arrays(x: np.ndarray, bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+def dwt_arrays(x: np.ndarray, bank: str | FilterBank) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level on the last axis; returns (approx, detail) arrays."""
+    bank = get_bank(bank)
     x = np.asarray(x, dtype=np.float64)
     length = x.shape[-1]
     taps = bank.length
@@ -183,8 +168,9 @@ def synthesize_band(coeffs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def idwt_arrays(approx: np.ndarray, detail: np.ndarray, bank: FilterBank) -> np.ndarray:
+def idwt_arrays(approx: np.ndarray, detail: np.ndarray, bank: str | FilterBank) -> np.ndarray:
     """Exact inverse of :func:`dwt_arrays` for orthonormal banks."""
+    bank = get_bank(bank)
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     if approx.shape != detail.shape:
@@ -194,27 +180,15 @@ def idwt_arrays(approx: np.ndarray, detail: np.ndarray, bank: FilterBank) -> np.
     return synthesize_band(approx, bank.low_pass) + synthesize_band(detail, bank.high_pass)
 
 
-def dwt(x: np.ndarray, bank: str | FilterBank) -> BandPair:
-    """Decompose the last axis of ``x`` into one approximation/detail pair."""
-    bank = get_bank(bank)
-    x = np.asarray(x, dtype=np.float64)
-    approx, detail = dwt_arrays(x, bank)
-    return BandPair(approx=approx, detail=detail, source_length=x.shape[-1], filter=bank.name)
-
-
-def idwt(bands: BandPair, bank: str | FilterBank | None = None) -> np.ndarray:
-    """Reconstruct the signal a :class:`BandPair` was produced from."""
-    bank = get_bank(bands.filter if bank is None else bank)
-    return idwt_arrays(bands.approx, bands.detail, bank)
-
-
-def dwt_multi(x: np.ndarray, bank: str | FilterBank, levels: int) -> list[BandPair]:
+def dwt_multi(
+    x: np.ndarray, bank: str | FilterBank, levels: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Iterate the decomposition ``levels`` times on the approximation band.
 
-    The returned list is ordered shallow to deep; detail coefficients of
-    every level plus the final approximation hold exactly L values total.
+    Returns one (approx, detail) pair per level, shallow to deep; detail
+    coefficients of every level plus the final approximation hold exactly
+    L values total.
     """
-    bank = get_bank(bank)
     x = np.asarray(x, dtype=np.float64)
     if levels < 1:
         raise InvalidConfigError(f"levels must be >= 1, got {levels}")
@@ -223,21 +197,18 @@ def dwt_multi(x: np.ndarray, bank: str | FilterBank, levels: int) -> list[BandPa
         raise DepthTooLargeError(
             f"signal length {length} is not divisible by 2^{levels}"
         )
-    out: list[BandPair] = []
-    current = x
+    out = []
     for _ in range(levels):
-        pair = dwt(current, bank)
-        out.append(pair)
-        current = pair.approx
+        out.append(dwt_arrays(x, bank))
+        x = out[-1][0]
     return out
 
 
-def idwt_multi(bands: list[BandPair], bank: str | FilterBank | None = None) -> np.ndarray:
+def idwt_multi(bands: list[tuple[np.ndarray, np.ndarray]], bank: str | FilterBank) -> np.ndarray:
     """Invert a :func:`dwt_multi` chain back to the original signal."""
     if not bands:
         raise InvalidConfigError("empty band list")
-    bank = get_bank(bands[0].filter if bank is None else bank)
-    current = bands[-1].approx
-    for pair in reversed(bands):
-        current = idwt_arrays(current, pair.detail, bank)
+    current = bands[-1][0]
+    for _, detail in reversed(bands):
+        current = idwt_arrays(current, detail, bank)
     return current

@@ -325,7 +325,7 @@ def test_ops_on_constants_record_no_parents():
     w = ad.constant(rng.normal(size=(4, 3)))
     bank = wv.get_bank("d4")
     results = [
-        ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b), ad.neg(a),
+        ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b),
         ad.matmul(a, w),
         ad.folded_forecast(
             ad.swap_last2(w), ad.constant(np.ones((3, 1))), ad.swap_last2(a),

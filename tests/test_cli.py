@@ -114,6 +114,41 @@ def test_eval_subcommand(tmp_path, capsys):
     assert "test mse" in capsys.readouterr().out
 
 
+def _trained_run(tmp_path, capsys, *extra):
+    out = tmp_path / "runs"
+    assert main([*TINY_TRAIN, "--out", str(out), "--split", "ratio", "--train-frac", "0.6", *extra]) == 0
+    (run_dir,) = run_dirs(out)
+    capsys.readouterr()
+    return run_dir
+
+
+def test_eval_takes_the_protocol_from_the_run_config(tmp_path, capsys):
+    """With no data flags, eval scores the run's own test split."""
+    run_dir = _trained_run(tmp_path, capsys)
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.json")]) == 0
+    (row,) = read_reports_csv(run_dir / "report.csv")
+    assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
+
+
+def test_eval_rejects_a_flag_that_disagrees_with_the_run_config(tmp_path, capsys):
+    run_dir = _trained_run(tmp_path, capsys)
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--split", "ett_hours"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: split='ett_hours' disagrees with "), err
+
+
+def test_eval_accepts_flags_that_match_the_run_config(tmp_path, capsys):
+    run_dir = _trained_run(tmp_path, capsys)
+    code = main([
+        "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--split", "ratio", "--train-frac", "0.60", "--synth-channels", "2", "--standardize",
+    ])
+    assert code == 0
+    (row,) = read_reports_csv(run_dir / "report.csv")
+    assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
+
+
 def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main([*TINY_TRAIN, "--out", str(out)]) == 0

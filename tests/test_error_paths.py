@@ -50,6 +50,7 @@ def test_eval_channel_mismatch(tmp_path, capsys):
         "--max-epochs", "1", "--out", str(out),
     ]) == 0
     (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
+    (run_dir / "config.json").unlink()  # else the run's protocol would reject the flag first
     capsys.readouterr()
     code = main([
         "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
@@ -130,4 +131,4 @@ def test_wavelet_level_checks():
     with pytest.raises(InvalidConfigError):
         wv.dwt_multi(np.ones(8), "haar", 0)
     with pytest.raises(InvalidConfigError):
-        wv.idwt_multi([])
+        wv.idwt_multi([], "haar")

@@ -244,6 +244,27 @@ def test_count_macs_headline_figures():
     assert tiny.total_per_sample == 3
 
 
+@pytest.mark.parametrize(
+    "variant, kwargs, linear, transform",
+    [
+        ("B", {"bank": "haar"}, 384, 48),
+        ("S", {"bank": "d4"}, 192, 96),
+        ("LF", {"bank": "haar"}, 192, 48),
+        ("HF", {"bank": "sym4"}, 192, 192),
+        ("I", {"bank": "d4"}, 192, 144),
+        ("M", {"bank": "d4", "moe": MoEConfig(num_experts=3, hidden=5)}, 984, 96),
+        ("S", {"bank": "haar", "lf_hidden": 5}, 240, 48),
+        ("B", {"bank": "haar", "lf_hidden": 5}, 432, 48),
+        ("B", {"bank": "coif1", "delta_per_channel": True}, 384, 144),
+    ],
+)
+def test_count_macs_pinned(variant, kwargs, linear, transform):
+    """Per-sample MACs at L=16, S=8, N=3, pinned to the closed form's values."""
+    macs = ev.count_macs(ModelConfig(variant, 16, 8, 3, **kwargs), batch_size=32)
+    assert macs.linear_per_sample == linear
+    assert macs.transform_per_sample == transform
+
+
 def test_count_macs_batch_scaling_exact():
     rng = np.random.default_rng(7)
     for _ in range(20):

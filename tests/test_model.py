@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +360,20 @@ def test_save_load_roundtrip(tmp_path):
     # float32 truncation keeps predictions close
     x = np.random.default_rng(18).normal(size=(2, 8, 2))
     assert np.max(np.abs(predict(cfg, params, x) - predict(loaded_cfg, loaded_params, x))) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "cfg, fixture",
+    [
+        (ModelConfig("B", 16, 8, 3, delta_per_channel=True, lf_hidden=5, delta_init=0.5), "sidecar_b.config.json"),
+        (ModelConfig("M", 16, 8, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3)), "sidecar_m.config.json"),
+    ],
+)
+def test_save_model_writes_the_pinned_sidecar(tmp_path, cfg, fixture):
+    """The model-config sidecar's bytes are part of the checkpoint format."""
+    save_model(cfg, init_params(cfg, 0), tmp_path / "checkpoint.json")
+    expected = (Path(__file__).parent / "fixtures" / fixture).read_bytes()
+    assert (tmp_path / "checkpoint.config.json").read_bytes() == expected
 
 
 def test_load_rejects_mismatched_sidecar(tmp_path):

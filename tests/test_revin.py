@@ -90,7 +90,7 @@ def test_roundtrip_float64():
 def test_identity_state():
     y = np.random.default_rng(2).normal(size=(1, 4, 2))
     state = RevinState(
-        mean=np.zeros((1, 2)), std=np.ones((1, 2)), eps=1e-5,
+        mean=np.zeros((1, 2)), std=np.ones((1, 2)),
         gain=Tensor(np.ones(2)), bias=Tensor(np.zeros(2)),
     )
     assert np.allclose(revin_inverse(y, state).data, y, atol=1e-15)

@@ -46,21 +46,21 @@ def test_get_bank_unknown_name():
 
 
 def test_dwt_constant_signal_haar():
-    pair = wv.dwt(np.ones(4), "haar")
-    assert np.allclose(pair.approx, [SQRT2, SQRT2], atol=1e-12)
-    assert np.all(pair.detail == 0.0)
+    approx, detail = wv.dwt_arrays(np.ones(4), "haar")
+    assert np.allclose(approx, [SQRT2, SQRT2], atol=1e-12)
+    assert np.all(detail == 0.0)
 
 
 def test_dwt_haar_hand_computed():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    pair = wv.dwt(x, "haar")
+    approx, detail = wv.dwt_arrays(x, "haar")
     alpha = 1.0 / SQRT2
     want_a = [alpha * (1 + 2), alpha * (3 + 4)]
     want_d = [alpha * (1 - 2), alpha * (3 - 4)]
-    assert np.allclose(pair.approx, want_a, atol=1e-12)
-    assert np.allclose(pair.detail, want_d, atol=1e-12)
-    assert np.allclose(pair.approx, [2.12132, 4.94975], atol=1e-5)
-    assert np.allclose(pair.detail, [-0.70711, -0.70711], atol=1e-5)
+    assert np.allclose(approx, want_a, atol=1e-12)
+    assert np.allclose(detail, want_d, atol=1e-12)
+    assert np.allclose(approx, [2.12132, 4.94975], atol=1e-5)
+    assert np.allclose(detail, [-0.70711, -0.70711], atol=1e-5)
 
 
 @pytest.mark.parametrize("name", ALL_BANKS)
@@ -73,70 +73,68 @@ def test_dwt_matches_matrix_oracle(name):
         assert np.max(np.abs(mat @ mat.T - np.eye(length))) < 1e-10
         x = rng.normal(size=length)
         coeffs = mat @ x
-        pair = wv.dwt(x, bank)
-        assert np.max(np.abs(pair.approx - coeffs[: length // 2])) < 1e-12
-        assert np.max(np.abs(pair.detail - coeffs[length // 2 :])) < 1e-12
+        approx, detail = wv.dwt_arrays(x, bank)
+        assert np.max(np.abs(approx - coeffs[: length // 2])) < 1e-12
+        assert np.max(np.abs(detail - coeffs[length // 2 :])) < 1e-12
 
 
 def test_dwt_d4_eight_samples():
     x = np.arange(1.0, 9.0)
-    pair = wv.dwt(x, "d4")
-    assert pair.approx.shape == (4,)
-    assert pair.detail.shape == (4,)
-    energy = (pair.approx**2).sum() + (pair.detail**2).sum()
+    approx, detail = wv.dwt_arrays(x, "d4")
+    assert approx.shape == (4,)
+    assert detail.shape == (4,)
+    energy = (approx**2).sum() + (detail**2).sum()
     assert abs(energy - 204.0) < 1e-10  # sum of squares of 1..8
-    assert np.max(np.abs(wv.idwt(pair) - x)) < 1e-10
+    assert np.max(np.abs(wv.idwt_arrays(approx, detail, "d4") - x)) < 1e-10
 
 
 def test_dwt_errors():
     with pytest.raises(OddLengthError):
-        wv.dwt(np.ones(5), "haar")
+        wv.dwt_arrays(np.ones(5), "haar")
     with pytest.raises(FilterTooLongError):
-        wv.dwt(np.ones(4), "sym4")  # 8 taps > 4 samples
+        wv.dwt_arrays(np.ones(4), "sym4")  # 8 taps > 4 samples
 
 
 def test_idwt_roundtrip_simple():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(wv.idwt(wv.dwt(x, "haar")), x, atol=1e-12)
+    assert np.allclose(wv.idwt_arrays(*wv.dwt_arrays(x, "haar"), "haar"), x, atol=1e-12)
 
 
 def test_idwt_constant_inverse():
-    pair = wv.BandPair(
-        approx=np.array([SQRT2, SQRT2]), detail=np.zeros(2), source_length=4, filter="haar"
-    )
-    assert np.allclose(wv.idwt(pair), np.ones(4), atol=1e-12)
+    assert np.allclose(wv.idwt_arrays([SQRT2, SQRT2], np.zeros(2), "haar"), np.ones(4), atol=1e-12)
 
 
 def test_idwt_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        wv.idwt_arrays(np.zeros(4), np.zeros(3), wv.get_bank("haar"))
+        wv.idwt_arrays(np.zeros(4), np.zeros(3), "haar")
 
 
 def test_idwt_coif1_random_roundtrips():
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.normal(size=64)
-        pair = wv.dwt(x, "coif1")
-        assert np.max(np.abs(wv.idwt(pair) - x)) < 1e-10
+        approx, detail = wv.dwt_arrays(x, "coif1")
+        assert np.max(np.abs(wv.idwt_arrays(approx, detail, "coif1") - x)) < 1e-10
 
 
 def test_multi_level_one_equals_single():
     x = np.random.default_rng(5).normal(size=16)
     multi = wv.dwt_multi(x, "haar", 1)
-    single = wv.dwt(x, "haar")
+    single = wv.dwt_arrays(x, "haar")
     assert len(multi) == 1
-    assert np.array_equal(multi[0].approx, single.approx)
-    assert np.array_equal(multi[0].detail, single.detail)
+    assert np.array_equal(multi[0][0], single[0])
+    assert np.array_equal(multi[0][1], single[1])
 
 
 def test_multi_level_full_depth_haar():
     x = np.arange(1.0, 9.0)
     bands = wv.dwt_multi(x, "haar", 3)
     # full-depth approximation of an orthonormal chain is sum(x)/sqrt(L)
-    assert bands[-1].approx.shape == (1,)
-    assert abs(bands[-1].approx[0] - 36.0 / math.sqrt(8.0)) < 1e-10
-    assert abs(bands[-1].approx[0] - 12.7279) < 1e-4
-    total = sum(b.detail.shape[-1] for b in bands) + bands[-1].approx.shape[-1]
+    deepest = bands[-1][0]
+    assert deepest.shape == (1,)
+    assert abs(deepest[0] - 36.0 / math.sqrt(8.0)) < 1e-10
+    assert abs(deepest[0] - 12.7279) < 1e-4
+    total = sum(detail.shape[-1] for _, detail in bands) + deepest.shape[-1]
     assert total == 8
 
 
@@ -144,7 +142,7 @@ def test_multi_level_roundtrip_d4():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 32))
     bands = wv.dwt_multi(x, "d4", 2)
-    assert np.max(np.abs(wv.idwt_multi(bands) - x)) < 1e-9
+    assert np.max(np.abs(wv.idwt_multi(bands, "d4") - x)) < 1e-9
 
 
 def test_multi_level_depth_error():
@@ -157,9 +155,9 @@ def test_perfect_reconstruction_random(name):
     rng = np.random.default_rng(17)
     for length in (8, 10, 34, 128, 720):
         x = rng.normal(size=(4, length))
-        pair = wv.dwt(x, name)
-        assert pair.approx.shape[-1] == length // 2
-        assert np.max(np.abs(wv.idwt(pair) - x)) < 1e-10
+        approx, detail = wv.dwt_arrays(x, name)
+        assert approx.shape[-1] == length // 2
+        assert np.max(np.abs(wv.idwt_arrays(approx, detail, name) - x)) < 1e-10
 
 
 @pytest.mark.parametrize("name", ALL_BANKS)
@@ -167,9 +165,9 @@ def test_energy_conservation_random(name):
     rng = np.random.default_rng(23)
     for length in (8, 64, 720):
         x = rng.normal(size=(5, length))
-        pair = wv.dwt(x, name)
+        approx, detail = wv.dwt_arrays(x, name)
         before = (x**2).sum(axis=-1)
-        after = (pair.approx**2).sum(axis=-1) + (pair.detail**2).sum(axis=-1)
+        after = (approx**2).sum(axis=-1) + (detail**2).sum(axis=-1)
         assert np.max(np.abs(after - before) / before) < 1e-8
 
 
@@ -178,21 +176,21 @@ def test_linearity(name):
     rng = np.random.default_rng(29)
     x, y = rng.normal(size=(2, 32))
     a, b = 2.5, -1.25
-    mixed = wv.dwt(a * x + b * y, name)
-    px, py = wv.dwt(x, name), wv.dwt(y, name)
-    assert np.max(np.abs(mixed.approx - (a * px.approx + b * py.approx))) < 1e-10
-    assert np.max(np.abs(mixed.detail - (a * px.detail + b * py.detail))) < 1e-10
+    mixed = wv.dwt_arrays(a * x + b * y, name)
+    px, py = wv.dwt_arrays(x, name), wv.dwt_arrays(y, name)
+    for band in (0, 1):
+        assert np.max(np.abs(mixed[band] - (a * px[band] + b * py[band]))) < 1e-10
 
 
 @pytest.mark.parametrize("name", ALL_BANKS)
 def test_constant_annihilation(name):
-    pair = wv.dwt(np.full((3, 24), 7.5), name)
-    assert np.max(np.abs(pair.detail)) < 1e-12
+    _, detail = wv.dwt_arrays(np.full((3, 24), 7.5), name)
+    assert np.max(np.abs(detail)) < 1e-12
 
 
 def test_batched_leading_dims():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(3, 5, 16))
-    pair = wv.dwt(x, "sym4")
-    assert pair.approx.shape == (3, 5, 8)
-    assert np.max(np.abs(wv.idwt(pair) - x)) < 1e-10
+    approx, detail = wv.dwt_arrays(x, "sym4")
+    assert approx.shape == (3, 5, 8)
+    assert np.max(np.abs(wv.idwt_arrays(approx, detail, "sym4") - x)) < 1e-10
