@@ -8,11 +8,11 @@ reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
 maps, the folded linear forecast (one shared matrix applied on the left
-of a centred batch plus its mean and scaled offset, as one op), ReLU,
-softmax, elementwise arithmetic with broadcasting, reshapes, axis swaps,
-slices and concatenation (the fused mixture-of-experts layers), the
-(fixed, linear) wavelet analysis/synthesis pair, and the mean squared
-error (one op).
+of the lookback, centred one cache-sized block of windows at a time,
+plus its mean and scaled offset, as one op), ReLU, softmax, elementwise
+arithmetic with broadcasting, reshapes, axis swaps, slices and
+concatenation (the fused mixture-of-experts layers), the (fixed, linear)
+wavelet analysis/synthesis pair, and the mean squared error (one op).
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -193,55 +193,67 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     return _record(out_data, (x, w), backward)
 
 
-def folded_forecast(weight: Tensor, offset: Tensor, centred: Tensor, mean: Tensor, std: Tensor) -> Tensor:
-    """The folded linear forecast ``weight @ centred + mean + std * offset``.
+# Bytes of lookback one block of :func:`folded_forecast` centres at a time:
+# about one L2 cache, so a block's centred values are still cached when the
+# matmul reads them. A window wider than this is a block of its own.
+_BLOCK_BYTES = 2 * 1024 * 1024
 
-    One (S, L) matrix ``weight`` is applied to every (L, N) slice of the
-    centred lookback ``centred``; ``mean`` and ``std`` (one value per
-    slice and channel, e.g. (B, N)) broadcast over the horizon, and
-    ``offset`` is (S, N) or (S, 1). The sum is built in place on the
-    matmul's output, one (S, N) slice at a time: the mean is added first,
-    then ``std * offset``. The weight gradient is ``sum_b g_b @
-    centred_b^T``, the offset gradient ``std * g`` summed over the batch;
-    no gradient is formed for an input that needs none.
+# ``stats(block, out=buffer)``: a lookback block's mean, std and centred
+# values, the latter written into ``buffer``; ``model.forward`` passes
+# ``revin.compute_stats``.
+Stats = Callable[..., tuple[Array, Array, Array]]
+
+
+def folded_forecast(weight: Tensor, offset: Tensor, lookback: Array, stats: Stats) -> Tensor:
+    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``.
+
+    One (S, L) matrix ``weight`` is applied to every window of the
+    (B, L, N) ``lookback`` after centring it; ``offset`` is (S, N) or
+    (S, 1). The batch is walked in blocks of ``_BLOCK_BYTES // (L * N * 8)``
+    windows (at least one): ``stats`` centres a block into one reused
+    buffer and gives its mean and std, the matmul writes that block's
+    slice of the output, and the mean and then ``std * offset`` are added
+    in place, one (S, N) slice at a time. Backward recentres each block
+    from the lookback and the saved mean and adds ``g_b @ centred_b^T``
+    window by window into one (S, L) weight gradient; the offset gradient
+    is ``std * g`` summed over the batch. No batch-sized centred copy or
+    product stack is formed. The lookback is data: it gets no gradient.
     """
-    if weight.ndim != 2 or centred.ndim < 2 or centred.shape[-2] != weight.shape[1]:
-        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {centred.shape}")
-    stats_shape = centred.shape[:-2] + centred.shape[-1:]
-    if mean.shape != stats_shape or std.shape != stats_shape:
-        raise ShapeMismatchError(
-            f"mean {mean.shape} and std {std.shape} must be {stats_shape} for {centred.shape}"
-        )
-    if offset.ndim != 2 or offset.shape[0] != weight.shape[0] or offset.shape[1] not in (1, centred.shape[-1]):
-        raise ShapeMismatchError(
-            f"offset shape {offset.shape} does not fit ({weight.shape[0]}, {centred.shape[-1]})"
-        )
-    out_data = weight.data @ centred.data
-    # Slice by slice, so each std * offset product is added while in cache.
-    slices = zip(
-        out_data.reshape((-1,) + out_data.shape[-2:]),
-        mean.data.reshape(-1, mean.shape[-1]),
-        std.data.reshape(-1, std.shape[-1]),
-    )
-    for out_b, mean_b, std_b in slices:
-        out_b += mean_b
-        out_b += std_b * offset.data
+    lookback = np.asarray(lookback, dtype=np.float64)
+    if weight.ndim != 2 or lookback.ndim != 3 or lookback.shape[1] != weight.shape[1]:
+        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {lookback.shape}")
+    batch, length, channels = lookback.shape
+    horizon = weight.shape[0]
+    if offset.ndim != 2 or offset.shape[0] != horizon or offset.shape[1] not in (1, channels):
+        raise ShapeMismatchError(f"offset shape {offset.shape} does not fit ({horizon}, {channels})")
+    block = max(1, _BLOCK_BYTES // (length * channels * lookback.itemsize))
+    blocks = [slice(start, min(start + block, batch)) for start in range(0, batch, block)]
+    # Reused by every block, so a block's buffers stay allocated and cached.
+    centred = np.empty((min(block, batch), length, channels))
+    scaled = np.empty((horizon, channels))
+    out_data = np.empty((batch, horizon, channels))
+    mean, std = np.empty((batch, channels)), np.empty((batch, channels))
+    for rows in blocks:
+        block_centred = centred[: rows.stop - rows.start]
+        mean[rows], std[rows], _ = stats(lookback[rows], out=block_centred)
+        np.matmul(weight.data, block_centred, out=out_data[rows])
+        for out_b, mean_b, std_b in zip(out_data[rows], mean[rows], std[rows]):
+            out_b += mean_b
+            out_b += np.multiply(std_b, offset.data, out=scaled)
 
     def backward(g: Array) -> None:
         if weight._needs_grad():
-            flat_x = centred.data.reshape((-1,) + centred.shape[-2:])
-            flat_g = g.reshape((-1,) + g.shape[-2:])
-            weight._accumulate((flat_g @ np.swapaxes(flat_x, -1, -2)).sum(axis=0))
+            grad, product = np.zeros(weight.shape), np.empty(weight.shape)
+            for rows in blocks:
+                block_centred = centred[: rows.stop - rows.start]
+                np.subtract(lookback[rows], mean[rows, None, :], out=block_centred)  # as compute_stats centres
+                for g_b, centred_b in zip(g[rows], block_centred):
+                    grad += np.matmul(g_b, centred_b.T, out=product)
+            weight._accumulate(grad)
         if offset._needs_grad():
-            offset._accumulate(_unbroadcast(g * np.expand_dims(std.data, -2), offset.shape))
-        if centred._needs_grad():
-            centred._accumulate(weight.data.T @ g)
-        if mean._needs_grad():
-            mean._accumulate(g.sum(axis=-2))
-        if std._needs_grad():
-            std._accumulate((g * offset.data).sum(axis=-2))
+            offset._accumulate(_unbroadcast(g * std[:, None, :], offset.shape))
 
-    return _record(out_data, (weight, offset, centred, mean, std), backward)
+    return _record(out_data, (weight, offset), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -22,6 +22,7 @@ from .atomic import atomic_write
 from .exceptions import (
     EmptyFileError,
     InvalidConfigError,
+    NonFiniteInputError,
     ParseError,
     SeriesTooShortError,
     SpecOutOfRangeError,
@@ -94,10 +95,11 @@ def _read_rows(path: Path, limit: int | None = None) -> tuple[list[str], list[li
 def load_csv(path: str | Path, timestep: str = "") -> Series:
     """Load a header-ed CSV; a leading timestamp column is dropped.
 
-    Rows containing any NaN are rejected and counted in the log, matching
-    the Series invariant that ingested values are NaN-free. Only the header
-    and the first data row go through the csv module unless the vectorized
-    parse fails.
+    Rows containing any NaN are dropped and counted in the log, matching
+    the Series invariant that ingested values are finite; an infinite
+    value fails the load with its row and column. Only the header and the
+    first data row go through the csv module unless the vectorized parse
+    fails.
     """
     path = Path(path)
     header, first = _read_rows(path, limit=1)
@@ -130,8 +132,16 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
             for j, cell in enumerate(row[start:]):
                 values[i, j] = _parse_cell(cell, i + 2, j + start + 1, names[j])
 
-    nan_rows = np.isnan(values).any(axis=1)
-    if nan_rows.any():
+    finite = np.isfinite(values)
+    if not finite.all():
+        infinite = np.argwhere(~finite & ~np.isnan(values))
+        if len(infinite):
+            row, col = infinite[0]
+            raise NonFiniteInputError(
+                f"{path}: row {row + 2}, column {col + start + 1} ({names[col]!r}): "
+                f"{values[row, col]} is not a finite number"
+            )
+        nan_rows = ~finite.all(axis=1)
         log.warning("%s: dropped %d rows containing NaN", path.name, int(nan_rows.sum()))
         values = values[~nan_rows]
     if values.shape[0] == 0:

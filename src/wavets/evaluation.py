@@ -32,21 +32,27 @@ def accumulate_errors(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
 
     Per-step squared and absolute error sums accumulate batch by batch, so
     no prediction outlives its batch (wide datasets would otherwise cost
-    gigabytes). Returns the window-weighted MSE and MAE, their per-horizon-
-    step breakdown and the window count.
+    gigabytes). Every batch must have the first one's (S, N). Returns the
+    window-weighted MSE and MAE, their per-horizon-step breakdown and the
+    window count.
     """
     sq_sum = abs_sum = 0.0
-    windows = channels = 0
+    windows = 0
+    step_shape = None  # (S, N) of the first batch
     for pred, true in pairs:
         if pred.shape != true.shape:
             raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
+        if step_shape is None:
+            step_shape = true.shape[1:]
+        elif true.shape[1:] != step_shape:
+            raise ShapeMismatchError(f"a batch of shape {true.shape} follows batches of (S, N) = {step_shape}")
         diff = pred - true
         sq_sum = sq_sum + (diff**2).sum(axis=(0, 2))
         abs_sum = abs_sum + np.abs(diff).sum(axis=(0, 2))
         windows += true.shape[0]
-        channels = true.shape[2]
     if not windows:
         raise InvalidConfigError("no windows to score")
+    channels = step_shape[1]
     step_mse = sq_sum / (windows * channels)
     step_mae = abs_sum / (windows * channels)
     return {

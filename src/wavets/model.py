@@ -367,11 +367,12 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
 def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
     """Predict (B, S, N) from a lookback batch (B, L, N) on the tape.
 
-    The linear variants run through :func:`fold`: time-domain RevIN
-    statistics, then one :func:`~wavets.autodiff.folded_forecast` op that
-    applies the shared matrix to the centred lookback and adds the mean
-    and the scaled offset in place on the matmul's output. The batch is
-    never transformed and gets no gradient. The other variants run
+    The linear variants run through :func:`fold` and one
+    :func:`~wavets.autodiff.folded_forecast` op, which takes the lookback
+    and ``compute_stats`` (autodiff cannot import revin) and centres,
+    applies the shared matrix and adds the mean and the scaled offset one
+    cache-sized block of windows at a time. The batch is never
+    transformed and gets no gradient. The other variants run
     :func:`band_forward`.
     """
     x = _lookback(cfg, x)
@@ -379,8 +380,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     if folded is None:
         return band_forward(cfg, params, x)
     weight, offset = folded
-    mean, std, centered = compute_stats(x)
-    return folded_forecast(weight, offset, constant(centered), constant(mean), constant(std))
+    return folded_forecast(weight, offset, x, compute_stats)
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:

@@ -27,10 +27,12 @@ the bands, and it commutes with a head's first layer:
 the (B, N, H) first-layer output, and backward forms no band-sized
 gradient and no input gradient for the band. :func:`compute_stats` keeps
 the time-domain definition. The linear variants train and forecast
-through ``model.fold``, which never splits the batch: ``model.forward``
-reads their statistics from it and applies the affine inside the folded
-offset, so only the band path (M, an MLP low-pass head, a per-channel
-delta) calls :func:`revin_forward` and :func:`revin_inverse`.
+through ``model.fold``, which never transforms the batch:
+``autodiff.folded_forecast`` calls :func:`compute_stats` on one
+cache-sized block of lookback windows at a time, with a reused buffer
+for the centred values, and the affine sits inside the folded offset.
+So only the band path (M, an MLP low-pass head, a per-channel delta)
+calls :func:`revin_forward` and :func:`revin_inverse`.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class RevinState:
 
 
 def compute_stats(
-    values: np.ndarray, eps: float = DEFAULT_EPS
+    values: np.ndarray, eps: float = DEFAULT_EPS, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and (eps-stabilized, population) std over the time axis of (B, L, N),
-    plus the centred values they were taken from.
+    plus the centred values they were taken from (written into ``out`` if given).
 
     Two-pass: the lookback is centred once, and the variance sums the
     squares of the centred values, so large offsets cost no precision.
@@ -71,7 +73,7 @@ def compute_stats(
     if length < 2:
         raise DegenerateWindowError(f"need at least 2 time steps, got {length}")
     mean = values.mean(axis=1)
-    centered = values - mean[:, None, :]
+    centered = np.subtract(values, mean[:, None, :], out=out)
     var = np.einsum("bln,bln->bn", centered, centered) / length
     return mean, np.sqrt(var + eps), centered
 

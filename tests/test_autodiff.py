@@ -14,6 +14,7 @@ from wavets.exceptions import (
     ShapeMismatchError,
 )
 from wavets.optim import Adam
+from wavets.revin import compute_stats
 
 from conftest import max_rel_err, numeric_grad
 from reference import composed_folded_forecast, composed_mse
@@ -38,34 +39,29 @@ def test_linear_shape_errors():
         ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(3)))
 
 
-def _fold_inputs(rng, batch_shape, length, horizon, channels, offset_channels):
-    """Random (weight, offset, centred, mean, std) for :func:`ad.folded_forecast`."""
-    stats = batch_shape + (channels,)
-    return tuple(
-        ad.Tensor(data, requires_grad=True)
-        for data in (
-            rng.normal(size=(horizon, length)),
-            rng.normal(size=(horizon, offset_channels)),
-            rng.normal(size=batch_shape + (length, channels)),
-            rng.normal(size=stats),
-            rng.uniform(0.5, 2.0, size=stats),
-        )
-    )
+def _fold_inputs(rng, batch, length, horizon, channels, offset_channels):
+    """Random (weight, offset, lookback) for :func:`ad.folded_forecast`; the
+    lookback is a plain array, as the op takes it."""
+    weight = ad.Tensor(rng.normal(size=(horizon, length)), requires_grad=True)
+    offset = ad.Tensor(rng.normal(size=(horizon, offset_channels)), requires_grad=True)
+    lookback = rng.normal(size=(batch, length, channels)) * rng.uniform(0.5, 2.0, size=channels) + 3.0
+    return weight, offset, lookback
 
 
 def test_folded_forecast_shape_errors():
-    def fold(*shapes):
-        return ad.folded_forecast(*(ad.Tensor(np.ones(s)) for s in shapes))
+    def fold(weight, offset, lookback):
+        return ad.folded_forecast(ad.Tensor(np.ones(weight)), ad.Tensor(np.ones(offset)), np.ones(lookback), compute_stats)
 
-    assert fold((2, 3), (2, 4), (5, 3, 4), (5, 4), (5, 4)).shape == (5, 2, 4)
-    assert fold((2, 3), (2, 1), (3, 4), (4,), (4,)).shape == (2, 4)
+    assert fold((2, 3), (2, 4), (5, 3, 4)).shape == (5, 2, 4)
+    assert fold((2, 3), (2, 1), (5, 3, 4)).shape == (5, 2, 4)
     bad = [
-        ((2, 3), (2, 3), (4, 2, 3), (4, 3), (4, 3)),  # lookback length
-        ((2, 3), (2, 4), (5, 3, 4), (5, 3), (5, 4)),  # mean shape
-        ((2, 3), (2, 4), (5, 3, 4), (5, 4), (4,)),  # std shape
-        ((2, 3), (3, 4), (5, 3, 4), (5, 4), (5, 4)),  # offset horizon
-        ((2, 3), (2, 2), (5, 3, 4), (5, 4), (5, 4)),  # offset channels
-        ((2, 3), (2, 4, 1), (5, 3, 4), (5, 4), (5, 4)),  # offset rank
+        ((2, 3), (2, 3), (4, 2, 3)),  # lookback length
+        ((2, 3), (2, 4), (3, 4)),  # no batch axis
+        ((2, 3), (2, 4), (2, 5, 3, 4)),  # two batch axes
+        ((2, 3, 1), (2, 4), (5, 3, 4)),  # weight rank
+        ((2, 3), (3, 4), (5, 3, 4)),  # offset horizon
+        ((2, 3), (2, 2), (5, 3, 4)),  # offset channels
+        ((2, 3), (2, 4, 1), (5, 3, 4)),  # offset rank
     ]
     for shapes in bad:
         with pytest.raises(ShapeMismatchError):
@@ -75,41 +71,55 @@ def test_folded_forecast_shape_errors():
 def test_folded_forecast_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
-        inputs = _fold_inputs(rng, (3,), 5, 2, 4, offset_channels)
-        w, offset, x, mean, std = inputs
+        w, offset, x = _fold_inputs(rng, 3, 5, 2, 4, offset_channels)
         target = rng.normal(size=(3, 2, 4))
-        out = ad.folded_forecast(*inputs)
-        expected = [w.data @ x_b + m_b + s_b * offset.data for x_b, m_b, s_b in zip(x.data, mean.data, std.data)]
+        out = ad.folded_forecast(w, offset, x, compute_stats)
+        mean, std, centred = compute_stats(x)
+        expected = [w.data @ x_b + m_b + s_b * offset.data for x_b, m_b, s_b in zip(centred, mean, std)]
         assert np.array_equal(out.data, np.stack(expected))
         ad.mse_loss(out, ad.constant(target)).backward()
 
         def f():
-            pred = w.data @ x.data + mean.data[:, None, :] + std.data[:, None, :] * offset.data
+            pred = w.data @ centred + mean[:, None, :] + std[:, None, :] * offset.data
             return float(np.mean((pred - target) ** 2))
 
-        numeric = numeric_grad(f, [t.data for t in inputs])
-        for tensor, num in zip(inputs, numeric):
+        numeric = numeric_grad(f, [w.data, offset.data])
+        for tensor, num in zip((w, offset), numeric):
             assert tensor.grad.shape == tensor.shape
             assert max_rel_err(tensor.grad, num) < 1e-4
 
 
 @pytest.mark.parametrize(
     "batch_shape, length, horizon, channels, offset_channels",
-    [((4,), 6, 3, 5, 5), ((4,), 6, 3, 5, 1), ((2, 3), 4, 2, 3, 3), ((), 6, 4, 2, 2), ((1,), 1, 1, 1, 1)],
+    [((5,), 6, 3, 5, 5), ((5,), 6, 3, 5, 1), ((6,), 4, 2, 3, 3), ((1,), 6, 4, 2, 2), ((1,), 2, 1, 1, 1)],
 )
-def test_folded_forecast_matches_its_composition(batch_shape, length, horizon, channels, offset_channels):
-    """One op against left_matmul + add + mul + add: values and every gradient bit for bit."""
-    rng = np.random.default_rng(11)
-    fused = _fold_inputs(rng, batch_shape, length, horizon, channels, offset_channels)
-    composed = tuple(ad.Tensor(t.data.copy(), requires_grad=True) for t in fused)
-    upstream = ad.constant(rng.normal(size=batch_shape + (horizon, channels)))
-    out = ad.folded_forecast(*fused)
-    ref = composed_folded_forecast(*composed)
-    assert np.array_equal(out.data, ref.data)
-    ad.mean(ad.mul(out, upstream)).backward()
-    ad.mean(ad.mul(ref, upstream)).backward()
-    for a, b in zip(fused, composed):
-        assert np.array_equal(a.grad, b.grad)
+def test_folded_forecast_matches_its_composition(monkeypatch, batch_shape, length, horizon, channels, offset_channels):
+    """The blocked op against compute_stats on the whole batch plus
+    left_matmul + add + mul + add: values and both gradients bit for bit,
+    with one window per block, two (a ragged last block when the batch is
+    odd) and the whole batch as one block."""
+    (batch,) = batch_shape
+    for per_block in (1, 2, batch):
+        rng = np.random.default_rng(11)
+        weight, offset, x = _fold_inputs(rng, batch, length, horizon, channels, offset_channels)
+        composed = tuple(ad.Tensor(t.data.copy(), requires_grad=True) for t in (weight, offset))
+        upstream = ad.constant(rng.normal(size=(batch, horizon, channels)))
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", per_block * length * channels * 8)
+        seen = []
+
+        def spy(values, **kwargs):
+            seen.append(len(values))
+            return compute_stats(values, **kwargs)
+
+        out = ad.folded_forecast(weight, offset, x, spy)
+        mean, std, centred = compute_stats(x)
+        ref = composed_folded_forecast(*composed, *(ad.constant(a) for a in (centred, mean, std)))
+        assert seen == [min(per_block, batch - start) for start in range(0, batch, per_block)]
+        assert np.array_equal(out.data, ref.data)
+        ad.mean(ad.mul(out, upstream)).backward()
+        ad.mean(ad.mul(ref, upstream)).backward()
+        for a, b in zip((weight, offset), composed):
+            assert np.array_equal(a.grad, b.grad)
 
 
 def test_linear_gradients_match_finite_differences():
@@ -327,10 +337,7 @@ def test_ops_on_constants_record_no_parents():
     results = [
         ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b),
         ad.matmul(a, w),
-        ad.folded_forecast(
-            ad.swap_last2(w), ad.constant(np.ones((3, 1))), ad.swap_last2(a),
-            ad.constant(a.data[:, 0]), ad.constant(b.data[:, 0]),
-        ),
+        ad.folded_forecast(ad.swap_last2(w), ad.constant(np.ones((3, 1))), b.data.T[None], compute_stats),
         ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
         ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
         ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), ad.slice_lastdim(a, 1, 3),
@@ -353,12 +360,17 @@ def test_constant_inputs_get_no_gradient():
     assert w.grad is not None and gain.grad is not None
     # d/dgain_i mean(diag(gain) x w) = sum_j (x w)[i, j] / size
     assert np.allclose(gain.grad, (x.data @ w.data).sum(axis=1) / 6, atol=1e-15)
+    # the folded forecast's lookback is data, and its constant offset gets no gradient
     shared = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    batch = ad.constant(rng.normal(size=(5, 4, 2)))
-    mean, std = ad.constant(np.zeros((5, 2))), ad.constant(np.ones((5, 2)))
-    ad.mean(ad.folded_forecast(shared, ad.constant(np.zeros((3, 1))), batch, mean, std)).backward()
-    assert batch.grad is None and mean.grad is None and std.grad is None
-    assert np.allclose(shared.grad, batch.data.sum(axis=(0, 2))[None, :].repeat(3, 0) / 30, atol=1e-15)
+    batch = rng.normal(size=(5, 4, 2))
+    kept = batch.copy()
+    offset = ad.constant(np.zeros((3, 1)))
+    out = ad.folded_forecast(shared, offset, batch, compute_stats)
+    ad.mean(out).backward()
+    assert out._parents == (shared, offset) and offset.grad is None
+    assert np.array_equal(batch, kept)
+    centred = compute_stats(batch)[2]
+    assert np.allclose(shared.grad, centred.sum(axis=(0, 2))[None, :].repeat(3, 0) / 30, atol=1e-15)
 
 
 def test_backward_requires_scalar():

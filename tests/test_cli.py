@@ -416,9 +416,9 @@ def test_sweep_longer_lookback_helps_periodic_data(tmp_path):
     assert mses[0] >= mses[1] >= mses[2]  # more history helps periodic data
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf-poisoned data on purpose
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the load fails before standardize sees the inf
 def test_train_numeric_failure_reported(tmp_path, capsys):
-    # an overflowing literal parses to inf, poisoning gradients on step one
+    # an overflowing literal parses to inf, which load_csv rejects
     bad = tmp_path / "inf.csv"
     rows = ["a,b"] + [f"{i}.0,{i}.5" for i in range(60)]
     rows[10] = "1e400,3.0"
@@ -429,7 +429,9 @@ def test_train_numeric_failure_reported(tmp_path, capsys):
         "--out", str(tmp_path / "r"),
     ])
     assert code != 0
-    assert "error numeric" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error numeric: ") and "row 11, column 1 ('a')" in line
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_unknown_synth_kind(tmp_path, capsys):

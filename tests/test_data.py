@@ -9,6 +9,7 @@ from wavets import data
 from wavets.exceptions import (
     EmptyFileError,
     InvalidConfigError,
+    NonFiniteInputError,
     ParseError,
     SeriesTooShortError,
     SpecOutOfRangeError,
@@ -43,6 +44,24 @@ def test_load_csv_drops_nan_rows(tmp_path, caplog):
     assert series.length == 2
     assert np.array_equal(series.values, [[1.0, 4.0], [7.0, 8.0]])
     assert "dropped 2 rows" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "text, fast, location",
+    [
+        ("a,b\n1,4\ninf,5\n3,-inf\n", True, "row 3, column 1 ('a')"),  # loadtxt parses it
+        ("a,b\n1,4\n,5\n3,-Infinity\n", False, "row 4, column 2 ('b')"),  # the empty cell sends it cell by cell
+        ("date,a,b\nd1,1,4\nd2,nan,1e400\n", True, "row 3, column 3 ('b')"),  # an overflowing literal, beside a NaN
+    ],
+    ids=["loadtxt", "per_cell", "overflow_beside_nan"],
+)
+def test_load_csv_rejects_infinite_values(tmp_path, text, fast, location):
+    path = write(tmp_path, text)
+    start = 1 if text.startswith("date") else 0
+    assert (data._parse_fast(path, start, 2) is not None) == fast
+    with pytest.raises(NonFiniteInputError) as err:
+        data.load_csv(path)
+    assert location in str(err.value)
 
 
 def test_load_csv_parse_error_reports_location(tmp_path):

@@ -26,6 +26,14 @@ def test_metric_examples():
         ev.accumulate_errors([(zero, zero), (np.zeros((2, 3, 1)), np.zeros((2, 3, 2)))])
 
 
+def test_batches_must_share_the_first_batchs_horizon_and_channels():
+    first = np.zeros((2, 3, 2))
+    for later in (np.ones((4, 3, 1)), np.ones((4, 2, 2))):  # fewer channels, a shorter horizon
+        with pytest.raises(ShapeMismatchError):
+            ev.accumulate_errors([(first, first), (later, later * 2)])
+    assert ev.accumulate_errors([(first, first), (np.ones((5, 3, 2)),) * 2])["windows"] == 7
+
+
 def test_metric_aggregation_and_permutation_invariance():
     rng = np.random.default_rng(0)
     pred = rng.normal(size=(10, 4, 3))

@@ -585,6 +585,29 @@ def test_b_train_step_forms_one_horizon_sized_gradient(monkeypatch):
     assert (6, 16) in shapes  # the fold's (S, L) weight got its gradient
 
 
+def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
+    """With a block budget of two windows, no compute_stats call of a B
+    train step or predict sees more than two windows: no batch-sized
+    centred copy is made."""
+    cfg = ModelConfig("B", 16, 6, 3)
+    rng = np.random.default_rng(34)
+    params = init_params(cfg, rng)
+    batch = WindowBatch(x=rng.normal(size=(5, 16, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 16 * 3 * 8)
+    seen = []
+    real = model_mod.compute_stats
+
+    def spy(values, **kwargs):
+        seen.append(len(values))
+        return real(values, **kwargs)
+
+    monkeypatch.setattr(model_mod, "compute_stats", spy)
+    train_step(cfg, params, Adam(params), batch)
+    assert seen == [2, 2, 1]
+    predict(cfg, params, batch.x)
+    assert seen == [2, 2, 1] * 2
+
+
 @pytest.mark.parametrize("variant", ["B", "M"])
 def test_train_model_returns_parameters_without_gradients(variant):
     cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank="d4")
