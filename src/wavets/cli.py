@@ -136,7 +136,7 @@ def _write_gate_report(cfg: RunConfig, mcfg, params, test_v: data_mod.Series, pa
     sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
     batch = sampler.gather(sampler.origins[: cfg.batch_size])
     band = model_mod.low_frequency_band(mcfg, params, batch.x)
-    rows = moe_mod.gate_report(params, mcfg.moe, band, test_v.channel_names, prefix="moe.")
+    rows = moe_mod.gate_report(params, mcfg.moe, band, test_v.channel_names)
     moe_mod.write_gate_report_csv(rows, path, mcfg.moe.num_experts)
 
 

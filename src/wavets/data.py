@@ -328,6 +328,8 @@ class WindowSampler:
         batch_size: int,
         shuffle: np.random.Generator | None = None,
     ) -> Iterator[WindowBatch]:
+        if batch_size < 1:
+            raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
         order = self.origins
         if shuffle is not None:
             order = shuffle.permutation(order)

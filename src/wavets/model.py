@@ -1,12 +1,12 @@
 """WaveTS model family: variants assembled from the transform, RevIN,
 the autodiff ops, and (for the M variant) the mixture of experts.
 
-All variants are defined by one pipeline, :func:`band_forward`: a
-one-level wavelet split of each channel's lookback, per-window
-normalization of the two bands (statistics from the bands by Parseval),
-half-length heads with RevIN's affine applied after each head's first
-layer, a delta-weighted fusion of the high-frequency prediction, and
-inverse normalization. The split and the normalized bands are fixed
+All variants are defined by one pipeline, :func:`band_forward`:
+per-window normalization of each channel's lookback (RevIN), a
+one-level wavelet split of the normalized lookback, half-length heads
+with RevIN's affine applied after each head's first layer, a
+delta-weighted fusion of the high-frequency prediction, and inverse
+normalization. The split and the normalized bands are fixed
 functions of the input, so they stay off the autodiff tape: backward
 stops at the first layers' weights and never forms a band-sized
 gradient. Variants differ only in which heads exist and how the
@@ -198,8 +198,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["hf.bias"] = (horizon // 2,)
     if cfg.variant == "M":
         assert cfg.moe is not None
-        for name, shape in moe_mod.param_shapes(cfg.moe, half, horizon).items():
-            shapes[f"moe.{name}"] = shape
+        shapes.update(moe_mod.param_shapes(cfg.moe, half, horizon))
     if cfg.has_delta():
         shapes["delta"] = (channels, 1) if cfg.delta_per_channel else ()
     if cfg.revin_affine:
@@ -271,16 +270,16 @@ def _lookback(cfg: ModelConfig, x: Tensor | np.ndarray) -> np.ndarray:
 def _prologue(
     cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray
 ) -> tuple[Tensor, Tensor, RevinState]:
-    """Normalized (B, N, L/2) bands of a (B, L, N) lookback batch, as constants,
-    plus the RevIN state that carries the affine.
+    """The (B, N, L/2) bands of a normalized (B, L, N) lookback batch, as
+    constants, plus the RevIN state that carries the affine.
 
-    The lookback is copied channel-major once and split off the tape.
+    RevIN normalizes a channel-major copy of the lookback, which is then
+    split off the tape.
     """
     x = _lookback(cfg, x)
     _check_params(cfg, params)
-    per_channel = constant(np.ascontiguousarray(np.swapaxes(x, 1, 2)))  # (B, N, L)
-    bands = dwt_pair(per_channel, get_bank(cfg.bank))
-    (approx, detail), state = revin_forward(bands, params.get("revin.gain"), params.get("revin.bias"))
+    normalized, state = revin_forward(x, params.get("revin.gain"), params.get("revin.bias"))
+    approx, detail = dwt_pair(constant(normalized), get_bank(cfg.bank))
     return approx, detail, state
 
 
@@ -308,7 +307,7 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.nda
         fused = mul(_delta(cfg, params), high)
     elif cfg.variant == "M":
         assert cfg.moe is not None
-        low = moe_mod.moe_forward(params, cfg.moe, approx, prefix="moe.", first_layer=low_layer)
+        low = moe_mod.moe_forward(params, cfg.moe, approx, first_layer=low_layer)
         high = high_layer(detail, params["hf.weight"], params["hf.bias"])
         fused = add(low, mul(_delta(cfg, params), high))
     else:  # variant I: predict per band at half horizon, fuse by synthesis

@@ -50,46 +50,33 @@ class MoEConfig:
 
 
 def param_shapes(cfg: MoEConfig, in_dim: int, out_dim: int) -> dict[str, tuple[int, ...]]:
-    """Gate plus per-expert parameter shapes, keyed by name."""
+    """Gate plus per-expert parameter shapes, keyed by their model names."""
     shapes: dict[str, tuple[int, ...]] = {
-        "gate.weight": (in_dim, cfg.num_experts),
-        "gate.bias": (cfg.num_experts,),
+        "moe.gate.weight": (in_dim, cfg.num_experts),
+        "moe.gate.bias": (cfg.num_experts,),
     }
     for e in range(cfg.num_experts):
-        shapes[f"expert{e}.w1"] = (in_dim, cfg.hidden)
-        shapes[f"expert{e}.b1"] = (cfg.hidden,)
-        shapes[f"expert{e}.w2"] = (cfg.hidden, out_dim)
-        shapes[f"expert{e}.b2"] = (out_dim,)
+        shapes[f"moe.expert{e}.w1"] = (in_dim, cfg.hidden)
+        shapes[f"moe.expert{e}.b1"] = (cfg.hidden,)
+        shapes[f"moe.expert{e}.w2"] = (cfg.hidden, out_dim)
+        shapes[f"moe.expert{e}.b2"] = (out_dim,)
     return shapes
 
 
-def _key(prefix: str, name: str) -> str:
-    return prefix + name if prefix else name
-
-
-def gate(params: dict[str, Tensor], x: Tensor, prefix: str = "") -> Tensor:
+def gate(params: dict[str, Tensor], x: Tensor) -> Tensor:
     """Per-channel expert probabilities: softmax(x @ Wg + bg) over the last axis."""
-    weight = params[_key(prefix, "gate.weight")]
+    weight = params["moe.gate.weight"]
     if x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(
             f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}"
         )
-    return softmax_lastdim(linear(x, weight, params[_key(prefix, "gate.bias")]))
-
-
-def expert_forward(params: dict[str, Tensor], index: int, x: Tensor, prefix: str = "") -> Tensor:
-    """One expert: w2 @ relu(w1 @ x + b1) + b2."""
-    hidden = relu(
-        linear(x, params[_key(prefix, f"expert{index}.w1")], params[_key(prefix, f"expert{index}.b1")])
-    )
-    return linear(hidden, params[_key(prefix, f"expert{index}.w2")], params[_key(prefix, f"expert{index}.b2")])
+    return softmax_lastdim(linear(x, weight, params["moe.gate.bias"]))
 
 
 def moe_forward(
     params: dict[str, Tensor],
     cfg: MoEConfig,
     x: Tensor,
-    prefix: str = "",
     first_layer: Callable[[Tensor, Tensor, Tensor], Tensor] | None = None,
 ) -> Tensor:
     """Dense mixture: sum_e gate[..., e] * expert_e(x), from two fused matmuls.
@@ -101,13 +88,13 @@ def moe_forward(
     num, hidden = cfg.num_experts, cfg.hidden
 
     def joined(leaf: str, first: tuple[str, ...] = (), axis: int = -1) -> Tensor:
-        names = [*first, *(f"expert{e}.{leaf}" for e in range(num))]
-        return concat([params[_key(prefix, name)] for name in names], axis=axis)
+        names = [*first, *(f"moe.expert{e}.{leaf}" for e in range(num))]
+        return concat([params[name] for name in names], axis=axis)
 
-    weight = joined("w1", ("gate.weight",))  # (Din, E + E*H)
+    weight = joined("w1", ("moe.gate.weight",))  # (Din, E + E*H)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}")
-    pre = (first_layer or linear)(x, weight, joined("b1", ("gate.bias",)))  # (..., E + E*H)
+    pre = (first_layer or linear)(x, weight, joined("b1", ("moe.gate.bias",)))  # (..., E + E*H)
     probs = softmax_lastdim(slice_lastdim(pre, 0, num))  # (..., E)
     lead = pre.shape[:-1]
     units = reshape(relu(slice_lastdim(pre, num, num + num * hidden)), lead + (num, hidden))
@@ -127,14 +114,13 @@ def gate_report(
     cfg: MoEConfig,
     band: np.ndarray,
     channel_names: list[str] | None = None,
-    prefix: str = "",
 ) -> list[dict]:
     """Per-channel gate diagnostics over a (B, N, L/2) batch.
 
     Each row holds the batch-mean gate vector, its argmax expert, and its
     entropy; mean vectors still sum to one because softmax rows do.
     """
-    probs = gate(params, Tensor(band), prefix).data  # (B, N, E)
+    probs = gate(params, Tensor(band)).data  # (B, N, E)
     mean_probs = probs.mean(axis=0)  # (N, E)
     rows = []
     for n in range(mean_probs.shape[0]):

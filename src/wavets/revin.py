@@ -1,33 +1,27 @@
-"""Reversible per-instance, per-channel normalization, applied to wavelet bands.
+"""Reversible per-instance, per-channel normalization of the lookback.
 
 Statistics (population mean and std, eps under the square root) are
 computed from the lookback window only, so no future value can leak into
 them; predictions are denormalized with the same statistics. The optional
 affine pair (gain, bias) is learnable and serializes with the model.
+:func:`compute_stats` is the one definition of the statistics: the fold
+path and the band path both call it.
 
-The forward pass works on the one-level orthonormal periodic DWT of the
-lookback rather than on the lookback itself. Every supported low-pass sums
-to sqrt(2) with equal even and odd halves and the high-pass sums to zero,
-so the transform of a constant c is (sqrt(2)*c, 0), and Parseval gives the
-statistics from the bands alone:
-
-  mean = sqrt(2) * sum(A) / L
-  var  = (sum((A - sqrt(2)*mean)^2) + sum(D^2)) / L
-
-(the two-pass form: the mean is taken out before squaring).
-:func:`revin_forward` returns the normalized bands as constants and leaves
-the per-channel affine to the heads. The affine of the time-domain
+The band path normalizes the lookback with :func:`revin_forward`, which
+returns it channel-major for the transform, and leaves the per-channel
+affine to the heads. Every supported low-pass sums to sqrt(2) with equal
+even and odd halves and the high-pass sums to zero, so the transform of a
+constant c is (sqrt(2)*c, 0), and the affine of the time-domain
 ``gain * x_n + bias`` is ``(gain * A_n + sqrt(2) * bias, gain * D_n)`` on
-the bands, and it commutes with a head's first layer:
+the bands of ``x_n``. It commutes with a head's first layer:
 
   (gain * A_n + sqrt(2) * bias) @ W + b = gain * (A_n @ W) + sqrt(2) * bias (x) colsum(W) + b
   (gain * D_n) @ W + b                  = gain * (D_n @ W) + b
 
 :func:`affine_linear` computes the right-hand sides, so the affine acts on
 the (B, N, H) first-layer output, and backward forms no band-sized
-gradient and no input gradient for the band. :func:`compute_stats` keeps
-the time-domain definition. The linear variants train and forecast
-through ``model.fold``, which never transforms the batch:
+gradient and no input gradient for the band. The linear variants train
+and forecast through ``model.fold``, which never transforms the batch:
 ``autodiff.folded_forecast`` calls :func:`compute_stats` on one
 cache-sized block of lookback windows at a time, with a reused buffer
 for the centred values, and the affine sits inside the folded offset.
@@ -61,7 +55,7 @@ class RevinState:
 
 
 def compute_stats(
-    values: np.ndarray, eps: float = DEFAULT_EPS, out: np.ndarray | None = None
+    values: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and (eps-stabilized, population) std over the time axis of (B, L, N),
     plus the centred values they were taken from (written into ``out`` if given).
@@ -75,7 +69,7 @@ def compute_stats(
     mean = values.mean(axis=1)
     centered = np.subtract(values, mean[:, None, :], out=out)
     var = np.einsum("bln,bln->bn", centered, centered) / length
-    return mean, np.sqrt(var + eps), centered
+    return mean, np.sqrt(var + DEFAULT_EPS), centered
 
 
 def check_gain(gain: np.ndarray) -> None:
@@ -85,27 +79,21 @@ def check_gain(gain: np.ndarray) -> None:
 
 
 def revin_forward(
-    bands: tuple[Tensor | np.ndarray, Tensor | np.ndarray],
-    gain: Tensor | None = None,
-    bias: Tensor | None = None,
-    eps: float = DEFAULT_EPS,
-) -> tuple[tuple[Tensor, Tensor], RevinState]:
-    """Normalize the (approx, detail) bands, each (B, N, L/2), of a lookback.
+    lookback: np.ndarray, gain: Tensor | None = None, bias: Tensor | None = None
+) -> tuple[np.ndarray, RevinState]:
+    """Normalize a (B, L, N) lookback batch into a new (B, N, L) array.
 
-    Returns the normalized bands as constants and the state: the
-    time-domain statistics plus the affine, which :func:`affine_linear`
-    applies after a head's first layer and :func:`revin_inverse` undoes.
+    The one channel-major copy is centred in place by :func:`compute_stats`
+    and divided by the std, so the caller's lookback is never written.
+    Returns it with the state: the statistics plus the affine, which
+    :func:`affine_linear` applies after a head's first layer and
+    :func:`revin_inverse` undoes.
     """
-    approx, detail = (b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64) for b in bands)
-    length = 2 * approx.shape[-1]
-    if length < 2:
-        raise DegenerateWindowError(f"need at least 2 time steps, got {length}")
-    mean = _SQRT2 * approx.sum(axis=-1) / length
-    centered = approx - _SQRT2 * mean[..., None]
-    var = (np.square(centered).sum(axis=-1) + np.square(detail).sum(axis=-1)) / length
-    std = np.sqrt(var + eps)
-    bands_n = constant(centered / std[..., None]), constant(detail / std[..., None])
-    return bands_n, RevinState(mean=mean, std=std, gain=gain, bias=bias)
+    normalized = np.swapaxes(lookback, 1, 2).copy()  # (B, N, L)
+    time_major = np.swapaxes(normalized, 1, 2)  # (B, L, N) view of the copy
+    mean, std, _ = compute_stats(time_major, out=time_major)
+    normalized /= std[..., None]
+    return normalized, RevinState(mean=mean, std=std, gain=gain, bias=bias)
 
 
 def _column(param: Tensor) -> Tensor:
@@ -115,9 +103,9 @@ def _column(param: Tensor) -> Tensor:
 def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, approx: bool) -> Tensor:
     """A head's first layer on the affine-mapped band: ``(gain * x + shift) @ weight + bias``.
 
-    ``x`` is a normalized (B, N, Din) band from :func:`revin_forward`; the
-    shift is ``sqrt(2) * bias`` on the approximation band (``approx``) and
-    zero on the detail band. The affine is applied to the (B, N, Dout)
+    ``x`` is a (B, N, Din) band of a lookback normalized by
+    :func:`revin_forward`; the shift is ``sqrt(2) * bias`` on the
+    approximation band (``approx``) and zero on the detail band. The affine is applied to the (B, N, Dout)
     output, ``gain * (x @ weight) + shift (x) colsum(weight) + bias``.
     Without the affine this is :func:`linear`.
     """

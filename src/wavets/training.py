@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import Tensor, constant, mse_loss
 from .data import Series, WindowBatch, WindowSampler
 from .evaluation import accumulate_errors
+from .exceptions import InvalidConfigError
 from .model import ModelConfig, forward, init_params, predict
 from .optim import Adam
 
@@ -29,6 +30,11 @@ class TrainSettings:
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 3
+
+    def __post_init__(self) -> None:
+        for name in ("max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""The reference forward the band path is tested against, and the op
-compositions the one-op folded forecast and MSE replace.
+"""The reference forward the band path is tested against, one expert of
+the mixture on its own, and the op compositions the one-op folded
+forecast and MSE replace.
 
 It is the pipeline the paper describes, written the plain way: time-domain
 RevIN with the affine on the tape, the DWT of the affine-mapped lookback
@@ -42,7 +43,7 @@ def reference_forward(cfg, params, x):
         return ad.mul(_delta(cfg, params), ad.linear(detail, params["hf.weight"], params["hf.bias"]))
 
     if cfg.variant == "M":
-        fused = ad.add(moe_mod.moe_forward(params, cfg.moe, approx, prefix="moe."), high())
+        fused = ad.add(moe_mod.moe_forward(params, cfg.moe, approx), high())
     elif cfg.variant == "I":
         low = ad.linear(approx, params["lf.weight"], params["lf.bias"])
         fused = ad.idwt_pair(low, high(), bank)
@@ -61,6 +62,15 @@ def reference_forward(cfg, params, x):
     if gain is not None:
         out = ad.div(ad.sub(out, bias), gain)
     return ad.add(ad.mul(out, ad.constant(std[:, None, :])), ad.constant(mean[:, None, :]))
+
+
+def expert_forward(params, index, x):
+    """One expert of the mixture on its own: w2 @ relu(w1 @ x + b1) + b2."""
+    def param(leaf):
+        return params[f"moe.expert{index}.{leaf}"]
+
+    hidden = ad.relu(ad.linear(x, param("w1"), param("b1")))
+    return ad.linear(hidden, param("w2"), param("b2"))
 
 
 def left_matmul(w, x):

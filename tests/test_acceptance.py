@@ -22,6 +22,7 @@ from wavets.model import VARIANTS, ModelConfig, init_params, loss_and_grads
 from wavets.moe import MoEConfig
 
 from conftest import max_rel_err, numeric_grad
+from reference import expert_forward
 
 
 def _dataset(cfg):
@@ -271,7 +272,7 @@ def test_criterion_8_moe_invariants():
     x = ad.Tensor(rng.normal(size=(2, 5, 6)))
     gap_single = float(
         np.max(np.abs(moe_mod.moe_forward(single, single_cfg, x).data
-                      - moe_mod.expert_forward(single, 0, x).data))
+                      - expert_forward(single, 0, x).data))
     )
 
     mix_cfg = moe_mod.MoEConfig(num_experts=3, hidden=4)
@@ -280,7 +281,7 @@ def test_criterion_8_moe_invariants():
         for name, shape in moe_mod.param_shapes(mix_cfg, 6, 3).items()
     }
     out = moe_mod.moe_forward(mixed, mix_cfg, x).data
-    stack = np.stack([moe_mod.expert_forward(mixed, e, x).data for e in range(3)], axis=-1)
+    stack = np.stack([expert_forward(mixed, e, x).data for e in range(3)], axis=-1)
     hull_ok = bool(
         np.all(out >= stack.min(axis=-1) - 1e-9) and np.all(out <= stack.max(axis=-1) + 1e-9)
     )

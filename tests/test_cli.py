@@ -149,6 +149,18 @@ def test_eval_accepts_flags_that_match_the_run_config(tmp_path, capsys):
     assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_zero_batch_size_is_a_config_error(tmp_path, capsys, command):
+    if command == "train":
+        argv = [*TINY_TRAIN, "--out", str(tmp_path / "runs")]
+    else:
+        argv = ["eval", "--checkpoint", str(_trained_run(tmp_path, capsys) / "checkpoint.json")]
+    code = main([*argv, "--batch-size", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: batch_size must be >= 1"), err
+
+
 def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main([*TINY_TRAIN, "--out", str(out)]) == 0

@@ -19,6 +19,7 @@ from wavets.exceptions import (
 )
 from wavets.model import ModelConfig
 from wavets.optim import Adam
+from wavets.training import TrainSettings
 
 
 def test_swap_needs_two_axes():
@@ -120,6 +121,16 @@ def test_accounting_argument_checks():
         ev.count_macs(cfg, batch_size=0)
     with pytest.raises(InvalidConfigError):
         ev.time_mean(lambda: None, repeats=0)
+
+
+def test_batch_and_epoch_settings_checks():
+    sampler = data.WindowSampler(data.synth("noise_walk", 40, 2, seed=0), 8, 4)
+    for batch_size in (0, -4):
+        with pytest.raises(InvalidConfigError):
+            next(sampler.batches(batch_size))
+    for name in ("max_epochs", "patience"):
+        with pytest.raises(InvalidConfigError):
+            TrainSettings(**{name: 0})
 
 
 def test_adam_eps_check():

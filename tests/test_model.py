@@ -446,9 +446,9 @@ def _loss_and_grads(forward_fn, cfg, params, x, y):
 @pytest.mark.parametrize("bank", wv.BANK_NAMES)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_band_prologue_matches_time_domain_prologue(variant, bank):
-    """band_forward, with constant bands and RevIN's affine after each head's
-    first layer, matches the reference, which normalizes and maps the
-    lookback on the tape before the transform."""
+    """band_forward, with the bands of the normalized lookback as constants
+    and RevIN's affine after each head's first layer, matches the
+    reference, which maps the lookback on the tape before the transform."""
     cfg = tiny_config(variant, lookback=16, horizon=8, channels=3, bank=bank)
     rng = np.random.default_rng(30)
     params = init_params(cfg, rng)
@@ -561,6 +561,26 @@ def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
     assert (5, 3, cfg.half) not in shapes
     assert (5, 3, cfg.lookback) not in shapes
     assert (5, 3, 8) in shapes  # the spy saw the fused first layer's (B, N, E + E*H) gradient
+
+
+@pytest.mark.parametrize("writable", [True, False])
+@pytest.mark.parametrize("variant", ["M", "B"])
+def test_forecasts_leave_the_lookback_unchanged(variant, writable):
+    """predict and loss_and_grads never write the caller's lookback, also with
+    one channel, where the channel-major layout is the lookback itself."""
+    cfg = tiny_config(variant, lookback=16, horizon=4, channels=1, bank="d4")
+    rng = np.random.default_rng(35)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(3, 16, 1)) * 2.0 + 5.0
+    y = rng.normal(size=(3, 4, 1))
+    if not writable:  # a read-only view, as unshuffled batches are
+        x = x[:]
+        x.flags.writeable = False
+    before = x.copy()
+    first = predict(cfg, params, x)
+    loss_and_grads(cfg, params, x, y)
+    assert np.array_equal(x, before)
+    assert np.array_equal(predict(cfg, params, x), first)
 
 
 def test_b_train_step_forms_one_horizon_sized_gradient(monkeypatch):
@@ -749,9 +769,9 @@ def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
     seen = []
     real = moe_mod.moe_forward
 
-    def spy(params, cfg, band, prefix="", first_layer=None):
+    def spy(params, cfg, band, first_layer=None):
         seen.append((band, first_layer))
-        return real(params, cfg, band, prefix=prefix, first_layer=first_layer)
+        return real(params, cfg, band, first_layer=first_layer)
 
     monkeypatch.setattr(moe_mod, "moe_forward", spy)
     predict(cfg, params, x)

@@ -10,6 +10,7 @@ from wavets.exceptions import InvalidConfigError, ShapeMismatchError
 from wavets.wavelet import dwt_arrays, get_bank
 
 from conftest import max_rel_err, numeric_grad
+from reference import expert_forward
 
 
 def make_params(cfg, in_dim, out_dim, seed=0, scale=0.3):
@@ -30,8 +31,8 @@ def test_config_validation():
 def test_uniform_gate_when_weights_zero():
     cfg = moe.MoEConfig(num_experts=3, hidden=2)
     params = make_params(cfg, 4, 2)
-    params["gate.weight"].data[:] = 0.0
-    params["gate.bias"].data[:] = 0.0
+    params["moe.gate.weight"].data[:] = 0.0
+    params["moe.gate.bias"].data[:] = 0.0
     probs = moe.gate(params, Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))).data
     assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-12
 
@@ -39,8 +40,8 @@ def test_uniform_gate_when_weights_zero():
 def test_gate_bias_dominates():
     cfg = moe.MoEConfig(num_experts=3, hidden=2)
     params = make_params(cfg, 4, 2)
-    params["gate.weight"].data[:] = 0.0
-    params["gate.bias"].data = np.array([10.0, 0.0, 0.0])
+    params["moe.gate.weight"].data[:] = 0.0
+    params["moe.gate.bias"].data = np.array([10.0, 0.0, 0.0])
     probs = moe.gate(params, Tensor(np.zeros((1, 2, 4)))).data
     expected = np.exp([10.0, 0.0, 0.0])
     expected = expected / expected.sum()
@@ -68,24 +69,24 @@ def test_gate_shape_check():
 def test_expert_constant_output_with_zero_weights():
     cfg = moe.MoEConfig(num_experts=1, hidden=3)
     params = make_params(cfg, 4, 2)
-    for key in ("expert0.w1", "expert0.b1", "expert0.w2"):
+    for key in ("moe.expert0.w1", "moe.expert0.b1", "moe.expert0.w2"):
         params[key].data[:] = 0.0
-    params["expert0.b2"].data = np.array([0.7, -1.2])
-    out = moe.expert_forward(params, 0, Tensor(np.random.default_rng(1).normal(size=(2, 3, 4)))).data
+    params["moe.expert0.b2"].data = np.array([0.7, -1.2])
+    out = expert_forward(params, 0, Tensor(np.random.default_rng(1).normal(size=(2, 3, 4)))).data
     assert np.allclose(out, np.broadcast_to([0.7, -1.2], (2, 3, 2)), atol=1e-15)
 
 
 def test_expert_hand_traced_h1():
     cfg = moe.MoEConfig(num_experts=1, hidden=1)
     params = make_params(cfg, 2, 3)
-    params["expert0.w1"].data = np.array([[0.5], [-0.25]])
-    params["expert0.b1"].data = np.array([0.1])
-    params["expert0.w2"].data = np.array([[2.0, -1.0, 0.5]])
-    params["expert0.b2"].data = np.array([0.3, 0.0, -0.2])
+    params["moe.expert0.w1"].data = np.array([[0.5], [-0.25]])
+    params["moe.expert0.b1"].data = np.array([0.1])
+    params["moe.expert0.w2"].data = np.array([[2.0, -1.0, 0.5]])
+    params["moe.expert0.b2"].data = np.array([0.3, 0.0, -0.2])
     x = np.array([[[1.0, 2.0]]])
     # hidden = relu(0.5*1 - 0.25*2 + 0.1) = 0.1
     want = 0.1 * np.array([2.0, -1.0, 0.5]) + np.array([0.3, 0.0, -0.2])
-    out = moe.expert_forward(params, 0, Tensor(x)).data
+    out = expert_forward(params, 0, Tensor(x)).data
     assert np.allclose(out.ravel(), want, atol=1e-15)
 
 
@@ -97,17 +98,17 @@ def test_expert_gradients_match_finite_differences():
 
     from wavets.autodiff import constant, mse_loss
 
-    loss = mse_loss(moe.expert_forward(params, 0, Tensor(x)), constant(target))
+    loss = mse_loss(expert_forward(params, 0, Tensor(x)), constant(target))
     loss.backward()
 
     def f():
-        h = np.maximum(x @ params["expert0.w1"].data + params["expert0.b1"].data, 0.0)
-        out = h @ params["expert0.w2"].data + params["expert0.b2"].data
+        h = np.maximum(x @ params["moe.expert0.w1"].data + params["moe.expert0.b1"].data, 0.0)
+        out = h @ params["moe.expert0.w2"].data + params["moe.expert0.b2"].data
         return float(np.mean((out - target) ** 2))
 
-    arrays = [params[k].data for k in ("expert0.w1", "expert0.b1", "expert0.w2", "expert0.b2")]
-    numeric = numeric_grad(f, arrays)
-    for key, num in zip(("expert0.w1", "expert0.b1", "expert0.w2", "expert0.b2"), numeric):
+    keys = [f"moe.expert0.{leaf}" for leaf in ("w1", "b1", "w2", "b2")]
+    numeric = numeric_grad(f, [params[k].data for k in keys])
+    for key, num in zip(keys, numeric):
         assert max_rel_err(params[key].grad, num) < 1e-4, key
 
 
@@ -116,7 +117,7 @@ def test_single_expert_mixture_is_identity():
     params = make_params(cfg, 6, 3, seed=6)
     x = Tensor(np.random.default_rng(7).normal(size=(2, 4, 6)))
     mixture = moe.moe_forward(params, cfg, x).data
-    solo = moe.expert_forward(params, 0, x).data
+    solo = expert_forward(params, 0, x).data
     assert np.max(np.abs(mixture - solo)) < 1e-6
 
 
@@ -135,7 +136,7 @@ def test_fused_mixture_matches_the_per_expert_loop(experts):
 
     def loop(params, x):
         probs = moe.gate(params, x)
-        terms = [mul(slice_lastdim(probs, e), moe.expert_forward(params, e, x)) for e in range(experts)]
+        terms = [mul(slice_lastdim(probs, e), expert_forward(params, e, x)) for e in range(experts)]
         out = terms[0]
         for term in terms[1:]:
             out = add(out, term)
@@ -152,10 +153,10 @@ def test_identical_experts_ignore_gate():
     cfg = moe.MoEConfig(num_experts=2, hidden=4)
     params = make_params(cfg, 6, 3, seed=8, scale=1.0)
     for leaf in ("w1", "b1", "w2", "b2"):
-        params[f"expert1.{leaf}"].data = params[f"expert0.{leaf}"].data.copy()
+        params[f"moe.expert1.{leaf}"].data = params[f"moe.expert0.{leaf}"].data.copy()
     x = Tensor(np.random.default_rng(9).normal(size=(3, 5, 6)))
     mixture = moe.moe_forward(params, cfg, x).data
-    solo = moe.expert_forward(params, 0, x).data
+    solo = expert_forward(params, 0, x).data
     assert np.max(np.abs(mixture - solo)) < 1e-9
 
 
@@ -164,12 +165,12 @@ def test_hand_mixture_quarter_three_quarters():
     params = make_params(cfg, 2, 2)
     # constant experts o1, o2
     for e, out_value in ((0, np.array([1.0, -2.0])), (1, np.array([3.0, 5.0]))):
-        params[f"expert{e}.w1"].data[:] = 0.0
-        params[f"expert{e}.b1"].data[:] = 0.0
-        params[f"expert{e}.w2"].data[:] = 0.0
-        params[f"expert{e}.b2"].data = out_value
-    params["gate.weight"].data[:] = 0.0
-    params["gate.bias"].data = np.log(np.array([0.25, 0.75]))  # softmax(log p) = p
+        params[f"moe.expert{e}.w1"].data[:] = 0.0
+        params[f"moe.expert{e}.b1"].data[:] = 0.0
+        params[f"moe.expert{e}.w2"].data[:] = 0.0
+        params[f"moe.expert{e}.b2"].data = out_value
+    params["moe.gate.weight"].data[:] = 0.0
+    params["moe.gate.bias"].data = np.log(np.array([0.25, 0.75]))  # softmax(log p) = p
     out = moe.moe_forward(params, cfg, Tensor(np.zeros((1, 1, 2)))).data
     want = 0.25 * np.array([1.0, -2.0]) + 0.75 * np.array([3.0, 5.0])
     assert np.allclose(out.ravel(), want, atol=1e-12)
@@ -180,7 +181,7 @@ def test_mixture_stays_in_expert_convex_hull():
     params = make_params(cfg, 8, 5, seed=10, scale=0.8)
     x = Tensor(np.random.default_rng(11).normal(size=(4, 6, 8)))
     mixture = moe.moe_forward(params, cfg, x).data
-    stack = np.stack([moe.expert_forward(params, e, x).data for e in range(3)], axis=-1)
+    stack = np.stack([expert_forward(params, e, x).data for e in range(3)], axis=-1)
     low, high = stack.min(axis=-1), stack.max(axis=-1)
     assert np.all(mixture >= low - 1e-9)
     assert np.all(mixture <= high + 1e-9)
@@ -191,7 +192,7 @@ def test_logit_shift_leaves_mixture_unchanged():
     params = make_params(cfg, 8, 5, seed=12)
     x = Tensor(np.random.default_rng(13).normal(size=(2, 6, 8)))
     before = moe.moe_forward(params, cfg, x).data
-    params["gate.bias"].data = params["gate.bias"].data + 11.5
+    params["moe.gate.bias"].data = params["moe.gate.bias"].data + 11.5
     after = moe.moe_forward(params, cfg, x).data
     assert np.max(np.abs(before - after)) < 1e-9
 

@@ -21,14 +21,14 @@ def _unit_affine(channels):
     return gain, bias
 
 
-def _bands(x, bank="haar"):
-    """(approx, detail), each (B, N, L/2), of a (B, L, N) lookback batch."""
-    return wv.dwt_arrays(np.swapaxes(x, 1, 2), wv.get_bank(bank))
+def _bands(normalized, bank="haar"):
+    """(approx, detail), each (B, N, L/2), of a (B, N, L) array from revin_forward."""
+    return tuple(Tensor(band) for band in wv.dwt_arrays(normalized, wv.get_bank(bank)))
 
 
-def _time_domain(out, bank="haar"):
-    """Back to (B, L, N) from a band pair returned by revin_forward."""
-    return np.swapaxes(wv.idwt_arrays(out[0].data, out[1].data, wv.get_bank(bank)), 1, 2)
+def _time_domain(bands, bank="haar"):
+    """Back to (B, L, N) from a (B, N, L/2) band pair."""
+    return np.swapaxes(wv.idwt_arrays(bands[0].data, bands[1].data, wv.get_bank(bank)), 1, 2)
 
 
 def _mapped(bands, state):
@@ -43,8 +43,10 @@ def test_hand_computed_four_points():
     # Four points is the smallest even window whose normalized approximation
     # band is not identically zero.
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    (approx, detail), state = revin_forward(_bands(x), *_unit_affine(1))
+    normalized, state = revin_forward(x, *_unit_affine(1))
+    approx, detail = _bands(normalized)
     # mean 2.5, population variance 5/4; the 1e-5 eps shifts values by ~1e-5 at most
+    assert np.allclose(normalized.ravel(), [-1.3416, -0.4472, 0.4472, 1.3416], atol=1e-4)
     assert np.allclose(approx.data.ravel(), [-1.2649, 1.2649], atol=1e-4)
     assert np.allclose(detail.data.ravel(), [-0.6325, -0.6325], atol=1e-4)
     assert abs(state.mean[0, 0] - 2.5) < 1e-12
@@ -53,28 +55,44 @@ def test_hand_computed_four_points():
 
 def test_constant_channel_maps_to_zero():
     x = np.full((1, 8, 1), 5.0)
+    normalized, _ = revin_forward(x, *_unit_affine(1))
+    assert np.max(np.abs(normalized)) < 1e-12
     for bank in wv.BANK_NAMES:
-        out, _ = revin_forward(_bands(x, bank), *_unit_affine(1))
-        assert np.max(np.abs(out[0].data)) < 1e-12, bank
-        assert np.max(np.abs(out[1].data)) < 1e-12, bank
+        for band in _bands(normalized, bank):
+            assert np.max(np.abs(band.data)) < 1e-12, bank
 
 
 def test_output_statistics_random():
     rng = np.random.default_rng(0)
     # variance well above eps so normalized variance is 1 within 1e-6
     x = rng.normal(scale=6.0, size=(4, 64, 3))
-    out, _ = revin_forward(_bands(x), *_unit_affine(3))
-    normalized = _time_domain(out)
-    assert np.max(np.abs(normalized.mean(axis=1))) < 1e-6
-    assert np.max(np.abs(normalized.var(axis=1) - 1.0)) < 1e-6
+    normalized, _ = revin_forward(x, *_unit_affine(3))
+    assert normalized.shape == (4, 3, 64)
+    assert np.max(np.abs(normalized.mean(axis=-1))) < 1e-6
+    assert np.max(np.abs(normalized.var(axis=-1) - 1.0)) < 1e-6
+    assert np.max(np.abs(_time_domain(_bands(normalized)) - np.swapaxes(normalized, 1, 2))) < 1e-12
 
 
 def test_degenerate_window_rejected():
     with pytest.raises(DegenerateWindowError):
         compute_stats(np.ones((2, 1, 3)))
-    empty = np.ones((2, 3, 0))
     with pytest.raises(DegenerateWindowError):
-        revin_forward((empty, empty))
+        revin_forward(np.ones((2, 1, 3)))
+
+
+@pytest.mark.parametrize("writable", [True, False])
+@pytest.mark.parametrize("batch, channels", [(1, 1), (3, 1), (2, 3)])
+def test_forward_leaves_the_lookback_unchanged(batch, channels, writable):
+    """The normalized values go into a new array, also where the channel-major
+    layout of the lookback is the lookback itself (one channel)."""
+    x = np.random.default_rng(6).normal(size=(batch, 8, channels)) * 3.0 + 2.0
+    if not writable:
+        x = x[:]
+        x.flags.writeable = False
+    before = x.copy()
+    normalized, _ = revin_forward(x)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(normalized, x)
 
 
 def test_roundtrip_float64():
@@ -82,8 +100,8 @@ def test_roundtrip_float64():
     x = rng.normal(size=(2, 8, 3)) * 4 + 1.5
     gain = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
     bias = Tensor(rng.normal(size=3), requires_grad=True)
-    out, state = revin_forward(_bands(x), gain, bias)
-    back = revin_inverse(_time_domain(_mapped(out, state)), state)
+    normalized, state = revin_forward(x, gain, bias)
+    back = revin_inverse(_time_domain(_mapped(_bands(normalized), state)), state)
     assert np.max(np.abs(back.data - x)) < 1e-12
 
 
@@ -98,36 +116,35 @@ def test_identity_state():
 
 def test_inverse_of_forward_example():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    out, state = revin_forward(_bands(x), *_unit_affine(1))
-    assert np.allclose(revin_inverse(_time_domain(out), state).data, x, atol=1e-12)
+    normalized, state = revin_forward(x, *_unit_affine(1))
+    assert np.allclose(revin_inverse(np.swapaxes(normalized, 1, 2), state).data, x, atol=1e-12)
 
 
 def test_zero_gain_rejected():
     x = np.random.default_rng(3).normal(size=(1, 4, 2))
     gain = Tensor(np.array([1.0, 0.0]))
-    out, state = revin_forward(_bands(x), gain, Tensor(np.zeros(2)))
+    normalized, state = revin_forward(x, gain, Tensor(np.zeros(2)))
     with pytest.raises(ZeroGainError):
-        revin_inverse(_time_domain(out), state)
+        revin_inverse(np.swapaxes(normalized, 1, 2), state)
 
 
 def test_statistics_use_lookback_only():
     # same lookback, different "future": identical stats and outputs
     rng = np.random.default_rng(4)
     lookback = rng.normal(size=(2, 16, 3))
-    out_a, state_a = revin_forward(_bands(lookback), *_unit_affine(3))
-    out_b, state_b = revin_forward(_bands(lookback.copy()), *_unit_affine(3))
+    windows = [np.concatenate([lookback, scale * rng.normal(size=(2, 8, 3))], axis=1) for scale in (1.0, 1e3)]
+    (out_a, state_a), (out_b, state_b) = (revin_forward(w[:, :16], *_unit_affine(3)) for w in windows)
     assert np.array_equal(state_a.mean, state_b.mean)
     assert np.array_equal(state_a.std, state_b.std)
-    for band_a, band_b in zip(out_a, out_b):
-        assert np.array_equal(band_a.data, band_b.data)
+    assert np.array_equal(out_a, out_b)
 
 
 def test_affine_parameters_receive_gradients():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 8, 3))
     gain, bias = _unit_affine(3)
-    bands, state = revin_forward(_bands(x), gain, bias)
-    assert all(not band.requires_grad and not band._parents for band in bands)  # constants
+    normalized, state = revin_forward(x, gain, bias)
+    bands = _bands(normalized)
     per_step = swap_last2(_mapped(bands, state)[0])  # (B, L/2, N), shaped like a forecast
     restored = revin_inverse(mul(per_step, per_step), state)
     mean(restored).backward()
@@ -146,21 +163,25 @@ def test_affine_parameters_receive_gradients():
     seed=st.integers(0, 2**16),
 )
 def test_band_domain_matches_time_domain(bank, batch, channels, half, offset_ratio, spread, seed):
-    """Bands of the time-domain normalize-plus-affine, statistics from compute_stats.
+    """The affine applied on the bands matches the time-domain normalize-plus-affine.
 
     The affine rides in the state: affine_linear with an identity first
-    layer and affine_approx both give the bands of the mapped lookback."""
+    layer and affine_approx, on the bands of revin_forward's output, both
+    give the bands of the mapped lookback. The large offsets check that
+    the statistics lose no precision."""
     rng = np.random.default_rng(seed)
     x = offset_ratio * spread + spread * rng.normal(size=(batch, 2 * half, channels))
     gain = Tensor(rng.uniform(0.5, 2.0, size=channels))
     bias = Tensor(rng.normal(size=channels))
 
-    bands, state = revin_forward(_bands(x, bank), gain, bias)
+    normalized, state = revin_forward(x, gain, bias)
+    bands = _bands(normalized, bank)
     approx, detail = _mapped(bands, state)
 
-    mean_ref, std_ref, _ = compute_stats(x)
+    mean_ref = x.mean(axis=1)
+    std_ref = np.sqrt(((x - mean_ref[:, None, :]) ** 2).mean(axis=1) + 1e-5)
     affine = (x - mean_ref[:, None, :]) / std_ref[:, None, :] * gain.data + bias.data
-    approx_ref, detail_ref = _bands(affine, bank)
+    approx_ref, detail_ref = (band.data for band in _bands(np.swapaxes(affine, 1, 2), bank))
     assert np.max(np.abs(approx.data - approx_ref)) < 1e-10
     assert np.max(np.abs(detail.data - detail_ref)) < 1e-10
     assert np.max(np.abs(affine_approx(bands[0].data, state) - approx_ref)) < 1e-10
