@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluation as ev
 from . import model as model_mod
+from . import moe as moe_mod
 from . import wavelet
 from .atomic import atomic_write
 from .config import (
@@ -36,7 +38,7 @@ from .config import (
 )
 from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
 from .optim import Adam
-from .training import evaluate_model, train_model, train_step
+from .training import TrainSettings, evaluate_model, train_model, train_step
 
 PROG = "wavets"
 
@@ -67,28 +69,34 @@ def prepare_splits(cfg: RunConfig, series: data_mod.Series):
     return train_v, val_v, test_v
 
 
+def _infer_ms(mcfg: model_mod.ModelConfig, params: dict, sampler: data_mod.WindowSampler) -> float:
+    """Mean milliseconds of a batch-1 forecast of the sampler's first window, over 100 calls."""
+    single = sampler.gather(sampler.origins[:1])
+    return 1000.0 * ev.time_mean(lambda: model_mod.predict(mcfg, params, single.x), repeats=100)
+
+
 def run_one_seed(
-    cfg: RunConfig,
+    mcfg: model_mod.ModelConfig,
+    settings: TrainSettings,
     seed: int,
     splits: tuple[data_mod.Series, data_mod.Series, data_mod.Series],
     dataset_name: str,
     measure_infer: bool = True,
-) -> tuple[ev.RunReport, dict, model_mod.ModelConfig, dict]:
+) -> tuple[ev.RunReport, dict, dict]:
     """Train + evaluate one seed on :func:`prepare_splits` output; returns
-    (report, details, model cfg, params)."""
+    (report, details, params)."""
     train_v, val_v, test_v = splits
-    mcfg = cfg.model_config(train_v.channels)
-    result = train_model(mcfg, train_v, val_v, cfg.train_settings(), seed)
-    metrics = evaluate_model(mcfg, result.params, test_v, cfg.batch_size)
+    result = train_model(mcfg, train_v, val_v, settings, seed)
+    metrics = evaluate_model(mcfg, result.params, test_v, settings.batch_size)
 
-    macs = ev.count_macs(mcfg, cfg.batch_size)
+    macs = ev.count_macs(mcfg, settings.batch_size)
     report = ev.RunReport(
         dataset=dataset_name,
-        variant=cfg.variant,
-        lookback=cfg.lookback,
-        horizon=cfg.horizon,
-        channels=train_v.channels,
-        bank=cfg.bank,
+        variant=mcfg.variant,
+        lookback=mcfg.lookback,
+        horizon=mcfg.horizon,
+        channels=mcfg.channels,
+        bank=mcfg.bank,
         seed=seed,
         mse=metrics["mse"],
         mae=metrics["mae"],
@@ -102,15 +110,12 @@ def run_one_seed(
         per_horizon_mae=metrics["per_horizon_mae"],
         hardware=ev.hardware_note(),
     )
-    sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
+    sampler = data_mod.WindowSampler(test_v, mcfg.lookback, mcfg.horizon)
     if measure_infer:
-        batch = sampler.gather(sampler.origins[:1])
-        report.infer_time_ms = 1000.0 * ev.time_mean(
-            lambda: model_mod.predict(mcfg, result.params, batch.x), repeats=100
-        )
+        report.infer_time_ms = _infer_ms(mcfg, result.params, sampler)
 
     persistence = ev.accumulate_errors(
-        (ev.persistence_baseline(batch), batch.y) for batch in sampler.batches(cfg.batch_size)
+        (ev.persistence_baseline(batch), batch.y) for batch in sampler.batches(settings.batch_size)
     )
     details = {
         "seed": seed,
@@ -126,17 +131,14 @@ def run_one_seed(
         },
         "param_breakdown": ev.count_params(mcfg).breakdown,
     }
-    return report, details, mcfg, result.params
+    return report, details, result.params
 
 
-def _write_gate_report(cfg: RunConfig, mcfg, params, test_v: data_mod.Series, path: Path) -> None:
+def _write_gate_report(mcfg, params, test_v: data_mod.Series, batch_size: int, path: Path) -> None:
     """Channel-to-expert assignment diagnostics on the first test batch."""
-    from . import moe as moe_mod
-
-    sampler = data_mod.WindowSampler(test_v, cfg.lookback, cfg.horizon)
-    batch = sampler.gather(sampler.origins[: cfg.batch_size])
-    band = model_mod.low_frequency_band(mcfg, params, batch.x)
-    rows = moe_mod.gate_report(params, mcfg.moe, band, test_v.channel_names)
+    sampler = data_mod.WindowSampler(test_v, mcfg.lookback, mcfg.horizon)
+    batch = sampler.gather(sampler.origins[:batch_size])
+    rows = moe_mod.gate_report(model_mod.gate_probabilities(mcfg, params, batch.x), test_v.channel_names)
     moe_mod.write_gate_report_csv(rows, path, mcfg.moe.num_experts)
 
 
@@ -166,16 +168,17 @@ def cmd_train(args) -> int:
     seeds = cfg.seed_list()
     series, dataset_name = load_series(cfg)
     splits = prepare_splits(cfg, series)
+    mcfg, settings = cfg.model_config(series.channels), cfg.train_settings()
     run_dir = make_run_dir(cfg)
     write_config(cfg, run_dir / "config.json")
 
     reports, all_details = [], []
     for seed in seeds:
-        report, details, mcfg, params = run_one_seed(cfg, seed, splits, dataset_name)
+        report, details, params = run_one_seed(mcfg, settings, seed, splits, dataset_name)
         suffix = "" if len(seeds) == 1 else f"_seed{seed}"
         model_mod.save_model(mcfg, params, run_dir / f"checkpoint{suffix}.json")
         if mcfg.moe is not None:
-            _write_gate_report(cfg, mcfg, params, splits[2], run_dir / f"gates{suffix}.csv")
+            _write_gate_report(mcfg, params, splits[2], settings.batch_size, run_dir / f"gates{suffix}.csv")
         reports.append(report)
         all_details.append(details)
         print(
@@ -238,7 +241,7 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {mcfg.channels} channels, data has {series.channels}"
         )
     # Window geometry comes from the checkpoint, not the flags.
-    cfg_eval = RunConfig(**{**cfg.to_dict(), "lookback": mcfg.lookback, "horizon": mcfg.horizon})
+    cfg_eval = replace(cfg, lookback=mcfg.lookback, horizon=mcfg.horizon)
     _, _, test_v = prepare_splits(cfg_eval, series)
     metrics = evaluate_model(mcfg, params, test_v, cfg.batch_size)
     print(f"{dataset_name}: test mse {metrics['mse']:.6f} mae {metrics['mae']:.6f} "
@@ -283,7 +286,8 @@ def _run_grid(
         try:
             cell_cfg = cell_config(cell)
             splits = prepare_splits(cell_cfg, series)
-            report, _, _, _ = run_one_seed(cell_cfg, cell_cfg.seed, splits, dataset_name, measure_infer)
+            mcfg, settings = cell_cfg.model_config(series.channels), cell_cfg.train_settings()
+            report, _, _ = run_one_seed(mcfg, settings, cell_cfg.seed, splits, dataset_name, measure_infer)
             rows.append({key: cell, "status": "ok", **dict(zip(ev.RunReport.CSV_FIELDS, report.csv_row()))})
             print(f"{key} {cell}: mse {report.mse:.6f} mae {report.mae:.6f}")
         except WavetsError as exc:
@@ -340,7 +344,6 @@ def cmd_decompose(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = resolve_config(args)
     variants = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
-    channels = args.channels
     header = [
         "variant",
         "param_count",
@@ -351,35 +354,27 @@ def cmd_benchmark(args) -> int:
         "epoch_time_s",
         "infer_time_ms",
     ]
-    rows = []
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
     for variant in variants:
-        vcfg = RunConfig(**{**cfg.to_dict(), "variant": variant})
-        mcfg = vcfg.model_config(channels)
-        params_total = ev.count_params(mcfg).total
+        vcfg = replace(cfg, variant=variant)
+        mcfg = vcfg.model_config(args.channels)
         macs = ev.count_macs(mcfg, cfg.batch_size)
-        row = {
-            "variant": variant,
-            "param_count": params_total,
-            "macs_per_sample": macs.linear_per_sample,
-            "macs_per_batch": macs.linear_per_batch,
-            "transform_macs_per_sample": macs.transform_per_sample,
-            "total_macs_per_batch": macs.total_per_batch,
-            "epoch_time_s": "",
-            "infer_time_ms": "",
-        }
-        if args.measure:
-            row["epoch_time_s"], row["infer_time_ms"] = _measure_speed(
-                mcfg, vcfg, args.bench_windows
-            )
-        rows.append(row)
-    writer = csv.DictWriter(sys.stdout, fieldnames=header)
-    writer.writeheader()
-    writer.writerows(rows)
+        timing = _measure_speed(mcfg, vcfg, args.bench_windows) if args.measure else ("", "")
+        writer.writerow([
+            variant,
+            ev.count_params(mcfg).total,
+            macs.linear_per_sample,
+            macs.linear_per_batch,
+            macs.transform_per_sample,
+            macs.total_per_batch,
+            *timing,
+        ])
+    print(text.getvalue(), end="")
     if args.output:
         with atomic_write(args.output) as fh:
-            file_writer = csv.DictWriter(fh, fieldnames=header)
-            file_writer.writeheader()
-            file_writer.writerows(rows)
+            fh.write(text.getvalue())
         write_config(cfg, Path(args.output).with_suffix(".config.json"))
     return 0
 
@@ -400,9 +395,7 @@ def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: i
             train_step(mcfg, params, optimizer, batch)
 
     epoch_s = ev.time_mean(one_epoch, repeats=3)
-    single = sampler.gather(sampler.origins[:1])
-    infer_ms = 1000.0 * ev.time_mean(lambda: model_mod.predict(mcfg, params, single.x), repeats=100)
-    return repr(epoch_s), repr(infer_ms)
+    return repr(epoch_s), repr(_infer_ms(mcfg, params, sampler))
 
 
 def cmd_sweep(args) -> int:

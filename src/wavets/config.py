@@ -67,16 +67,12 @@ class RunConfig:
         except ValueError:
             raise InvalidConfigError(f"seeds must be a comma-separated int list, got {self.seeds!r}") from None
 
+    def _shared(self, cls: type) -> dict:
+        """This config's values for the fields of ``cls`` that share a name with one of ours."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in _FIELDS}
+
     def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-        )
+        return TrainSettings(**self._shared(TrainSettings))
 
     def model_config(self, channels: int) -> ModelConfig:
         moe = (
@@ -84,19 +80,7 @@ class RunConfig:
             if self.variant == "M"
             else None
         )
-        return ModelConfig(
-            variant=self.variant,
-            lookback=self.lookback,
-            horizon=self.horizon,
-            channels=channels,
-            bank=self.bank,
-            delta_mode=self.delta_mode,
-            delta_init=self.delta_init,
-            delta_per_channel=self.delta_per_channel,
-            revin_affine=self.revin_affine,
-            lf_hidden=self.lf_hidden,
-            moe=moe,
-        )
+        return ModelConfig(channels=channels, moe=moe, **self._shared(ModelConfig))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -39,7 +39,6 @@ class Series:
 
     values: np.ndarray
     channel_names: list[str]
-    timestep: str = ""
 
     @property
     def length(self) -> int:
@@ -92,7 +91,7 @@ def _read_rows(path: Path, limit: int | None = None) -> tuple[list[str], list[li
         return header, list(itertools.islice(reader, limit))
 
 
-def load_csv(path: str | Path, timestep: str = "") -> Series:
+def load_csv(path: str | Path) -> Series:
     """Load a header-ed CSV; a leading timestamp column is dropped.
 
     Rows containing any NaN are dropped and counted in the log, matching
@@ -146,7 +145,7 @@ def load_csv(path: str | Path, timestep: str = "") -> Series:
         values = values[~nan_rows]
     if values.shape[0] == 0:
         raise EmptyFileError(f"{path}: no rows left after dropping NaNs")
-    return Series(values=values, channel_names=names, timestep=timestep)
+    return Series(values=values, channel_names=names)
 
 
 def save_csv(series: Series, path: str | Path) -> None:
@@ -208,11 +207,7 @@ def split(series: Series, spec: SplitSpec, lookback: int = 0) -> tuple[Series, S
         raise SpecOutOfRangeError(f"lookback {lookback} exceeds the train split ({b1} rows)")
 
     def view(start: int, stop: int) -> Series:
-        return Series(
-            values=series.values[start:stop],
-            channel_names=series.channel_names,
-            timestep=series.timestep,
-        )
+        return Series(values=series.values[start:stop], channel_names=series.channel_names)
 
     return (
         view(0, b1),
@@ -242,11 +237,7 @@ class Standardizer:
         return cls(mean=mean, std=np.where(degenerate, 1.0, std), degenerate=degenerate)
 
     def transform(self, series: Series) -> Series:
-        return Series(
-            values=(series.values - self.mean) / self.std,
-            channel_names=series.channel_names,
-            timestep=series.timestep,
-        )
+        return Series(values=(series.values - self.mean) / self.std, channel_names=series.channel_names)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.std + self.mean
@@ -296,7 +287,6 @@ class WindowSampler:
             )
         self.lookback = lookback
         self.horizon = horizon
-        self.values = series.values
         self.origins = np.arange(total - lookback - horizon + 1)
         # Read-only (T - L - S + 1, L + S, N) view; row t is values[t : t + L + S].
         self._windows = np.lib.stride_tricks.sliding_window_view(
@@ -344,18 +334,27 @@ def sine_mix_params(channels: int, seed: int, length: int) -> list[list[tuple[in
     """Per-channel (dft_bin, amplitude, phase) triples for :func:`synth`.
 
     Frequencies sit on exact DFT bins so periodogram peaks are sharp; the
-    2-3 bins per channel are drawn without harmonic relations.
+    2-3 bins per channel are drawn without harmonic relations. A series too
+    short to hold the next bin is a config error, found before that draw.
     """
     rng = np.random.default_rng([seed, 0])
     low, high = 3, max(4, length // 8)
+
+    def unrelated(candidate: int, bins: list[int]) -> bool:
+        return all(candidate % b and b % candidate for b in bins)
+
     per_channel = []
     for _ in range(channels):
         count = int(rng.integers(2, 4))
         bins: list[int] = []
         while len(bins) < count:
+            if not any(unrelated(c, bins) for c in range(low, high)):
+                raise InvalidConfigError(
+                    f"sine_mix needs {count} unrelated DFT bins in [{low}, {high}); length {length} is too short"
+                )
             candidate = int(rng.integers(low, high))
-            if any(candidate == b or candidate % b == 0 or b % candidate == 0 for b in bins):
-                continue
+            while not unrelated(candidate, bins):
+                candidate = int(rng.integers(low, high))
             bins.append(candidate)
         per_channel.append(
             [
@@ -392,4 +391,4 @@ def synth(kind: str, length: int, channels: int, seed: int) -> Series:
     else:
         raise InvalidConfigError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
     names = [f"ch{n}" for n in range(channels)]
-    return Series(values=values, channel_names=names, timestep="synthetic")
+    return Series(values=values, channel_names=names)

@@ -20,7 +20,8 @@ low-frequency band is mapped:
   I   half-horizon heads per band fused by the inverse transform
 
 M's gate and experts run as one fused first layer and one stacked second
-layer (see :mod:`wavets.moe`).
+layer (see :mod:`wavets.moe`). The gate diagnostics,
+:func:`gate_probabilities`, run the gate with that same first layer.
 
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
@@ -43,7 +44,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -68,9 +68,9 @@ from .autodiff import (
     swap_last2,
 )
 from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
+from .moe import FirstLayer
 from .revin import (
     RevinState,
-    affine_approx,
     affine_linear,
     check_gain,
     compute_stats,
@@ -80,9 +80,6 @@ from .revin import (
 from .wavelet import get_bank
 
 VARIANTS = ("B", "S", "M", "I", "LF", "HF")
-
-# A head's first layer: (band, weight, bias) -> output, RevIN's affine included.
-FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
 
 # Leaf names of the weight matrices: init_params draws them uniformly, and
 # evaluation.count_macs counts Din*Dout multiply-accumulates for each.
@@ -391,11 +388,11 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
     return forward(cfg, params, x).data
 
 
-def low_frequency_band(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """The affine-mapped (B, N, L/2) approximation band, ``gain * A_n + sqrt(2) * bias``:
-    the band whose gate and expert first layers M computes; used for gate diagnostics."""
+def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
+    """M's (B, N, E) gate probabilities on a lookback batch (B, L, N), from the
+    first layer :func:`band_forward` gives the mixture; used for gate diagnostics."""
     approx, _, state = _prologue(cfg, params, x)
-    return affine_approx(approx.data, state)
+    return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True)).data
 
 
 def loss_and_grads(

@@ -63,27 +63,29 @@ def param_shapes(cfg: MoEConfig, in_dim: int, out_dim: int) -> dict[str, tuple[i
     return shapes
 
 
-def gate(params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Per-channel expert probabilities: softmax(x @ Wg + bg) over the last axis."""
+# A first layer: (x, weight, bias) -> output; model.band_forward's applies RevIN's affine.
+FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
+
+
+def gate(params: dict[str, Tensor], x: Tensor, first_layer: FirstLayer = linear) -> Tensor:
+    """Per-channel expert probabilities: softmax(first_layer(x, Wg, bg)) over the last axis."""
     weight = params["moe.gate.weight"]
     if x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(
             f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}"
         )
-    return softmax_lastdim(linear(x, weight, params["moe.gate.bias"]))
+    return softmax_lastdim(first_layer(x, weight, params["moe.gate.bias"]))
 
 
 def moe_forward(
     params: dict[str, Tensor],
     cfg: MoEConfig,
     x: Tensor,
-    first_layer: Callable[[Tensor, Tensor, Tensor], Tensor] | None = None,
+    first_layer: FirstLayer = linear,
 ) -> Tensor:
     """Dense mixture: sum_e gate[..., e] * expert_e(x), from two fused matmuls.
 
-    ``first_layer(x, weight, bias)`` applies the concatenated first layer
-    (:func:`linear` by default); ``model.band_forward`` passes one that
-    applies RevIN's affine after the matmul.
+    ``first_layer(x, weight, bias)`` applies the concatenated first layer.
     """
     num, hidden = cfg.num_experts, cfg.hidden
 
@@ -94,7 +96,7 @@ def moe_forward(
     weight = joined("w1", ("moe.gate.weight",))  # (Din, E + E*H)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}")
-    pre = (first_layer or linear)(x, weight, joined("b1", ("moe.gate.bias",)))  # (..., E + E*H)
+    pre = first_layer(x, weight, joined("b1", ("moe.gate.bias",)))  # (..., E + E*H)
     probs = softmax_lastdim(slice_lastdim(pre, 0, num))  # (..., E)
     lead = pre.shape[:-1]
     units = reshape(relu(slice_lastdim(pre, num, num + num * hidden)), lead + (num, hidden))
@@ -109,18 +111,12 @@ def gate_entropy(probabilities: np.ndarray) -> np.ndarray:
     return -(probabilities * np.log(p)).sum(axis=-1)
 
 
-def gate_report(
-    params: dict[str, Tensor],
-    cfg: MoEConfig,
-    band: np.ndarray,
-    channel_names: list[str] | None = None,
-) -> list[dict]:
-    """Per-channel gate diagnostics over a (B, N, L/2) batch.
+def gate_report(probs: np.ndarray, channel_names: list[str] | None = None) -> list[dict]:
+    """Per-channel gate diagnostics over (B, N, E) gate probabilities.
 
     Each row holds the batch-mean gate vector, its argmax expert, and its
     entropy; mean vectors still sum to one because softmax rows do.
     """
-    probs = gate(params, Tensor(band)).data  # (B, N, E)
     mean_probs = probs.mean(axis=0)  # (N, E)
     rows = []
     for n in range(mean_probs.shape[0]):
@@ -129,7 +125,7 @@ def gate_report(
             "argmax": int(np.argmax(mean_probs[n])),
             "entropy": float(gate_entropy(mean_probs[n])),
         }
-        for e in range(cfg.num_experts):
+        for e in range(mean_probs.shape[1]):
             row[f"expert_{e}"] = float(mean_probs[n, e])
         rows.append(row)
     return rows

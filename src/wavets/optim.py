@@ -19,6 +19,16 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def check_hyperparameters(lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """Reject a non-positive learning rate or eps, or a beta outside (0, 1)."""
+    if lr <= 0:
+        raise InvalidConfigError(f"learning rate must be positive, got {lr}")
+    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
+        raise InvalidConfigError(f"betas must lie in (0, 1), got {(beta1, beta2)}")
+    if eps <= 0:
+        raise InvalidConfigError(f"eps must be positive, got {eps}")
+
+
 class Adam:
     """Standard Adam; deterministic given parameters, gradients and state.
 
@@ -33,12 +43,7 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise InvalidConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 < betas[0] < 1.0 and 0.0 < betas[1] < 1.0):
-            raise InvalidConfigError(f"betas must lie in (0, 1), got {betas}")
-        if eps <= 0:
-            raise InvalidConfigError(f"eps must be positive, got {eps}")
+        check_hyperparameters(lr, *betas, eps)
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -20,11 +20,13 @@ the bands of ``x_n``. It commutes with a head's first layer:
 
 :func:`affine_linear` computes the right-hand sides, so the affine acts on
 the (B, N, H) first-layer output, and backward forms no band-sized
-gradient and no input gradient for the band. The linear variants train
-and forecast through ``model.fold``, which never transforms the batch:
-``autodiff.folded_forecast`` calls :func:`compute_stats` on one
-cache-sized block of lookback windows at a time, with a reused buffer
-for the centred values, and the affine sits inside the folded offset.
+gradient and no input gradient for the band. It is the one place the
+affine meets the bands: M's gate diagnostics use it too. The linear
+variants train and forecast through ``model.fold``, which never
+transforms the batch: ``autodiff.folded_forecast`` calls
+:func:`compute_stats` on one cache-sized block of lookback windows at a
+time, with a reused buffer for the centred values, and the affine sits
+inside the folded offset.
 So only the band path (M, an MLP low-pass head, a per-channel delta)
 calls :func:`revin_forward` and :func:`revin_inverse`.
 """
@@ -118,16 +120,6 @@ def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, ap
         colsum = matmul(constant(np.ones((1, weight.shape[0]))), weight)  # (1, Dout)
         bias = add(mul(_column(state.bias), mul(colsum, constant(_SQRT2))), bias)  # (N, Dout)
     return add(out, bias)
-
-
-def affine_approx(approx: np.ndarray, state: RevinState) -> np.ndarray:
-    """The affine-mapped approximation band ``gain * A_n + sqrt(2) * bias`` as an
-    array: the band whose first layer :func:`affine_linear` computes."""
-    if state.gain is not None:
-        approx = approx * state.gain.data[:, None]
-    if state.bias is not None:
-        approx = approx + state.bias.data[:, None] * _SQRT2
-    return approx
 
 
 def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:

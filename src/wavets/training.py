@@ -18,7 +18,7 @@ from .data import Series, WindowBatch, WindowSampler
 from .evaluation import accumulate_errors
 from .exceptions import InvalidConfigError
 from .model import ModelConfig, forward, init_params, predict
-from .optim import Adam
+from .optim import Adam, check_hyperparameters
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class TrainSettings:
     patience: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("max_epochs", "patience"):
+        check_hyperparameters(self.lr, self.beta1, self.beta2, self.eps)
+        for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -31,6 +31,13 @@ def _dataset(cfg):
     return prepare_splits(cfg, series), name
 
 
+def _run(cfg, seed, dataset):
+    """``run_one_seed`` on ``dataset`` with the sub-configs of ``cfg``, untimed."""
+    splits, name = dataset
+    mcfg, settings = cfg.model_config(splits[0].channels), cfg.train_settings()
+    return run_one_seed(mcfg, settings, seed, splits, name, measure_infer=False)
+
+
 def report(number, ok, message):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number}: {status} - {message}")
@@ -208,7 +215,7 @@ def test_criterion_5_synthetic_training():
         horizon=24,
         seed=0,
     )
-    run_report, details, _, _ = run_one_seed(cfg, 0, *_dataset(cfg), measure_infer=False)
+    run_report, details, _ = _run(cfg, 0, _dataset(cfg))
     elapsed = time.perf_counter() - start
     persistence_mse = details["persistence"]["mse"]
     train_curve = [h["train_mse"] for h in details["history"][:5]]
@@ -240,7 +247,7 @@ def test_criterion_6_etth1_reproduction(etth1_path):
     cfg = _etth1_config(etth1_path)
     dataset = _dataset(cfg)
     for seed in (0, 1, 2):
-        run_report, _, _, _ = run_one_seed(cfg, seed, *dataset, measure_infer=False)
+        run_report, _, _ = _run(cfg, seed, dataset)
         mses.append(run_report.mse)
         maes.append(run_report.mae)
     elapsed = time.perf_counter() - start
@@ -253,9 +260,7 @@ def test_criterion_7_etth1_ablation_ordering(etth1_path):
     results = {}
     dataset = _dataset(_etth1_config(etth1_path))
     for variant in ("B", "LF", "HF", "I"):
-        run_report, _, _, _ = run_one_seed(
-            _etth1_config(etth1_path, variant=variant), 0, *dataset, measure_infer=False
-        )
+        run_report, _, _ = _run(_etth1_config(etth1_path, variant=variant), 0, dataset)
         results[variant] = run_report.mse
     ok = results["HF"] > results["LF"] > results["B"] and results["I"] > results["B"]
     report(7, ok, "mse ordering " + ", ".join(f"{k}={v:.4f}" for k, v in results.items()))
@@ -296,7 +301,8 @@ def test_criterion_8_moe_invariants():
         name: ad.Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
         for name, shape in moe_mod.param_shapes(report_cfg, band.shape[-1], 8).items()
     }
-    rows = moe_mod.gate_report(report_params, report_cfg, band, series.channel_names)
+    report_probs = moe_mod.gate(report_params, ad.Tensor(band)).data
+    rows = moe_mod.gate_report(report_probs, series.channel_names)
     rows_ok = len(rows) == channels and all(
         abs(sum(r[f"expert_{e}"] for e in range(4)) - 1.0) < 1e-9
         and 0.0 <= r["entropy"] <= math.log(4) + 1e-12

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,38 @@ def test_zero_batch_size_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error config: batch_size must be >= 1"), err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "0"), ("--variant", "Q"), ("--lookback", "7"), ("--bank", "foo"), ("--batch-size", "0"), ("--max-epochs", "0")],
+)
+def test_config_error_leaves_no_run_directory(tmp_path, capsys, flag, value):
+    out = tmp_path / "runs"
+    code = main([*TINY_TRAIN, "--out", str(out), flag, value])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: "), err
+    assert not out.exists()
+
+
+def test_sub_configs_carry_every_shared_run_field():
+    """Every RunConfig field that ModelConfig or TrainSettings also has is set
+    off its default here and must reach the derived config."""
+    run = RunConfig(
+        variant="B", lookback=64, horizon=12, bank="d4", delta_mode="fixed", delta_init=0.5,
+        delta_per_channel=True, revin_affine=False, lf_hidden=8,
+        lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, batch_size=8, max_epochs=5, patience=2,
+    )
+    run_fields = {f.name for f in fields(RunConfig)}
+    for derived, explicit in ((run.model_config(3), {"channels", "moe"}), (run.train_settings(), set())):
+        shared = {f.name for f in fields(derived)} - explicit
+        assert shared <= run_fields, shared - run_fields
+        for name in shared:
+            assert getattr(run, name) != getattr(RunConfig(), name), name
+            assert getattr(derived, name) == getattr(run, name), name
+    moe = replace(run, variant="M", lf_hidden=0, moe_experts=3, moe_hidden=5).model_config(3).moe
+    assert (moe.num_experts, moe.hidden) == (3, 5)
 
 
 def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):

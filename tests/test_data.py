@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,36 @@ def test_sine_mix_periodogram_peaks():
         configured = sorted(bin_ for bin_, _, _ in components)
         top = sorted(np.argsort(spectrum)[-len(configured):])
         assert top == configured
+
+
+def test_sine_mix_too_short_for_its_tones_is_a_config_error(tmp_path):
+    """Seed 0 draws 3 bins for its first channel, but [3, 5) holds only 2
+    unrelated ones. Run in a subprocess with a timeout, so a draw loop that
+    never ends fails the test instead of hanging the suite."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "s.csv"
+    argv = ["synth", "--kind", "sine_mix", "--length", "40", "--channels", "2", "--output", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "wavets", *argv], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error config: sine_mix needs 3 unrelated DFT bins in [3, 5); length 40 is too short"
+    ]
+    assert not out.exists()
+
+
+def test_sine_mix_params_pinned():
+    """The too-short check draws no random numbers, so a series long enough
+    for its tones keeps these bins, amplitudes and phases."""
+    assert data.sine_mix_params(2, 7, 1000) == [
+        [(79, 1.2756856902451936, 1.4150185072200883),
+         (86, 0.8001662849112254, 5.488698173149897),
+         (112, 0.5052653045655747, 5.159930332220927)],
+        [(100, 0.8030324268193135, 1.7493997150940617),
+         (17, 0.7548695876541246, 2.796496905695612)],
+    ]
 
 
 def test_trend_sine_first_difference_matches_drift():

@@ -128,9 +128,13 @@ def test_batch_and_epoch_settings_checks():
     for batch_size in (0, -4):
         with pytest.raises(InvalidConfigError):
             next(sampler.batches(batch_size))
-    for name in ("max_epochs", "patience"):
+    for name in ("batch_size", "max_epochs", "patience", "lr", "eps"):
         with pytest.raises(InvalidConfigError):
             TrainSettings(**{name: 0})
+    for name in ("beta1", "beta2"):
+        for value in (0.0, 1.0):
+            with pytest.raises(InvalidConfigError):
+                TrainSettings(**{name: value})
 
 
 def test_adam_eps_check():

@@ -757,9 +757,9 @@ def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
         assert abs(fast_metrics[key] - banded_metrics[key]) <= 1e-9 * abs(banded_metrics[key]), key
 
 
-def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
-    """The gate's logits on the diagnostics band are the logits of M's fused
-    first layer, which applies RevIN's affine after the matmul."""
+def test_gate_probabilities_are_the_gate_the_mixture_sees(monkeypatch):
+    """The diagnostics' gate probabilities are the softmax of the gate logits
+    of M's fused first layer, which applies RevIN's affine after the matmul."""
     cfg = tiny_config("M", bank="d4")
     rng = np.random.default_rng(31)
     params = init_params(cfg, rng)
@@ -769,14 +769,14 @@ def test_low_frequency_band_is_the_band_the_gate_sees(monkeypatch):
     seen = []
     real = moe_mod.moe_forward
 
-    def spy(params, cfg, band, first_layer=None):
+    def spy(params, cfg, band, first_layer=ad.linear):
         seen.append((band, first_layer))
         return real(params, cfg, band, first_layer=first_layer)
 
     monkeypatch.setattr(moe_mod, "moe_forward", spy)
     predict(cfg, params, x)
     ((band, first_layer),) = seen
-    weight, bias = params["moe.gate.weight"], params["moe.gate.bias"]
-    logits = first_layer(band, weight, bias).data
-    diagnostics = ad.linear(ad.constant(model_mod.low_frequency_band(cfg, params, x)), weight, bias).data
-    assert np.max(np.abs(logits - diagnostics)) < 1e-12
+    logits = first_layer(band, params["moe.gate.weight"], params["moe.gate.bias"]).data
+    softmax = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    softmax /= softmax.sum(axis=-1, keepdims=True)
+    assert np.max(np.abs(model_mod.gate_probabilities(cfg, params, x) - softmax)) < 1e-12

@@ -216,7 +216,8 @@ def test_gate_report_traffic_scale(tmp_path):
     window = series.values[:64].T[None, :, :]  # (1, N, 64)
     band, _ = dwt_arrays(window, get_bank("haar"))
     params = make_params(cfg, band.shape[-1], 8, seed=15)
-    rows = moe.gate_report(params, cfg, band, channel_names=series.channel_names)
+    probs = moe.gate(params, Tensor(band)).data  # (1, N, 4)
+    rows = moe.gate_report(probs, channel_names=series.channel_names)
     assert len(rows) == channels
     for row in rows:
         total = sum(row[f"expert_{e}"] for e in range(4))
