@@ -9,10 +9,14 @@ a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
 maps, the folded linear forecast (one shared matrix applied on the left
 of the lookback, centred one cache-sized block of windows at a time,
-plus its mean and scaled offset, as one op), ReLU, softmax, elementwise
-arithmetic with broadcasting, reshapes, axis swaps, slices and
-concatenation (the fused mixture-of-experts layers), the (fixed, linear)
-wavelet analysis/synthesis pair, and the mean squared error (one op).
+plus its mean and scaled offset, as one op), the folded MSE (that
+forecast, its squared error and its gradient sums, formed block by block
+from windows read straight out of a series, as one op: the linear
+variants' train step), ReLU, softmax, elementwise arithmetic with
+broadcasting, reshapes, axis swaps, slices and concatenation (the fused
+mixture-of-experts layers), the (fixed, linear) wavelet
+analysis/synthesis pair, and the mean squared error (one op). The two
+folded ops walk the same block loop, :func:`_blocks`.
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -28,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import wavelet
+from .data import take_windows
 from .exceptions import NonFiniteInputError, ShapeMismatchError
 
 Array = np.ndarray
@@ -193,15 +198,82 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     return _record(out_data, (x, w), backward)
 
 
-# Bytes of lookback one block of :func:`folded_forecast` centres at a time:
-# about one L2 cache, so a block's centred values are still cached when the
-# matmul reads them. A window wider than this is a block of its own.
+# Bytes of lookback one block of the folded ops centres at a time: about
+# one L2 cache, so a block's centred values are still cached when the
+# matmuls read them. A window wider than this is a block of its own.
 _BLOCK_BYTES = 2 * 1024 * 1024
 
 # ``stats(block, out=buffer)``: a lookback block's mean, std and centred
-# values, the latter written into ``buffer``; ``model.forward`` passes
+# values, the latter written into ``buffer``; ``model`` passes
 # ``revin.compute_stats``.
 Stats = Callable[..., tuple[Array, Array, Array]]
+
+
+def _check_fold(weight: Tensor, offset: Tensor, lookback: Array) -> None:
+    """A (S, L) weight, a (S, N) or (S, 1) offset and a (B, L, N) lookback."""
+    if weight.ndim != 2 or lookback.ndim != 3 or lookback.shape[1] != weight.shape[1]:
+        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {lookback.shape}")
+    horizon, channels = weight.shape[0], lookback.shape[2]
+    if offset.ndim != 2 or offset.shape[0] != horizon or offset.shape[1] not in (1, channels):
+        raise ShapeMismatchError(f"offset shape {offset.shape} does not fit ({horizon}, {channels})")
+
+
+def _blocks(
+    lookback: Array,
+    rows: Array | None,
+    stats: Stats,
+    weight: Array | None = None,
+    offset: Array | None = None,
+):
+    """Walk windows ``rows`` of the (W, L, N) ``lookback`` (all W in order if
+    None) one cache-sized block at a time.
+
+    A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
+    ``stats`` reads the block's windows (a view when they are consecutive)
+    and writes them centred into one reused (L, b, N) buffer, so that
+    ``centred.reshape(L, b * N)`` is one matrix with every window's
+    channels side by side. Given the (S, L) ``weight`` and the (S, N) or
+    (S, 1) ``offset``, the block's (S, b, N) forecasts ``weight @ centred
+    + mean + std * offset`` are one GEMM into another reused buffer, with
+    the mean and then the scaled offset added in place. Yields
+    ``(positions, centred, std, forecast)`` per block, where the
+    ``positions`` slice picks the block from ``rows`` and ``forecast`` is
+    None without a weight.
+    """
+    count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
+    size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
+    horizon = 0 if weight is None else weight.shape[0]
+    # One allocation holds the three reused buffers (centred lookback,
+    # forecasts, scaled offset): with three, an evaluation at N=7, L=720,
+    # S=96 took over three times as many page faults.
+    centred_buffer, forecast_buffer, scaled_buffer = np.split(
+        np.empty((length + 2 * horizon) * size * channels), np.cumsum([length, horizon]) * size * channels
+    )
+
+    def view(buffer: Array, height: int, block: int) -> Array:
+        return buffer[: height * block * channels].reshape(height, block, channels)
+
+    for start in range(0, count, size):
+        positions = slice(start, min(start + size, count))
+        block = positions.stop - start
+        windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
+        centred = view(centred_buffer, length, block)
+        mean, std, _ = stats(windows, out=centred.transpose(1, 0, 2))
+        forecast = None
+        if weight is not None:
+            forecast = view(forecast_buffer, horizon, block)
+            np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
+            forecast += mean
+            forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
+        yield positions, centred, std, forecast
+
+
+def _add_block_grads(diff: Array, centred: Array, std: Array, weight_grad: Array, offset_grad: Array) -> None:
+    """Add one block's ``diff @ centred^T`` into the (S, L) ``weight_grad`` and
+    its ``sum(diff * std)`` over the windows into the (S, N) ``offset_grad``."""
+    horizon, block, channels = diff.shape
+    weight_grad += diff.reshape(horizon, -1) @ centred.reshape(-1, block * channels).T
+    offset_grad += np.einsum("sbn,bn->sn", diff, std)
 
 
 def folded_forecast(weight: Tensor, offset: Tensor, lookback: Array, stats: Stats) -> Tensor:
@@ -209,51 +281,80 @@ def folded_forecast(weight: Tensor, offset: Tensor, lookback: Array, stats: Stat
 
     One (S, L) matrix ``weight`` is applied to every window of the
     (B, L, N) ``lookback`` after centring it; ``offset`` is (S, N) or
-    (S, 1). The batch is walked in blocks of ``_BLOCK_BYTES // (L * N * 8)``
-    windows (at least one): ``stats`` centres a block into one reused
-    buffer and gives its mean and std, the matmul writes that block's
-    slice of the output, and the mean and then ``std * offset`` are added
-    in place, one (S, N) slice at a time. Backward recentres each block
-    from the lookback and the saved mean and adds ``g_b @ centred_b^T``
-    window by window into one (S, L) weight gradient; the offset gradient
-    is ``std * g`` summed over the batch. No batch-sized centred copy or
-    product stack is formed. The lookback is data: it gets no gradient.
+    (S, 1). The batch is walked in cache-sized blocks (:func:`_blocks`):
+    ``stats`` centres a block into one reused buffer and gives its mean
+    and std, one matmul forms the block's forecasts, and the mean and
+    ``std * offset`` are added in place. Backward walks the blocks again
+    and adds each block's ``g @ centred^T`` into one (S, L) weight
+    gradient and its ``sum(g * std)`` into the offset gradient. No
+    batch-sized centred copy, product stack or offset-gradient temporary is
+    formed. The lookback is data: it gets no gradient. Training runs
+    :func:`folded_mse` instead, which also forms the loss.
     """
     lookback = np.asarray(lookback, dtype=np.float64)
-    if weight.ndim != 2 or lookback.ndim != 3 or lookback.shape[1] != weight.shape[1]:
-        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {lookback.shape}")
-    batch, length, channels = lookback.shape
-    horizon = weight.shape[0]
-    if offset.ndim != 2 or offset.shape[0] != horizon or offset.shape[1] not in (1, channels):
-        raise ShapeMismatchError(f"offset shape {offset.shape} does not fit ({horizon}, {channels})")
-    block = max(1, _BLOCK_BYTES // (length * channels * lookback.itemsize))
-    blocks = [slice(start, min(start + block, batch)) for start in range(0, batch, block)]
-    # Reused by every block, so a block's buffers stay allocated and cached.
-    centred = np.empty((min(block, batch), length, channels))
-    scaled = np.empty((horizon, channels))
-    out_data = np.empty((batch, horizon, channels))
-    mean, std = np.empty((batch, channels)), np.empty((batch, channels))
-    for rows in blocks:
-        block_centred = centred[: rows.stop - rows.start]
-        mean[rows], std[rows], _ = stats(lookback[rows], out=block_centred)
-        np.matmul(weight.data, block_centred, out=out_data[rows])
-        for out_b, mean_b, std_b in zip(out_data[rows], mean[rows], std[rows]):
-            out_b += mean_b
-            out_b += np.multiply(std_b, offset.data, out=scaled)
+    _check_fold(weight, offset, lookback)
+    horizon, channels = weight.shape[0], lookback.shape[2]
+    out_data = np.empty((len(lookback), horizon, channels))
+    for positions, _, _, forecast in _blocks(lookback, None, stats, weight.data, offset.data):
+        out_data[positions] = forecast.transpose(1, 0, 2)
 
     def backward(g: Array) -> None:
+        weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
+        for positions, centred, std, _ in _blocks(lookback, None, stats):
+            diff = np.ascontiguousarray(g[positions].transpose(1, 0, 2))
+            _add_block_grads(diff, centred, std, weight_grad, offset_grad)
         if weight._needs_grad():
-            grad, product = np.zeros(weight.shape), np.empty(weight.shape)
-            for rows in blocks:
-                block_centred = centred[: rows.stop - rows.start]
-                np.subtract(lookback[rows], mean[rows, None, :], out=block_centred)  # as compute_stats centres
-                for g_b, centred_b in zip(g[rows], block_centred):
-                    grad += np.matmul(g_b, centred_b.T, out=product)
-            weight._accumulate(grad)
+            weight._accumulate(weight_grad)
         if offset._needs_grad():
-            offset._accumulate(_unbroadcast(g * std[:, None, :], offset.shape))
+            offset._accumulate(_unbroadcast(offset_grad, offset.shape))
 
     return _record(out_data, (weight, offset), backward)
+
+
+def folded_mse(
+    weight: Tensor, offset: Tensor, lookback: Array, target: Array, rows: Array, stats: Stats
+) -> Tensor:
+    """The MSE of :func:`folded_forecast` on windows ``rows`` against their targets, as one op.
+
+    ``lookback`` (W, L, N) and ``target`` (W, S, N) are read-only window
+    sources, such as a sampler's sliding views of the series, and ``rows``
+    picks the batch from them, so the batch is never gathered. Per block
+    (:func:`_blocks`) the forecasts are formed as in
+    :func:`folded_forecast`, the targets are subtracted in place, and while
+    the block is still cached its squared error is added to the loss, its
+    ``diff @ centred^T`` to the (S, L) weight gradient and its
+    ``sum(diff * std)`` to the offset gradient. Backward only scales the
+    held sums by ``2 g / count``.
+    """
+    lookback = np.asarray(lookback, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    rows = np.asarray(rows)
+    _check_fold(weight, offset, lookback)
+    horizon, channels = weight.shape[0], lookback.shape[2]
+    if target.shape[1:] != (horizon, channels) or len(target) != len(lookback):
+        raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
+    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+        raise ShapeMismatchError(f"rows must be a non-empty 1-D integer array, got {rows!r}")
+    if rows.min() < 0 or rows.max() >= len(lookback):
+        raise ShapeMismatchError(f"rows must lie in [0, {len(lookback)})")
+    needs_weight, needs_offset = weight._needs_grad(), offset._needs_grad()
+    weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
+    total = 0.0
+    for positions, centred, std, diff in _blocks(lookback, rows, stats, weight.data, offset.data):
+        diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
+        total += np.vdot(diff, diff)
+        if needs_weight or needs_offset:
+            _add_block_grads(diff, centred, std, weight_grad, offset_grad)
+    count = rows.size * horizon * channels
+
+    def backward(g: Array) -> None:
+        scale = 2.0 * float(g) / count
+        if needs_weight:
+            weight._accumulate(weight_grad * scale)
+        if needs_offset:
+            offset._accumulate(_unbroadcast(offset_grad * scale, offset.shape))
+
+    return _record(total / count, (weight, offset), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -37,7 +37,6 @@ from .config import (
     write_config,
 )
 from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
-from .optim import Adam
 from .training import TrainSettings, evaluate_model, train_model, train_step
 
 PROG = "wavets"
@@ -278,6 +277,7 @@ def _run_grid(
     ``cell_config(cell)`` gives each cell's config. A failed cell records an
     ``error:<reason>`` row and the grid goes on.
     """
+    settings = cfg.train_settings()  # no cell overrides it: a bad one fails before any output
     series, dataset_name = load_series(cfg)
     run_dir = make_run_dir(cfg)
     write_config(cfg, run_dir / "config.json")
@@ -286,7 +286,7 @@ def _run_grid(
         try:
             cell_cfg = cell_config(cell)
             splits = prepare_splits(cell_cfg, series)
-            mcfg, settings = cell_cfg.model_config(series.channels), cell_cfg.train_settings()
+            mcfg = cell_cfg.model_config(series.channels)
             report, _, _ = run_one_seed(mcfg, settings, cell_cfg.seed, splits, dataset_name, measure_infer)
             rows.append({key: cell, "status": "ok", **dict(zip(ev.RunReport.CSV_FIELDS, report.csv_row()))})
             print(f"{key} {cell}: mse {report.mse:.6f} mae {report.mae:.6f}")
@@ -357,11 +357,12 @@ def cmd_benchmark(args) -> int:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(header)
+    settings = cfg.train_settings() if args.measure else None
     for variant in variants:
         vcfg = replace(cfg, variant=variant)
         mcfg = vcfg.model_config(args.channels)
         macs = ev.count_macs(mcfg, cfg.batch_size)
-        timing = _measure_speed(mcfg, vcfg, args.bench_windows) if args.measure else ("", "")
+        timing = _measure_speed(mcfg, settings, args.bench_windows) if args.measure else ("", "")
         writer.writerow([
             variant,
             ev.count_params(mcfg).total,
@@ -379,7 +380,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: int):
+def _measure_speed(mcfg: model_mod.ModelConfig, settings: TrainSettings, bench_windows: int):
     rng = np.random.default_rng(0)
     length = mcfg.lookback + mcfg.horizon + bench_windows
     series = data_mod.Series(
@@ -388,11 +389,11 @@ def _measure_speed(mcfg: model_mod.ModelConfig, cfg: RunConfig, bench_windows: i
     )
     sampler = data_mod.WindowSampler(series, mcfg.lookback, mcfg.horizon)
     params = model_mod.init_params(mcfg, 0)
-    optimizer = Adam(params, lr=cfg.lr)
+    optimizer = settings.optimizer(params)
 
     def one_epoch():
-        for batch in sampler.batches(cfg.batch_size):
-            train_step(mcfg, params, optimizer, batch)
+        for rows in sampler.batch_origins(settings.batch_size):
+            train_step(mcfg, params, optimizer, sampler.lookbacks, sampler.targets, rows)
 
     epoch_s = ev.time_mean(one_epoch, repeats=3)
     return repr(epoch_s), repr(_infer_ms(mcfg, params, sampler))

@@ -270,13 +270,30 @@ def _is_run(origins: np.ndarray, count: int) -> bool:
     )
 
 
+def take_windows(source: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Rows ``origins`` of a window stack such as :attr:`WindowSampler.lookbacks`.
+
+    One ascending run of consecutive origins is a slice, so a view of
+    ``source`` comes back and nothing is copied. Any other set of origins
+    (shuffled, with gaps or repeats, negative) is fancy-indexed, which
+    gives a fresh C-contiguous copy.
+    """
+    origins = np.asarray(origins)
+    if _is_run(origins, len(source)):
+        return source[origins[0] : origins[-1] + 1]
+    return source[origins]
+
+
 class WindowSampler:
     """Stride-1 sliding windows over a series.
 
-    Exactly ``T - L - S + 1`` windows exist; batches are cut from a
-    zero-copy sliding view, in deterministic order unless a shuffle
-    generator is supplied. An unshuffled batch is a run of consecutive
-    origins, so it comes back as read-only views of the series.
+    Exactly ``T - L - S + 1`` windows exist. :attr:`lookbacks` and
+    :attr:`targets` are read-only zero-copy sliding views of the series:
+    row t is the lookback ``values[t : t + L]`` and the target
+    ``values[t + L : t + L + S]``. Batches of origins come in
+    deterministic order unless a shuffle generator is supplied; an
+    unshuffled batch is a run of consecutive origins, so
+    :meth:`gather` gives it back as read-only views of the series.
     """
 
     def __init__(self, series: Series, lookback: int, horizon: int):
@@ -285,46 +302,46 @@ class WindowSampler:
             raise SeriesTooShortError(
                 f"need at least {lookback + horizon} rows, series has {total}"
             )
-        self.lookback = lookback
-        self.horizon = horizon
         self.origins = np.arange(total - lookback - horizon + 1)
         # Read-only (T - L - S + 1, L + S, N) view; row t is values[t : t + L + S].
-        self._windows = np.lib.stride_tricks.sliding_window_view(
+        windows = np.lib.stride_tricks.sliding_window_view(
             series.values, lookback + horizon, axis=0
         ).transpose(0, 2, 1)
+        self.lookbacks = windows[:, :lookback]  # (T - L - S + 1, L, N)
+        self.targets = windows[:, lookback:]  # (T - L - S + 1, S, N)
 
     def __len__(self) -> int:
         return len(self.origins)
 
     def gather(self, origins: np.ndarray) -> WindowBatch:
-        """The windows starting at ``origins``.
-
-        One ascending run of consecutive origins is a slice of the sliding
-        view: ``x`` and ``y`` are then read-only views that share memory
-        with the series, and nothing is copied. Any other set of origins
-        (a shuffled batch, gaps, repeats) is fancy-indexed, which gives
-        fresh C-contiguous copies.
-        """
+        """The windows starting at ``origins``, taken by :func:`take_windows`:
+        read-only views of the series for one ascending run, copies otherwise."""
         origins = np.asarray(origins)
-        if _is_run(origins, len(self._windows)):
-            picked = self._windows[origins[0] : origins[-1] + 1]
-            x, y = picked[:, : self.lookback], picked[:, self.lookback :]
-        else:
-            x, y = self._windows[origins, : self.lookback], self._windows[origins, self.lookback :]
-        return WindowBatch(x=x, y=y, origins=origins)
+        return WindowBatch(
+            x=take_windows(self.lookbacks, origins), y=take_windows(self.targets, origins), origins=origins
+        )
 
-    def batches(
+    def batch_origins(
         self,
         batch_size: int,
         shuffle: np.random.Generator | None = None,
-    ) -> Iterator[WindowBatch]:
+    ) -> Iterator[np.ndarray]:
+        """The origins of each batch, in order or permuted by ``shuffle``."""
         if batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
         order = self.origins
         if shuffle is not None:
             order = shuffle.permutation(order)
         for start in range(0, len(order), batch_size):
-            yield self.gather(order[start : start + batch_size])
+            yield order[start : start + batch_size]
+
+    def batches(
+        self,
+        batch_size: int,
+        shuffle: np.random.Generator | None = None,
+    ) -> Iterator[WindowBatch]:
+        """:meth:`gather` of each of :meth:`batch_origins`."""
+        return (self.gather(origins) for origins in self.batch_origins(batch_size, shuffle))
 
 
 SYNTH_KINDS = ("sine_mix", "trend_sine", "noise_walk")

@@ -27,11 +27,11 @@ With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
 model into one (S, L) matrix shared by all channels plus an (S, N)
 offset. The fold is built on the tape from the weights, and
-:func:`forward` runs those variants through it for training, validation,
-evaluation and inference alike: the transform then runs on the (S, L)
-weights rather than on the (B, N, L) batch. The other variants run
-:func:`band_forward`, which is also the reference the fold is tested
-against.
+:func:`forward` runs those variants through it for validation,
+evaluation and inference, and :func:`batch_loss` for training: the
+transform then runs on the (S, L) weights rather than on the (B, N, L)
+batch. The other variants run :func:`band_forward`, which is also the
+reference the fold is tested against.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -57,6 +57,7 @@ from .autodiff import (
     div,
     dwt_pair,
     folded_forecast,
+    folded_mse,
     idwt_pair,
     linear,
     matmul,
@@ -67,6 +68,7 @@ from .autodiff import (
     sub,
     swap_last2,
 )
+from .data import take_windows
 from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
 from .moe import FirstLayer
 from .revin import (
@@ -369,7 +371,8 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
     applies the shared matrix and adds the mean and the scaled offset one
     cache-sized block of windows at a time. The batch is never
     transformed and gets no gradient. The other variants run
-    :func:`band_forward`.
+    :func:`band_forward`. Training does not come here: it runs
+    :func:`batch_loss`, which has the same branch.
     """
     x = _lookback(cfg, x)
     folded = fold(cfg, params)
@@ -377,6 +380,34 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
         return band_forward(cfg, params, x)
     weight, offset = folded
     return folded_forecast(weight, offset, x, compute_stats)
+
+
+def batch_loss(
+    cfg: ModelConfig, params: dict[str, Tensor], lookback: np.ndarray, target: np.ndarray, rows: np.ndarray
+) -> Tensor:
+    """The MSE of windows ``rows`` of the (W, L, N) ``lookback`` against the
+    (W, S, N) ``target``, on the tape.
+
+    The sources may be read-only sliding views of a series: the linear
+    variants run through :func:`fold` and one
+    :func:`~wavets.autodiff.folded_mse` op, which reads the windows per
+    cache block and forms the forecast, the loss and both gradients in one
+    pass, so the batch is never gathered. The other variants take the
+    windows (a view when ``rows`` are consecutive) through
+    :func:`band_forward` and ``mse_loss``.
+    """
+    lookback = _lookback(cfg, lookback)
+    target = np.asarray(target, dtype=np.float64)
+    if target.ndim != 3 or target.shape[1] != cfg.horizon or target.shape[2] != cfg.channels:
+        raise ShapeMismatchError(
+            f"target shape {target.shape} does not match (B, {cfg.horizon}, {cfg.channels})"
+        )
+    folded = fold(cfg, params)
+    if folded is None:
+        x, y = take_windows(lookback, rows), take_windows(target, rows)
+        return mse_loss(band_forward(cfg, params, x), constant(y))
+    weight, offset = folded
+    return folded_mse(weight, offset, lookback, target, rows, compute_stats)
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
@@ -401,15 +432,12 @@ def loss_and_grads(
     x: np.ndarray,
     y: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE against the horizon plus gradients for every learnable tensor."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 3 or y.shape[1] != cfg.horizon or y.shape[2] != cfg.channels:
-        raise ShapeMismatchError(
-            f"target shape {y.shape} does not match (B, {cfg.horizon}, {cfg.channels})"
-        )
+    """MSE against the horizon plus gradients for every learnable tensor: the
+    :func:`batch_loss` of every window of ``x`` and ``y``."""
+    x = _lookback(cfg, x)
     for p in params.values():
         p.zero_grad()
-    loss = mse_loss(forward(cfg, params, x), constant(y))
+    loss = batch_loss(cfg, params, x, y, np.arange(len(x)))
     loss.backward()
     grads = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -291,6 +291,33 @@ def test_benchmark_unknown_variant(capsys):
     assert "error config" in capsys.readouterr().err
 
 
+def test_benchmark_measure_rejects_a_bad_optimizer_setting(capsys):
+    """The timed epochs run the configured optimizer, so its settings are checked."""
+    code = main([
+        "benchmark", "--variants", "B", "--channels", "2", "--lookback", "16", "--horizon", "4",
+        "--beta1", "2", "--measure", "--bench-windows", "8",
+    ])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: betas must lie in (0, 1)"), err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, grid", [("ablate", ["--grid", "B,S"]), ("sweep", ["--lengths", "16"])])
+def test_grid_with_a_bad_train_setting_leaves_no_run_directory(tmp_path, capsys, command, grid):
+    out = tmp_path / "runs"
+    code = main([
+        command, *grid,
+        "--data", "synth:sine_mix", "--synth-length", "600", "--synth-channels", "2",
+        "--lookback", "16", "--horizon", "4", "--lr", "0", "--out", str(out),
+    ])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: learning rate must be positive"), err
+    assert not out.exists()
+
+
 def test_ablate_empty_grid_is_noop(tmp_path):
     out = tmp_path / "runs"
     code = main([

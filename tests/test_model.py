@@ -10,7 +10,7 @@ from wavets import model as model_mod
 from wavets import moe as moe_mod
 from wavets import training as training_mod
 from wavets import wavelet as wv
-from wavets.data import WindowBatch, synth
+from wavets.data import synth
 from wavets.exceptions import (
     ConfigMismatchError,
     InvalidConfigError,
@@ -35,7 +35,7 @@ from wavets.optim import Adam
 from wavets.training import TrainSettings, evaluate_model, train_model, train_step
 
 from conftest import max_rel_err, numeric_grad
-from reference import reference_forward
+from reference import composed_mse, reference_forward
 
 TINY = dict(lookback=8, horizon=4, channels=2)
 
@@ -548,7 +548,7 @@ def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
     cfg = ModelConfig("M", 20, 6, 3, bank="d4", moe=MoEConfig(num_experts=2, hidden=3))
     rng = np.random.default_rng(32)
     params = init_params(cfg, rng)
-    batch = WindowBatch(x=rng.normal(size=(5, 20, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    x, y = rng.normal(size=(5, 20, 3)), rng.normal(size=(5, 6, 3))
     shapes = []
     real = ad.Tensor._accumulate
 
@@ -557,7 +557,7 @@ def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
         real(self, g)
 
     monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
-    train_step(cfg, params, Adam(params), batch)
+    train_step(cfg, params, Adam(params), x, y, np.arange(5))
     assert (5, 3, cfg.half) not in shapes
     assert (5, 3, cfg.lookback) not in shapes
     assert (5, 3, 8) in shapes  # the spy saw the fused first layer's (B, N, E + E*H) gradient
@@ -583,14 +583,16 @@ def test_forecasts_leave_the_lookback_unchanged(variant, writable):
     assert np.array_equal(predict(cfg, params, x), first)
 
 
-def test_b_train_step_forms_one_horizon_sized_gradient(monkeypatch):
-    """The MSE and the folded forecast are one op each: the only (B, S, N)
-    gradient in a B train step is the one the MSE hands the forecast, and
-    no tensor gets a (B, L, N) lookback gradient."""
+def test_b_train_step_forms_no_batch_sized_gradient(monkeypatch):
+    """The forecast and the MSE are one fused op that holds its gradient
+    sums: a B train step on shuffled, repeated rows of a window source
+    forms no (B, S, N) forecast gradient and no (B, L, N) lookback one,
+    and the fold's (S, L) weight gets its gradient."""
     cfg = ModelConfig("B", 16, 6, 3)
     rng = np.random.default_rng(33)
     params = init_params(cfg, rng)
-    batch = WindowBatch(x=rng.normal(size=(5, 16, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    lookback, target = rng.normal(size=(9, 16, 3)), rng.normal(size=(9, 6, 3))
+    rows = np.array([4, 0, 7, 7, 2])
     shapes = []
     real = ad.Tensor._accumulate
 
@@ -599,10 +601,11 @@ def test_b_train_step_forms_one_horizon_sized_gradient(monkeypatch):
         real(self, g)
 
     monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
-    train_step(cfg, params, Adam(params), batch)
-    assert shapes.count((5, 6, 3)) == 1
-    assert (5, 16, 3) not in shapes
-    assert (6, 16) in shapes  # the fold's (S, L) weight got its gradient
+    train_step(cfg, params, Adam(params), lookback, target, rows)
+    for batch in (5, 9):
+        assert (batch, 6, 3) not in shapes
+        assert (batch, 16, 3) not in shapes
+    assert (6, 16) in shapes
 
 
 def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
@@ -612,7 +615,7 @@ def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
     cfg = ModelConfig("B", 16, 6, 3)
     rng = np.random.default_rng(34)
     params = init_params(cfg, rng)
-    batch = WindowBatch(x=rng.normal(size=(5, 16, 3)), y=rng.normal(size=(5, 6, 3)), origins=np.arange(5))
+    x, y = rng.normal(size=(5, 16, 3)), rng.normal(size=(5, 6, 3))
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 16 * 3 * 8)
     seen = []
     real = model_mod.compute_stats
@@ -622,9 +625,9 @@ def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
         return real(values, **kwargs)
 
     monkeypatch.setattr(model_mod, "compute_stats", spy)
-    train_step(cfg, params, Adam(params), batch)
+    train_step(cfg, params, Adam(params), x, y, np.arange(5))
     assert seen == [2, 2, 1]
-    predict(cfg, params, batch.x)
+    predict(cfg, params, x)
     assert seen == [2, 2, 1] * 2
 
 
@@ -745,10 +748,18 @@ def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
 
     fast, fast_metrics = run()
     # the reference trains, validates and evaluates on the time-domain band path
+    reference_steps = []
+
+    def reference_loss(cfg, params, lookback, target, rows):
+        reference_steps.append(len(rows))
+        return composed_mse(reference_forward(cfg, params, lookback[rows]), ad.constant(target[rows]))
+
+    monkeypatch.setattr(training_mod, "batch_loss", reference_loss)
     monkeypatch.setattr(training_mod, "forward", reference_forward)
     monkeypatch.setattr(model_mod, "forward", reference_forward)
     banded, banded_metrics = run()
 
+    assert sum(reference_steps) == 4 * (len(series.values) - 16 - 6 + 1)  # every train window, every epoch
     assert fast.epochs_trained == banded.epochs_trained == 4
     assert fast.best_epoch == banded.best_epoch
     for name, p in banded.params.items():  # relative to each tensor's largest entry
