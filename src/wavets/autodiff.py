@@ -7,16 +7,18 @@ the DAG of live tensors; ``backward()`` on a scalar walks it once in
 reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
-maps, the folded linear forecast (one shared matrix applied on the left
-of the lookback, centred one cache-sized block of windows at a time,
-plus its mean and scaled offset, as one op), the folded MSE (that
-forecast, its squared error and its gradient sums, formed block by block
-from windows read straight out of a series, as one op: the linear
-variants' train step), ReLU, softmax, elementwise arithmetic with
-broadcasting, reshapes, axis swaps, slices and concatenation (the fused
+maps, the folded MSE (the linear variants' forecast, its squared error
+and its gradient sums, formed one cache-sized block of windows at a time
+from windows read straight out of a series, as one op: their train
+step), ReLU, softmax, elementwise arithmetic with broadcasting,
+reshapes, axis swaps, slices and concatenation (the fused
 mixture-of-experts layers), the (fixed, linear) wavelet
-analysis/synthesis pair, and the mean squared error (one op). The two
-folded ops walk the same block loop, :func:`_blocks`.
+analysis/synthesis pair, and the mean squared error (one op). The
+folded forecast itself, :func:`folded_forecast` (one shared matrix
+applied on the left of the centred lookback, plus its mean and scaled
+offset), is a plain function of arrays off the tape: a served forecast
+needs no gradient. It walks the same block loop, :func:`_blocks`, as the
+folded MSE.
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -209,7 +211,7 @@ _BLOCK_BYTES = 2 * 1024 * 1024
 Stats = Callable[..., tuple[Array, Array, Array]]
 
 
-def _check_fold(weight: Tensor, offset: Tensor, lookback: Array) -> None:
+def _check_fold(weight: Tensor | Array, offset: Tensor | Array, lookback: Array) -> None:
     """A (S, L) weight, a (S, N) or (S, 1) offset and a (B, L, N) lookback."""
     if weight.ndim != 2 or lookback.ndim != 3 or lookback.shape[1] != weight.shape[1]:
         raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {lookback.shape}")
@@ -218,31 +220,24 @@ def _check_fold(weight: Tensor, offset: Tensor, lookback: Array) -> None:
         raise ShapeMismatchError(f"offset shape {offset.shape} does not fit ({horizon}, {channels})")
 
 
-def _blocks(
-    lookback: Array,
-    rows: Array | None,
-    stats: Stats,
-    weight: Array | None = None,
-    offset: Array | None = None,
-):
-    """Walk windows ``rows`` of the (W, L, N) ``lookback`` (all W in order if
-    None) one cache-sized block at a time.
+def _blocks(lookback: Array, rows: Array | None, stats: Stats, weight: Array, offset: Array):
+    """Forecast windows ``rows`` of the (W, L, N) ``lookback`` (all W in
+    order if None) one cache-sized block at a time.
 
     A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
     ``stats`` reads the block's windows (a view when they are consecutive)
     and writes them centred into one reused (L, b, N) buffer, so that
     ``centred.reshape(L, b * N)`` is one matrix with every window's
-    channels side by side. Given the (S, L) ``weight`` and the (S, N) or
-    (S, 1) ``offset``, the block's (S, b, N) forecasts ``weight @ centred
-    + mean + std * offset`` are one GEMM into another reused buffer, with
-    the mean and then the scaled offset added in place. Yields
+    channels side by side. The block's (S, b, N) forecasts ``weight @
+    centred + mean + std * offset``, with the (S, L) ``weight`` and the
+    (S, N) or (S, 1) ``offset``, are one GEMM into another reused buffer,
+    with the mean and then the scaled offset added in place. Yields
     ``(positions, centred, std, forecast)`` per block, where the
-    ``positions`` slice picks the block from ``rows`` and ``forecast`` is
-    None without a weight.
+    ``positions`` slice picks the block from ``rows``.
     """
     count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
     size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
-    horizon = 0 if weight is None else weight.shape[0]
+    horizon = weight.shape[0]
     # One allocation holds the three reused buffers (centred lookback,
     # forecasts, scaled offset): with three, an evaluation at N=7, L=720,
     # S=96 took over three times as many page faults.
@@ -259,56 +254,32 @@ def _blocks(
         windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
         centred = view(centred_buffer, length, block)
         mean, std, _ = stats(windows, out=centred.transpose(1, 0, 2))
-        forecast = None
-        if weight is not None:
-            forecast = view(forecast_buffer, horizon, block)
-            np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
-            forecast += mean
-            forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
+        forecast = view(forecast_buffer, horizon, block)
+        np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
+        forecast += mean
+        forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
         yield positions, centred, std, forecast
 
 
-def _add_block_grads(diff: Array, centred: Array, std: Array, weight_grad: Array, offset_grad: Array) -> None:
-    """Add one block's ``diff @ centred^T`` into the (S, L) ``weight_grad`` and
-    its ``sum(diff * std)`` over the windows into the (S, N) ``offset_grad``."""
-    horizon, block, channels = diff.shape
-    weight_grad += diff.reshape(horizon, -1) @ centred.reshape(-1, block * channels).T
-    offset_grad += np.einsum("sbn,bn->sn", diff, std)
+def folded_forecast(weight: Array, offset: Array, lookback: Array, stats: Stats) -> Array:
+    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``
+    of every window of the (B, L, N) ``lookback``, as a (B, S, N) array.
 
-
-def folded_forecast(weight: Tensor, offset: Tensor, lookback: Array, stats: Stats) -> Tensor:
-    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``.
-
-    One (S, L) matrix ``weight`` is applied to every window of the
-    (B, L, N) ``lookback`` after centring it; ``offset`` is (S, N) or
-    (S, 1). The batch is walked in cache-sized blocks (:func:`_blocks`):
-    ``stats`` centres a block into one reused buffer and gives its mean
-    and std, one matmul forms the block's forecasts, and the mean and
-    ``std * offset`` are added in place. Backward walks the blocks again
-    and adds each block's ``g @ centred^T`` into one (S, L) weight
-    gradient and its ``sum(g * std)`` into the offset gradient. No
-    batch-sized centred copy, product stack or offset-gradient temporary is
-    formed. The lookback is data: it gets no gradient. Training runs
-    :func:`folded_mse` instead, which also forms the loss.
+    ``weight`` is one (S, L) matrix shared by every window and channel,
+    and ``offset`` is (S, N) or (S, 1). The batch is walked in cache-sized
+    blocks (:func:`_blocks`): ``stats`` centres a block into one reused
+    buffer and gives its mean and std, one matmul forms the block's
+    forecasts, and the mean and ``std * offset`` are added in place. It
+    takes and returns plain arrays and records nothing: training runs
+    :func:`folded_mse`, which forms the loss and gradients in the same
+    block loop.
     """
     lookback = np.asarray(lookback, dtype=np.float64)
     _check_fold(weight, offset, lookback)
-    horizon, channels = weight.shape[0], lookback.shape[2]
-    out_data = np.empty((len(lookback), horizon, channels))
-    for positions, _, _, forecast in _blocks(lookback, None, stats, weight.data, offset.data):
-        out_data[positions] = forecast.transpose(1, 0, 2)
-
-    def backward(g: Array) -> None:
-        weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
-        for positions, centred, std, _ in _blocks(lookback, None, stats):
-            diff = np.ascontiguousarray(g[positions].transpose(1, 0, 2))
-            _add_block_grads(diff, centred, std, weight_grad, offset_grad)
-        if weight._needs_grad():
-            weight._accumulate(weight_grad)
-        if offset._needs_grad():
-            offset._accumulate(_unbroadcast(offset_grad, offset.shape))
-
-    return _record(out_data, (weight, offset), backward)
+    out = np.empty((len(lookback), weight.shape[0], lookback.shape[2]))
+    for positions, _, _, forecast in _blocks(lookback, None, stats, weight, offset):
+        out[positions] = forecast.transpose(1, 0, 2)
+    return out
 
 
 def folded_mse(
@@ -330,7 +301,7 @@ def folded_mse(
     target = np.asarray(target, dtype=np.float64)
     rows = np.asarray(rows)
     _check_fold(weight, offset, lookback)
-    horizon, channels = weight.shape[0], lookback.shape[2]
+    (horizon, length), channels = weight.shape, lookback.shape[2]
     if target.shape[1:] != (horizon, channels) or len(target) != len(lookback):
         raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
     if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
@@ -344,7 +315,8 @@ def folded_mse(
         diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
         total += np.vdot(diff, diff)
         if needs_weight or needs_offset:
-            _add_block_grads(diff, centred, std, weight_grad, offset_grad)
+            weight_grad += diff.reshape(horizon, -1) @ centred.reshape(length, -1).T
+            offset_grad += np.einsum("sbn,bn->sn", diff, std)
     count = rows.size * horizon * channels
 
     def backward(g: Array) -> None:

@@ -36,7 +36,7 @@ from .config import (
     resolve_config,
     write_config,
 )
-from .exceptions import InvalidConfigError, ReconstructionError, WavetsError
+from .exceptions import InvalidConfigError, ParseError, ReconstructionError, WavetsError
 from .training import TrainSettings, evaluate_model, train_model, train_step
 
 PROG = "wavets"
@@ -344,6 +344,10 @@ def cmd_decompose(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = resolve_config(args)
     variants = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise InvalidConfigError("--variants names no variant")
+    if args.bench_windows < 1:
+        raise InvalidConfigError(f"--bench-windows must be >= 1, got {args.bench_windows}")
     header = [
         "variant",
         "param_count",
@@ -381,8 +385,9 @@ def cmd_benchmark(args) -> int:
 
 
 def _measure_speed(mcfg: model_mod.ModelConfig, settings: TrainSettings, bench_windows: int):
+    """Seconds per training epoch over ``bench_windows`` windows, and batch-1 milliseconds."""
     rng = np.random.default_rng(0)
-    length = mcfg.lookback + mcfg.horizon + bench_windows
+    length = mcfg.lookback + mcfg.horizon + bench_windows - 1  # T rows hold T - L - S + 1 windows
     series = data_mod.Series(
         values=rng.normal(size=(length, mcfg.channels)),
         channel_names=[f"ch{i}" for i in range(mcfg.channels)],
@@ -414,20 +419,32 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _report_rows(path: Path) -> list[tuple[str, int, str, float, float]]:
+    """(dataset, horizon, variant, mse, mae) of each row of one ``report.csv``;
+    a missing column or an unreadable value is a ParseError naming the file."""
+    try:
+        return [
+            (row["dataset"], int(row["horizon"]), row["variant"], float(row["mse"]), float(row["mae"]))
+            for row in ev.read_reports_csv(path)
+        ]
+    except KeyError as exc:
+        raise ParseError(f"{path}: no {exc.args[0]!r} column") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def cmd_table(args) -> int:
-    reports = []
     root = Path(args.runs)
-    for path in sorted(root.rglob("report.csv")):
-        reports.extend(ev.read_reports_csv(path))
+    if not root.is_dir():
+        raise ParseError(f"{root}: no such directory")
+    reports = [row for path in sorted(root.rglob("report.csv")) for row in _report_rows(path)]
     if not reports:
         print(f"no report.csv files under {root}")
         return 0
     # dataset -> horizon -> variant -> list of (mse, mae)
     cells: dict[str, dict[int, dict[str, list[tuple[float, float]]]]] = {}
-    for row in reports:
-        cells.setdefault(row["dataset"], {}).setdefault(int(row["horizon"]), {}).setdefault(
-            row["variant"], []
-        ).append((float(row["mse"]), float(row["mae"])))
+    for dataset, horizon, variant, mse, mae in reports:
+        cells.setdefault(dataset, {}).setdefault(horizon, {}).setdefault(variant, []).append((mse, mae))
     lines = []
     for dataset in sorted(cells):
         by_horizon = cells[dataset]

@@ -26,12 +26,13 @@ layer (see :mod:`wavets.moe`). The gate diagnostics,
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
 model into one (S, L) matrix shared by all channels plus an (S, N)
-offset. The fold is built on the tape from the weights, and
-:func:`forward` runs those variants through it for validation,
-evaluation and inference, and :func:`batch_loss` for training: the
-transform then runs on the (S, L) weights rather than on the (B, N, L)
-batch. The other variants run :func:`band_forward`, which is also the
-reference the fold is tested against.
+offset. The fold is built on the tape from the weights. For training,
+:func:`batch_loss` runs those variants through it and one fused loss op;
+for validation, evaluation and inference, :func:`forward` hands the
+fold's arrays to an off-tape forecast. Either way the transform runs on
+the (S, L) weights rather than on the (B, N, L) batch. The other
+variants run :func:`band_forward`, which is also the reference the fold
+is tested against.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -362,24 +363,25 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
     return weight, offset
 
 
-def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
-    """Predict (B, S, N) from a lookback batch (B, L, N) on the tape.
+def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> np.ndarray:
+    """Forecasts (B, S, N) from a lookback batch (B, L, N), as a plain array.
 
-    The linear variants run through :func:`fold` and one
-    :func:`~wavets.autodiff.folded_forecast` op, which takes the lookback
-    and ``compute_stats`` (autodiff cannot import revin) and centres,
-    applies the shared matrix and adds the mean and the scaled offset one
-    cache-sized block of windows at a time. The batch is never
-    transformed and gets no gradient. The other variants run
-    :func:`band_forward`. Training does not come here: it runs
-    :func:`batch_loss`, which has the same branch.
+    The linear variants build :func:`fold` from the live parameters and
+    hand its arrays to :func:`~wavets.autodiff.folded_forecast`, which
+    takes the lookback and ``compute_stats`` (autodiff cannot import revin)
+    and centres, applies the shared matrix and adds the mean and the
+    scaled offset one cache-sized block of windows at a time, off the
+    tape. The batch is never transformed. The other variants return the
+    values of :func:`band_forward`. Nothing backpropagates through a
+    forecast: training runs :func:`batch_loss`, which has the same branch.
     """
     x = _lookback(cfg, x)
     folded = fold(cfg, params)
     if folded is None:
-        return band_forward(cfg, params, x)
+        # Real parameters, not constant copies: those made an M evaluation refault the heap over 20x as often.
+        return band_forward(cfg, params, x).data
     weight, offset = folded
-    return folded_forecast(weight, offset, x, compute_stats)
+    return folded_forecast(weight.data, offset.data, x, compute_stats)
 
 
 def batch_loss(
@@ -411,12 +413,13 @@ def batch_loss(
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array.
+    """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array:
+    :func:`forward`'s.
 
     The fold is rebuilt on every call, so it always matches the parameters
     (the optimizer updates them in place).
     """
-    return forward(cfg, params, x).data
+    return forward(cfg, params, x)
 
 
 def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:

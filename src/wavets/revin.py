@@ -23,11 +23,12 @@ the (B, N, H) first-layer output, and backward forms no band-sized
 gradient and no input gradient for the band. It is the one place the
 affine meets the bands: M's gate diagnostics use it too. The linear
 variants train and forecast through ``model.fold``, which never
-transforms the batch: ``autodiff.folded_forecast`` (forecasts) and
-``autodiff.folded_mse`` (the train step's loss and gradients) walk one
-block loop that calls :func:`compute_stats` on one cache-sized block of
-lookback windows at a time, with a reused buffer for the centred values,
-and the affine sits inside the folded offset.
+transforms the batch: ``autodiff.folded_forecast`` (off-tape forecasts
+from the fold's arrays) and ``autodiff.folded_mse`` (the train step's
+loss and gradients) walk one block loop that calls :func:`compute_stats`
+on one cache-sized block of lookback windows at a time, with a reused
+buffer for the centred values, and the affine sits inside the folded
+offset.
 So only the band path (M, an MLP low-pass head, a per-channel delta)
 calls :func:`revin_forward` and :func:`revin_inverse`.
 """

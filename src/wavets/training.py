@@ -71,7 +71,7 @@ def _scored_pairs(
     cfg: ModelConfig, params: dict[str, Tensor], sampler: WindowSampler, batch_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(prediction, target) pairs over every window of the sampler, batch by batch."""
-    return ((forward(cfg, params, batch.x).data, batch.y) for batch in sampler.batches(batch_size))
+    return ((forward(cfg, params, batch.x), batch.y) for batch in sampler.batches(batch_size))
 
 
 def evaluate_mse(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavets import data
+from wavets import cli, data
 from wavets.cli import main, make_run_dir
 from wavets.config import RunConfig
 from wavets.evaluation import read_reports_csv
@@ -304,6 +304,40 @@ def test_benchmark_measure_rejects_a_bad_optimizer_setting(capsys):
     assert captured.out == ""
 
 
+BENCH_TINY = ["benchmark", "--channels", "2", "--lookback", "16", "--horizon", "4"]
+
+
+def test_benchmark_times_exactly_the_requested_windows(monkeypatch, capsys):
+    epochs = []
+    real = cli.train_step
+
+    def counted(cfg, params, optimizer, lookback, target, rows):
+        epochs.append(len(rows))
+        return real(cfg, params, optimizer, lookback, target, rows)
+
+    monkeypatch.setattr(cli, "train_step", counted)
+    assert main([*BENCH_TINY, "--variants", "B", "--measure", "--bench-windows", "5", "--batch-size", "2"]) == 0
+    assert epochs == [2, 2, 1] * 3  # three timed epochs of 5 windows each
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--variants", "B", "--measure", "--bench-windows", "-5"], "error config: --bench-windows must be >= 1"),
+        (["--variants", "B", "--bench-windows", "0"], "error config: --bench-windows must be >= 1"),
+        (["--variants", " , "], "error config: --variants names no variant"),
+    ],
+    ids=["negative-windows", "zero-windows", "no-variants"],
+)
+def test_benchmark_rejects_bad_arguments(capsys, flags, message):
+    code = main([*BENCH_TINY, *flags])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, grid", [("ablate", ["--grid", "B,S"]), ("sweep", ["--lengths", "16"])])
 def test_grid_with_a_bad_train_setting_leaves_no_run_directory(tmp_path, capsys, command, grid):
     out = tmp_path / "runs"
@@ -441,6 +475,34 @@ def test_table_grid(tmp_path, capsys):
     assert cells[0] == "4"
     assert "/" in cells[1] and "/" in cells[2]  # mse/mae pairs
     assert table_csv.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ("variant,horizon,mse,mae\nS,4,0.5,0.4\n", "no 'dataset' column"),
+        ("dataset,variant,horizon,mse,mae\nd,S,4,,0.4\n", "could not convert string to float"),
+    ],
+    ids=["no-dataset-column", "empty-mse"],
+)
+def test_table_rejects_a_malformed_report(tmp_path, capsys, report, message):
+    path = tmp_path / "runs" / "one" / "report.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(report)
+    assert main(["table", "--runs", str(tmp_path / "runs")]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error data: {path}: ") and message in err[0], err
+    assert captured.out == ""
+
+
+def test_table_runs_directory_must_exist(tmp_path, capsys):
+    assert main(["table", "--runs", str(tmp_path / "missing")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error data: "), err
+    (tmp_path / "empty").mkdir()
+    assert main(["table", "--runs", str(tmp_path / "empty")]) == 0
+    assert "no report.csv files under" in capsys.readouterr().out
 
 
 def test_decompose_is_idempotent(tmp_path):

@@ -223,15 +223,25 @@ def test_overfit_single_batch():
     y = rng.normal(size=(4, 4, 2)) * 0.5
     optimizer = Adam(params, lr=1e-2)
     loss = np.inf
-    from wavets.autodiff import constant, mse_loss
-
     for _ in range(500):
-        optimizer.zero_grad()
-        out = mse_loss(forward(cfg, params, x), constant(y))
-        out.backward()
-        optimizer.step()
-        loss = out.item()
+        loss = train_step(cfg, params, optimizer, x, y, np.arange(4))
     assert loss < 1e-3
+
+
+@pytest.mark.parametrize("variant, bank", [("B", "haar"), ("I", "d4"), ("M", "d4")])
+def test_forward_serves_a_plain_array_and_leaves_no_gradient(variant, bank):
+    """forward returns the band path's forecast as an ndarray, through the
+    fold (B, I) or the bands (M), and no parameter gets a gradient."""
+    cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank=bank)
+    rng = np.random.default_rng(34)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(5, 16, 3)) * 2.0 + 4.0
+    out = forward(cfg, params, x)
+    assert isinstance(out, np.ndarray) and out.shape == (5, 6, 3)
+    assert np.max(np.abs(out - band_forward(cfg, params, x).data)) < 1e-10
+    assert all(p.grad is None for p in params.values())
 
 
 def test_all_zero_params_zero_data():
@@ -754,9 +764,12 @@ def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
         reference_steps.append(len(rows))
         return composed_mse(reference_forward(cfg, params, lookback[rows]), ad.constant(target[rows]))
 
+    def reference_values(cfg, params, x):
+        return reference_forward(cfg, params, x).data
+
     monkeypatch.setattr(training_mod, "batch_loss", reference_loss)
-    monkeypatch.setattr(training_mod, "forward", reference_forward)
-    monkeypatch.setattr(model_mod, "forward", reference_forward)
+    monkeypatch.setattr(training_mod, "forward", reference_values)
+    monkeypatch.setattr(model_mod, "forward", reference_values)
     banded, banded_metrics = run()
 
     assert sum(reference_steps) == 4 * (len(series.values) - 16 - 6 + 1)  # every train window, every epoch
