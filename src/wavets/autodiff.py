@@ -7,18 +7,12 @@ the DAG of live tensors; ``backward()`` on a scalar walks it once in
 reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
-maps, the folded MSE (the linear variants' forecast, its squared error
-and its gradient sums, formed one cache-sized block of windows at a time
-from windows read straight out of a series, as one op: their train
-step), ReLU, softmax, elementwise arithmetic with broadcasting,
+maps, ReLU, softmax, elementwise arithmetic with broadcasting,
 reshapes, axis swaps, slices and concatenation (the fused
 mixture-of-experts layers), the (fixed, linear) wavelet
-analysis/synthesis pair, and the mean squared error (one op). The
-folded forecast itself, :func:`folded_forecast` (one shared matrix
-applied on the left of the centred lookback, plus its mean and scaled
-offset), is a plain function of arrays off the tape: a served forecast
-needs no gradient. It walks the same block loop, :func:`_blocks`, as the
-folded MSE.
+analysis/synthesis pair, the mean squared error (one op), and a scalar
+whose gradients were summed outside the tape (:func:`presummed`: the
+linear variants' train step, whose block loop lives in ``model``).
 
 Gradients accumulate by addition so shared subexpressions are handled.
 The first gradient a tensor receives is kept as handed over, and a later
@@ -34,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from . import wavelet
-from .data import take_windows
 from .exceptions import NonFiniteInputError, ShapeMismatchError
 
 Array = np.ndarray
@@ -200,133 +193,17 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     return _record(out_data, (x, w), backward)
 
 
-# Bytes of lookback one block of the folded ops centres at a time: about
-# one L2 cache, so a block's centred values are still cached when the
-# matmuls read them. A window wider than this is a block of its own.
-_BLOCK_BYTES = 2 * 1024 * 1024
-
-# ``stats(block, out=buffer)``: a lookback block's mean, std and centred
-# values, the latter written into ``buffer``; ``model`` passes
-# ``revin.compute_stats``.
-Stats = Callable[..., tuple[Array, Array, Array]]
-
-
-def _check_fold(weight: Tensor | Array, offset: Tensor | Array, lookback: Array) -> None:
-    """A (S, L) weight, a (S, N) or (S, 1) offset and a (B, L, N) lookback."""
-    if weight.ndim != 2 or lookback.ndim != 3 or lookback.shape[1] != weight.shape[1]:
-        raise ShapeMismatchError(f"cannot apply a {weight.shape} weight to {lookback.shape}")
-    horizon, channels = weight.shape[0], lookback.shape[2]
-    if offset.ndim != 2 or offset.shape[0] != horizon or offset.shape[1] not in (1, channels):
-        raise ShapeMismatchError(f"offset shape {offset.shape} does not fit ({horizon}, {channels})")
-
-
-def _blocks(lookback: Array, rows: Array | None, stats: Stats, weight: Array, offset: Array):
-    """Forecast windows ``rows`` of the (W, L, N) ``lookback`` (all W in
-    order if None) one cache-sized block at a time.
-
-    A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
-    ``stats`` reads the block's windows (a view when they are consecutive)
-    and writes them centred into one reused (L, b, N) buffer, so that
-    ``centred.reshape(L, b * N)`` is one matrix with every window's
-    channels side by side. The block's (S, b, N) forecasts ``weight @
-    centred + mean + std * offset``, with the (S, L) ``weight`` and the
-    (S, N) or (S, 1) ``offset``, are one GEMM into another reused buffer,
-    with the mean and then the scaled offset added in place. Yields
-    ``(positions, centred, std, forecast)`` per block, where the
-    ``positions`` slice picks the block from ``rows``.
-    """
-    count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
-    size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
-    horizon = weight.shape[0]
-    # One allocation holds the three reused buffers (centred lookback,
-    # forecasts, scaled offset): with three, an evaluation at N=7, L=720,
-    # S=96 took over three times as many page faults.
-    centred_buffer, forecast_buffer, scaled_buffer = np.split(
-        np.empty((length + 2 * horizon) * size * channels), np.cumsum([length, horizon]) * size * channels
-    )
-
-    def view(buffer: Array, height: int, block: int) -> Array:
-        return buffer[: height * block * channels].reshape(height, block, channels)
-
-    for start in range(0, count, size):
-        positions = slice(start, min(start + size, count))
-        block = positions.stop - start
-        windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
-        centred = view(centred_buffer, length, block)
-        mean, std, _ = stats(windows, out=centred.transpose(1, 0, 2))
-        forecast = view(forecast_buffer, horizon, block)
-        np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
-        forecast += mean
-        forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
-        yield positions, centred, std, forecast
-
-
-def folded_forecast(weight: Array, offset: Array, lookback: Array, stats: Stats) -> Array:
-    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``
-    of every window of the (B, L, N) ``lookback``, as a (B, S, N) array.
-
-    ``weight`` is one (S, L) matrix shared by every window and channel,
-    and ``offset`` is (S, N) or (S, 1). The batch is walked in cache-sized
-    blocks (:func:`_blocks`): ``stats`` centres a block into one reused
-    buffer and gives its mean and std, one matmul forms the block's
-    forecasts, and the mean and ``std * offset`` are added in place. It
-    takes and returns plain arrays and records nothing: training runs
-    :func:`folded_mse`, which forms the loss and gradients in the same
-    block loop.
-    """
-    lookback = np.asarray(lookback, dtype=np.float64)
-    _check_fold(weight, offset, lookback)
-    out = np.empty((len(lookback), weight.shape[0], lookback.shape[2]))
-    for positions, _, _, forecast in _blocks(lookback, None, stats, weight, offset):
-        out[positions] = forecast.transpose(1, 0, 2)
-    return out
-
-
-def folded_mse(
-    weight: Tensor, offset: Tensor, lookback: Array, target: Array, rows: Array, stats: Stats
-) -> Tensor:
-    """The MSE of :func:`folded_forecast` on windows ``rows`` against their targets, as one op.
-
-    ``lookback`` (W, L, N) and ``target`` (W, S, N) are read-only window
-    sources, such as a sampler's sliding views of the series, and ``rows``
-    picks the batch from them, so the batch is never gathered. Per block
-    (:func:`_blocks`) the forecasts are formed as in
-    :func:`folded_forecast`, the targets are subtracted in place, and while
-    the block is still cached its squared error is added to the loss, its
-    ``diff @ centred^T`` to the (S, L) weight gradient and its
-    ``sum(diff * std)`` to the offset gradient. Backward only scales the
-    held sums by ``2 g / count``.
-    """
-    lookback = np.asarray(lookback, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    rows = np.asarray(rows)
-    _check_fold(weight, offset, lookback)
-    (horizon, length), channels = weight.shape, lookback.shape[2]
-    if target.shape[1:] != (horizon, channels) or len(target) != len(lookback):
-        raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
-    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
-        raise ShapeMismatchError(f"rows must be a non-empty 1-D integer array, got {rows!r}")
-    if rows.min() < 0 or rows.max() >= len(lookback):
-        raise ShapeMismatchError(f"rows must lie in [0, {len(lookback)})")
-    needs_weight, needs_offset = weight._needs_grad(), offset._needs_grad()
-    weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
-    total = 0.0
-    for positions, centred, std, diff in _blocks(lookback, rows, stats, weight.data, offset.data):
-        diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
-        total += np.vdot(diff, diff)
-        if needs_weight or needs_offset:
-            weight_grad += diff.reshape(horizon, -1) @ centred.reshape(length, -1).T
-            offset_grad += np.einsum("sbn,bn->sn", diff, std)
-    count = rows.size * horizon * channels
+def presummed(value: float, inputs: tuple[Tensor, ...], grads: tuple[Array, ...]) -> Tensor:
+    """A scalar ``value`` whose gradients with respect to ``inputs`` were
+    summed outside the tape into ``grads`` (one array of each input's
+    shape), as one op: backward adds ``g * grad`` to each input that needs one."""
 
     def backward(g: Array) -> None:
-        scale = 2.0 * float(g) / count
-        if needs_weight:
-            weight._accumulate(weight_grad * scale)
-        if needs_offset:
-            offset._accumulate(_unbroadcast(offset_grad * scale, offset.shape))
+        for t, grad in zip(inputs, grads):
+            if t._needs_grad():
+                t._accumulate(g * grad)
 
-    return _record(total / count, (weight, offset), backward)
+    return _record(value, inputs, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -252,7 +252,6 @@ GRID_DELTA_FIXED = ("delta-fixed", "dfix")
 
 
 def _grid_cell_config(cfg: RunConfig, token: str) -> RunConfig:
-    token = token.strip()
     if token.upper() in model_mod.VARIANTS:
         return replace(cfg, variant=token.upper())
     if token.lower() in wavelet.BANK_NAMES:
@@ -301,9 +300,17 @@ def _run_grid(
     return 0
 
 
+def _comma_list(flag: str, text: str, item: str) -> list[str]:
+    """The stripped, non-empty entries of a comma-list flag; a config error if there are none."""
+    entries = [entry.strip() for entry in text.split(",") if entry.strip()]
+    if not entries:
+        raise InvalidConfigError(f"{flag} names no {item}")
+    return entries
+
+
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
-    tokens = [t for t in (args.grid or "").split(",") if t.strip()]
+    tokens = _comma_list("--grid", args.grid, "cell")
     return _run_grid(
         cfg, "cell", tokens, lambda token: _grid_cell_config(cfg, token), "ablation.csv", measure_infer=True
     )
@@ -343,9 +350,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = resolve_config(args)
-    variants = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
-    if not variants:
-        raise InvalidConfigError("--variants names no variant")
+    variants = [v.upper() for v in _comma_list("--variants", args.variants, "variant")]
     if args.bench_windows < 1:
         raise InvalidConfigError(f"--bench-windows must be >= 1, got {args.bench_windows}")
     header = [
@@ -406,7 +411,11 @@ def _measure_speed(mcfg: model_mod.ModelConfig, settings: TrainSettings, bench_w
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    tokens = _comma_list("--lengths", args.lengths, "length")
+    try:
+        lengths = [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise InvalidConfigError(f"--lengths must be integers: {exc}") from exc
     return _run_grid(
         cfg, "L", lengths, lambda length: replace(cfg, lookback=length), "sweep.csv", measure_infer=False
     )
@@ -439,7 +448,7 @@ def cmd_table(args) -> int:
         raise ParseError(f"{root}: no such directory")
     reports = [row for path in sorted(root.rglob("report.csv")) for row in _report_rows(path)]
     if not reports:
-        print(f"no report.csv files under {root}")
+        print(f"no report rows under {root}")
         return 0
     # dataset -> horizon -> variant -> list of (mse, mae)
     cells: dict[str, dict[int, dict[str, list[tuple[float, float]]]]] = {}

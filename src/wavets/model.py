@@ -26,10 +26,12 @@ layer (see :mod:`wavets.moe`). The gate diagnostics,
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
 model into one (S, L) matrix shared by all channels plus an (S, N)
-offset. The fold is built on the tape from the weights. For training,
-:func:`batch_loss` runs those variants through it and one fused loss op;
-for validation, evaluation and inference, :func:`forward` hands the
-fold's arrays to an off-tape forecast. Either way the transform runs on
+offset. The fold is built on the tape from the weights, and one block
+loop here applies it to cache-sized blocks of lookback windows: for
+training, :func:`batch_loss` runs those variants through
+:func:`folded_mse` (one op on the tape); for validation, evaluation and
+inference, :func:`forward` hands the fold's arrays to
+:func:`folded_forecast`, off the tape. Either way the transform runs on
 the (S, L) weights rather than on the (B, N, L) batch. The other
 variants run :func:`band_forward`, which is also the reference the fold
 is tested against.
@@ -57,13 +59,12 @@ from .autodiff import (
     constant,
     div,
     dwt_pair,
-    folded_forecast,
-    folded_mse,
     idwt_pair,
     linear,
     matmul,
     mse_loss,
     mul,
+    presummed,
     relu,
     reshape,
     sub,
@@ -257,19 +258,17 @@ def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor, first_la
     return first_layer(band, params["lf.weight"], params["lf.bias"])
 
 
-def _lookback(cfg: ModelConfig, x: Tensor | np.ndarray) -> np.ndarray:
+def _lookback(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     """A (B, L, N) lookback batch as a float64 array; raises on any other shape."""
-    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match (B, {cfg.lookback}, {cfg.channels})"
         )
-    return x
+    return x.astype(np.float64, copy=False)
 
 
-def _prologue(
-    cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray
-) -> tuple[Tensor, Tensor, RevinState]:
+def _prologue(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> tuple[Tensor, Tensor, RevinState]:
     """The (B, N, L/2) bands of a normalized (B, L, N) lookback batch, as
     constants, plus the RevIN state that carries the affine.
 
@@ -283,7 +282,7 @@ def _prologue(
     return approx, detail, state
 
 
-def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> Tensor:
+def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> Tensor:
     """Predict (B, S, N) from a lookback batch (B, L, N) through the bands.
 
     Every variant can run here; :func:`forward` sends M, ``lf_hidden > 0``
@@ -363,17 +362,105 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
     return weight, offset
 
 
-def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray) -> np.ndarray:
+# Bytes of lookback one block of the folded forecast centres at a time:
+# about one L2 cache, so a block's centred values are still cached when
+# the matmuls read them. A window wider than this is a block of its own.
+_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _blocks(lookback: np.ndarray, rows: np.ndarray | None, weight: np.ndarray, offset: np.ndarray):
+    """Forecast windows ``rows`` of the (W, L, N) ``lookback`` (all W in
+    order if None) one cache-sized block at a time.
+
+    A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
+    ``compute_stats`` reads its windows (a view when they are consecutive)
+    and writes them centred into one reused (L, b, N) buffer, so that
+    ``centred.reshape(L, b * N)`` is one matrix with every window's
+    channels side by side. The (S, b, N) forecasts ``weight @ centred +
+    mean + std * offset`` are one GEMM into another reused buffer, with
+    the mean and then the scaled offset added in place. Yields
+    ``(positions, centred, std, forecast)`` per block, where the
+    ``positions`` slice picks the block from ``rows``.
+    """
+    count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
+    size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
+    horizon = weight.shape[0]
+    # One allocation holds the three reused buffers (centred lookback,
+    # forecasts, scaled offset): with three, an evaluation at N=7, L=720,
+    # S=96 took over three times as many page faults.
+    centred_buffer, forecast_buffer, scaled_buffer = np.split(
+        np.empty((length + 2 * horizon) * size * channels), np.cumsum([length, horizon]) * size * channels
+    )
+
+    def view(buffer: np.ndarray, height: int, block: int) -> np.ndarray:
+        return buffer[: height * block * channels].reshape(height, block, channels)
+
+    for start in range(0, count, size):
+        positions = slice(start, min(start + size, count))
+        block = positions.stop - start
+        windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
+        centred = view(centred_buffer, length, block)
+        mean, std, _ = compute_stats(windows, out=centred.transpose(1, 0, 2))
+        forecast = view(forecast_buffer, horizon, block)
+        np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
+        forecast += mean
+        forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
+        yield positions, centred, std, forecast
+
+
+def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookback: np.ndarray) -> np.ndarray:
+    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``
+    of every window of the (B, L, N) ``lookback``, as a (B, S, N) array.
+
+    ``weight`` (S, L) and ``offset`` (S, N) or (S, 1) are the arrays
+    :func:`fold` builds; the batch is walked in cache-sized blocks
+    (:func:`_blocks`), off the tape.
+    """
+    out = np.empty((len(lookback), weight.shape[0], lookback.shape[2]))
+    for positions, _, _, forecast in _blocks(lookback, None, weight, offset):
+        out[positions] = forecast.transpose(1, 0, 2)
+    return out
+
+
+def folded_mse(
+    weight: Tensor, offset: Tensor, lookback: np.ndarray, target: np.ndarray, rows: np.ndarray
+) -> Tensor:
+    """The MSE of :func:`folded_forecast` on windows ``rows`` against their targets, as one op.
+
+    ``lookback`` (W, L, N) and ``target`` (W, S, N) are read-only window
+    sources, such as a sampler's sliding views of the series, and ``rows``
+    picks the batch from them, so the batch is never gathered. Per block
+    (:func:`_blocks`) the targets are subtracted from the forecasts in
+    place, and while the block is still cached its squared error is added
+    to the loss, its ``diff @ centred^T`` to the (S, L) weight gradient and
+    its ``sum(diff * std)`` to the offset gradient. The sums, scaled by
+    ``2 / count``, reach the tape through
+    :func:`~wavets.autodiff.presummed`.
+    """
+    (horizon, length), channels = weight.shape, lookback.shape[2]
+    weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
+    total = 0.0
+    for positions, centred, std, diff in _blocks(lookback, rows, weight.data, offset.data):
+        diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
+        total += np.vdot(diff, diff)
+        weight_grad += diff.reshape(horizon, -1) @ centred.reshape(length, -1).T
+        offset_grad += np.einsum("sbn,bn->sn", diff, std)
+    count = rows.size * horizon * channels
+    scale = 2.0 / count
+    offset_grad *= scale
+    if offset.shape[1] == 1:  # an offset shared by the channels
+        offset_grad = offset_grad.sum(axis=1, keepdims=True)
+    return presummed(total / count, (weight, offset), (weight_grad * scale, offset_grad))
+
+
+def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
     """Forecasts (B, S, N) from a lookback batch (B, L, N), as a plain array.
 
     The linear variants build :func:`fold` from the live parameters and
-    hand its arrays to :func:`~wavets.autodiff.folded_forecast`, which
-    takes the lookback and ``compute_stats`` (autodiff cannot import revin)
-    and centres, applies the shared matrix and adds the mean and the
-    scaled offset one cache-sized block of windows at a time, off the
-    tape. The batch is never transformed. The other variants return the
-    values of :func:`band_forward`. Nothing backpropagates through a
-    forecast: training runs :func:`batch_loss`, which has the same branch.
+    hand its arrays to :func:`folded_forecast`, so the batch is never
+    transformed. The other variants return the values of
+    :func:`band_forward`. Nothing backpropagates through a forecast:
+    training runs :func:`batch_loss`, which has the same branch.
     """
     x = _lookback(cfg, x)
     folded = fold(cfg, params)
@@ -381,7 +468,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: Tensor | np.ndarray)
         # Real parameters, not constant copies: those made an M evaluation refault the heap over 20x as often.
         return band_forward(cfg, params, x).data
     weight, offset = folded
-    return folded_forecast(weight.data, offset.data, x, compute_stats)
+    return folded_forecast(weight.data, offset.data, x)
 
 
 def batch_loss(
@@ -390,26 +477,27 @@ def batch_loss(
     """The MSE of windows ``rows`` of the (W, L, N) ``lookback`` against the
     (W, S, N) ``target``, on the tape.
 
+    This is the one check of a training batch: both sources' shapes and
+    window counts, and ``rows`` a non-empty 1-D integer array in [0, W).
     The sources may be read-only sliding views of a series: the linear
-    variants run through :func:`fold` and one
-    :func:`~wavets.autodiff.folded_mse` op, which reads the windows per
-    cache block and forms the forecast, the loss and both gradients in one
-    pass, so the batch is never gathered. The other variants take the
-    windows (a view when ``rows`` are consecutive) through
-    :func:`band_forward` and ``mse_loss``.
+    variants run through :func:`fold` and :func:`folded_mse`, which never
+    gathers the batch. The other variants take the windows (a view when
+    ``rows`` are consecutive) through :func:`band_forward` and ``mse_loss``.
     """
     lookback = _lookback(cfg, lookback)
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 3 or target.shape[1] != cfg.horizon or target.shape[2] != cfg.channels:
-        raise ShapeMismatchError(
-            f"target shape {target.shape} does not match (B, {cfg.horizon}, {cfg.channels})"
-        )
+    target, rows = np.asarray(target, dtype=np.float64), np.asarray(rows)
+    if target.shape[1:] != (cfg.horizon, cfg.channels) or len(target) != len(lookback):
+        raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
+    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+        raise ShapeMismatchError(f"rows must be a non-empty 1-D integer array, got {rows!r}")
+    if rows.min() < 0 or rows.max() >= len(lookback):
+        raise ShapeMismatchError(f"rows must lie in [0, {len(lookback)})")
     folded = fold(cfg, params)
     if folded is None:
         x, y = take_windows(lookback, rows), take_windows(target, rows)
         return mse_loss(band_forward(cfg, params, x), constant(y))
     weight, offset = folded
-    return folded_mse(weight, offset, lookback, target, rows, compute_stats)
+    return folded_mse(weight, offset, lookback, target, rows)
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:

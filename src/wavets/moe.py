@@ -21,7 +21,6 @@ The expert order is fixed, so results are reproducible.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -138,7 +137,3 @@ def write_gate_report_csv(rows: list[dict], path: str | Path, num_experts: int) 
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in header})
-
-
-def max_entropy(num_experts: int) -> float:
-    return math.log(num_experts)

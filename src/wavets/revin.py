@@ -23,8 +23,8 @@ the (B, N, H) first-layer output, and backward forms no band-sized
 gradient and no input gradient for the band. It is the one place the
 affine meets the bands: M's gate diagnostics use it too. The linear
 variants train and forecast through ``model.fold``, which never
-transforms the batch: ``autodiff.folded_forecast`` (off-tape forecasts
-from the fold's arrays) and ``autodiff.folded_mse`` (the train step's
+transforms the batch: ``model.folded_forecast`` (off-tape forecasts
+from the fold's arrays) and ``model.folded_mse`` (the train step's
 loss and gradients) walk one block loop that calls :func:`compute_stats`
 on one cache-sized block of lookback windows at a time, with a reused
 buffer for the centred values, and the affine sits inside the folded

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from wavets import autodiff as ad
 from wavets import checkpoint as ckpt
 from wavets import wavelet as wv
-from wavets.data import WindowSampler, synth
 from wavets.exceptions import (
     InvalidConfigError,
     NonFiniteGradientError,
@@ -16,10 +15,9 @@ from wavets.exceptions import (
     ShapeMismatchError,
 )
 from wavets.optim import Adam
-from wavets.revin import DEFAULT_EPS, compute_stats
 
 from conftest import max_rel_err, numeric_grad
-from reference import composed_folded_forecast, composed_mse
+from reference import composed_mse
 
 
 def test_linear_identity():
@@ -39,215 +37,6 @@ def test_linear_shape_errors():
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError):
         ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(3)))
-
-
-def _fold_inputs(rng, batch, length, horizon, channels, offset_channels):
-    """Random (weight, offset, lookback) for the folded ops: the weight and
-    offset as tensors, and the lookback as a plain array."""
-    weight = ad.Tensor(rng.normal(size=(horizon, length)), requires_grad=True)
-    offset = ad.Tensor(rng.normal(size=(horizon, offset_channels)), requires_grad=True)
-    lookback = rng.normal(size=(batch, length, channels)) * rng.uniform(0.5, 2.0, size=channels) + 3.0
-    return weight, offset, lookback
-
-
-def test_folded_forecast_shape_errors():
-    def fold(weight, offset, lookback):
-        return ad.folded_forecast(np.ones(weight), np.ones(offset), np.ones(lookback), compute_stats)
-
-    assert fold((2, 3), (2, 4), (5, 3, 4)).shape == (5, 2, 4)
-    assert fold((2, 3), (2, 1), (5, 3, 4)).shape == (5, 2, 4)
-    assert fold((2, 3), (2, 4), (0, 3, 4)).shape == (0, 2, 4)  # an empty batch
-    bad = [
-        ((2, 3), (2, 3), (4, 2, 3)),  # lookback length
-        ((2, 3), (2, 4), (3, 4)),  # no batch axis
-        ((2, 3), (2, 4), (2, 5, 3, 4)),  # two batch axes
-        ((2, 3, 1), (2, 4), (5, 3, 4)),  # weight rank
-        ((2, 3), (3, 4), (5, 3, 4)),  # offset horizon
-        ((2, 3), (2, 2), (5, 3, 4)),  # offset channels
-        ((2, 3), (2, 4, 1), (5, 3, 4)),  # offset rank
-    ]
-    for shapes in bad:
-        with pytest.raises(ShapeMismatchError):
-            fold(*shapes)
-
-
-def test_folded_forecast_matches_the_per_window_formula():
-    rng = np.random.default_rng(3)
-    for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
-        weight, offset, x = _fold_inputs(rng, 3, 5, 2, 4, offset_channels)
-        w, offset = weight.data, offset.data
-        out = ad.folded_forecast(w, offset, x, compute_stats)
-        mean, std, centred = compute_stats(x)
-        expected = [w @ x_b + m_b + s_b * offset for x_b, m_b, s_b in zip(centred, mean, std)]
-        assert isinstance(out, np.ndarray)
-        assert np.array_equal(out, np.stack(expected))
-
-
-@pytest.mark.parametrize(
-    "batch_shape, length, horizon, channels, offset_channels",
-    [((5,), 6, 3, 5, 5), ((5,), 6, 3, 5, 1), ((6,), 4, 2, 3, 3), ((1,), 6, 4, 2, 2), ((1,), 2, 1, 1, 1)],
-)
-def test_folded_forecast_matches_its_composition(monkeypatch, batch_shape, length, horizon, channels, offset_channels):
-    """The blocked forecast against compute_stats on the whole batch plus
-    left_matmul + add + mul + add, with one window per block, two (a ragged
-    last block when the batch is odd) and the whole batch as one block:
-    bit for bit, from a read-only lookback."""
-    (batch,) = batch_shape
-    for per_block in (1, 2, batch):
-        rng = np.random.default_rng(11)
-        weight, offset, x = _fold_inputs(rng, batch, length, horizon, channels, offset_channels)
-        x.flags.writeable = False
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", per_block * length * channels * 8)
-        seen = []
-
-        def spy(values, **kwargs):
-            seen.append(len(values))
-            return compute_stats(values, **kwargs)
-
-        out = ad.folded_forecast(weight.data, offset.data, x, spy)
-        mean, std, centred = compute_stats(x)
-        ref = composed_folded_forecast(weight, offset, *(ad.constant(a) for a in (centred, mean, std)))
-        assert seen == [min(per_block, batch - start) for start in range(0, batch, per_block)]
-        assert np.array_equal(out, ref.data)
-
-
-def _fused_inputs(rng, windows, length, horizon, channels, offset_channels):
-    """Random (weight, offset, lookback, target) for :func:`ad.folded_mse`:
-    the lookback and target are (W, ., N) window sources, read-only like a
-    sampler's sliding views."""
-    weight, offset, lookback = _fold_inputs(rng, windows, length, horizon, channels, offset_channels)
-    target = rng.normal(size=(windows, horizon, channels)) * 2.0 + 3.0
-    for source in (lookback, target):
-        source.flags.writeable = False
-    return weight, offset, lookback, target
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    batch=st.integers(1, 9),
-    extra=st.integers(0, 4),
-    length=st.integers(2, 8),
-    horizon=st.integers(1, 5),
-    channels=st.integers(1, 4),
-    shared_offset=st.booleans(),
-    per_block=st.integers(1, 4),
-    order=st.sampled_from(["run", "shuffled", "repeated"]),
-    seed=st.integers(0, 2**16),
-)
-def test_folded_mse_matches_its_composition(
-    batch, extra, length, horizon, channels, shared_offset, per_block, order, seed
-):
-    """The fused op against compute_stats on the gathered batch plus
-    composed_folded_forecast + composed_mse: the loss and both gradients
-    within 1e-10, for an (S, 1) and an (S, N) offset, one channel, blocks
-    of one to four windows (a partial last block whenever the block does
-    not divide the batch) and rows in a run, shuffled or repeated."""
-    rng = np.random.default_rng(seed)
-    windows = batch + extra
-    weight, offset, lookback, target = _fused_inputs(
-        rng, windows, length, horizon, channels, 1 if shared_offset else channels
-    )
-    if order == "run":
-        rows = np.arange(extra, windows)
-    elif order == "shuffled":
-        rows = rng.permutation(windows)[:batch]
-    else:
-        rows = rng.integers(0, min(windows, 3), size=batch)
-    composed = tuple(ad.Tensor(t.data.copy(), requires_grad=True) for t in (weight, offset))
-    seen = []
-
-    def spy(values, **kwargs):
-        seen.append(len(values))
-        return compute_stats(values, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ad, "_BLOCK_BYTES", per_block * length * channels * 8)
-        loss = ad.folded_mse(weight, offset, lookback, target, rows, spy)
-    assert seen == [min(per_block, batch - start) for start in range(0, batch, per_block)]
-    mean, std, centred = compute_stats(lookback[rows])
-    pred = composed_folded_forecast(*composed, *(ad.constant(a) for a in (centred, mean, std)))
-    ref = composed_mse(pred, ad.constant(target[rows]))
-    assert abs(loss.item() - ref.item()) <= 1e-10 * max(1.0, abs(ref.item()))
-    loss.backward()
-    ref.backward()
-    for a, b in zip((weight, offset), composed):
-        assert a.grad.shape == b.grad.shape
-        assert np.max(np.abs(a.grad - b.grad)) <= 1e-10 * max(1.0, np.max(np.abs(b.grad)))
-
-
-def test_folded_mse_gradients_match_finite_differences():
-    rng = np.random.default_rng(4)
-    for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
-        w, offset, lookback, target = _fused_inputs(rng, 6, 5, 2, 4, offset_channels)
-        rows = np.array([5, 1, 1, 3])
-        loss = ad.folded_mse(w, offset, lookback, target, rows, compute_stats)
-        loss.backward()
-        mean, std, centred = compute_stats(lookback[rows])
-
-        def f():
-            pred = w.data @ centred + mean[:, None, :] + std[:, None, :] * offset.data
-            return float(np.mean((pred - target[rows]) ** 2))
-
-        assert abs(loss.item() - f()) <= 1e-12 * f()
-        numeric = numeric_grad(f, [w.data, offset.data])
-        for tensor, num in zip((w, offset), numeric):
-            assert tensor.grad.shape == tensor.shape
-            assert max_rel_err(tensor.grad, num) < 1e-4
-
-
-def test_folded_mse_shape_errors():
-    rng = np.random.default_rng(6)
-    weight, offset, lookback, target = _fused_inputs(rng, 5, 4, 2, 3, 3)
-    assert np.isfinite(ad.folded_mse(weight, offset, lookback, target, np.array([4, 0]), compute_stats).item())
-    bad = [
-        (lookback, target[:, :1], [0]),  # target horizon
-        (lookback, target[:4], [0]),  # target window count
-        (lookback, target[..., :2], [0]),  # target channels
-        (lookback[:, :3], target, [0]),  # lookback length
-        (lookback, target, []),  # no rows
-        (lookback, target, [[0, 1]]),  # rows rank
-        (lookback, target, [0.0, 1.0]),  # rows dtype
-        (lookback, target, [0, 5]),  # past the last window
-        (lookback, target, [-1]),  # negative
-    ]
-    for source, goal, rows in bad:
-        with pytest.raises(ShapeMismatchError):
-            ad.folded_mse(weight, offset, source, goal, np.array(rows), compute_stats)
-
-
-def test_folded_mse_full_batch_gradient_identity(monkeypatch):
-    """Over one unshuffled epoch at a fixed weight, the window-weighted sum of
-    the per-batch weight gradients is the full-batch least-squares gradient
-    ``(2/n) * (W @ sum(x_c x_c^T) + sum((mean + std * offset - y) x_c^T))``,
-    its sums taken window by window and channel by channel from the series."""
-    length, horizon, batch_size = 8, 3, 6
-    series = synth("noise_walk", 30, 2, seed=9)
-    values = series.values
-    sampler = WindowSampler(series, length, horizon)
-    rng = np.random.default_rng(10)
-    weight = ad.Tensor(rng.normal(size=(horizon, length)), requires_grad=True)
-    offset = ad.Tensor(rng.normal(size=(horizon, 2)), requires_grad=True)
-    monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * length * 2 * 8)  # several blocks per batch
-
-    summed = np.zeros(weight.shape)
-    for rows in sampler.batch_origins(batch_size):
-        weight.zero_grad()
-        ad.folded_mse(weight, offset, sampler.lookbacks, sampler.targets, rows, compute_stats).backward()
-        summed += weight.grad * len(rows) / len(sampler)
-
-    gram, cross = np.zeros((length, length)), np.zeros((horizon, length))
-    for t in range(len(sampler)):
-        for n in range(values.shape[1]):
-            x = values[t : t + length, n]
-            y = values[t + length : t + length + horizon, n]
-            x_c = x - x.mean()
-            std = np.sqrt(np.mean(x_c**2) + DEFAULT_EPS)
-            gram += np.outer(x_c, x_c)
-            cross += np.outer(x.mean() + std * offset.data[:, n] - y, x_c)
-    count = len(sampler) * horizon * values.shape[1]
-    expected = 2.0 / count * (weight.data @ gram + cross)
-    assert len(sampler) % batch_size  # a partial last batch
-    assert np.max(np.abs(summed - expected)) <= 1e-10
 
 
 def test_linear_gradients_match_finite_differences():
@@ -465,7 +254,7 @@ def test_ops_on_constants_record_no_parents():
     results = [
         ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.div(a, b),
         ad.matmul(a, w),
-        ad.folded_mse(ad.swap_last2(w), ad.constant(np.ones((3, 1))), b.data.T[None], np.ones((1, 3, 2)), np.array([0]), compute_stats),
+        ad.presummed(1.0, (a, w), (np.ones(a.shape), np.ones(w.shape))),
         ad.linear(a, w, ad.constant(np.zeros(3))), ad.relu(a),
         ad.softmax_lastdim(a), ad.mean(a), ad.mse_loss(a, b), ad.swap_last2(a),
         ad.reshape(a, (4, 2)), ad.slice_lastdim(a, 1), ad.slice_lastdim(a, 1, 3),
@@ -475,6 +264,20 @@ def test_ops_on_constants_record_no_parents():
     for out in results:
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
+
+
+def test_presummed_adds_g_times_each_gradient():
+    """Backward adds ``g * grad`` to each input that needs a gradient, through
+    an op's result too; a constant input gets none."""
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    squared, const = ad.mul(a, a), ad.constant([3.0])
+    out = ad.presummed(5.0, (a, squared, const), (np.array([0.5, -1.0]), np.array([2.0, 4.0]), np.array([7.0])))
+    assert out.item() == 5.0
+    ad.mul(out, ad.constant(3.0)).backward()
+    assert np.array_equal(a.grad, 3.0 * np.array([0.5, -1.0]) + 2.0 * a.data * 3.0 * np.array([2.0, 4.0]))
+    assert const.grad is None
+    recorded = ad.presummed(1.0, (const, ad.constant([1.0])), (np.ones(1), np.ones(1)))
+    assert recorded._parents == () and recorded._backward is None
 
 
 def test_constant_inputs_get_no_gradient():

@@ -352,19 +352,40 @@ def test_grid_with_a_bad_train_setting_leaves_no_run_directory(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_ablate_empty_grid_is_noop(tmp_path):
+def _assert_grid_list_rejected(tmp_path, capsys, grid, message):
+    """The grid command exits 1 with one ``message`` line and leaves nothing under --out."""
     out = tmp_path / "runs"
     code = main([
-        "ablate", "--grid", "",
+        *grid,
         "--data", "synth:sine_mix",
         "--synth-length", "600", "--synth-channels", "2",
         "--lookback", "16", "--horizon", "4", "--max-epochs", "1",
         "--out", str(out),
     ])
-    assert code == 0
-    (run_dir,) = run_dirs(out)
-    lines = (run_dir / "ablation.csv").read_text().strip().splitlines()
-    assert len(lines) == 1  # header only
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_ablate_empty_grid_is_noop(tmp_path, capsys):
+    """An empty grid runs nothing and writes nothing: one config error line."""
+    _assert_grid_list_rejected(tmp_path, capsys, ["ablate", "--grid", ""], "error config: --grid names no cell")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["ablate", "--grid", " , "], "error config: --grid names no cell"),
+        (["sweep", "--lengths", ""], "error config: --lengths names no length"),
+        (["sweep", "--lengths", "16,abc"], "error config: --lengths must be integers"),
+    ],
+    ids=["blank-grid", "empty-lengths", "non-integer-length"],
+)
+def test_bad_grid_list_is_a_config_error(tmp_path, capsys, grid, message):
+    _assert_grid_list_rejected(tmp_path, capsys, grid, message)
 
 
 def test_ablate_small_grid(tmp_path):
@@ -502,7 +523,16 @@ def test_table_runs_directory_must_exist(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error data: "), err
     (tmp_path / "empty").mkdir()
     assert main(["table", "--runs", str(tmp_path / "empty")]) == 0
-    assert "no report.csv files under" in capsys.readouterr().out
+    assert "no report rows under" in capsys.readouterr().out
+
+
+def test_table_of_header_only_reports_finds_no_rows(tmp_path, capsys):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.csv").write_text("dataset,variant,horizon,mse,mae\n")
+    assert main(["table", "--runs", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"no report rows under {tmp_path}\n" and captured.err == ""
 
 
 def test_decompose_is_idempotent(tmp_path):

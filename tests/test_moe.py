@@ -205,7 +205,6 @@ def test_entropy_bounds():
     ent = moe.gate_entropy(probs)
     assert np.all(ent >= 0.0)
     assert np.all(ent <= math.log(6) + 1e-12)
-    assert abs(moe.max_entropy(4) - 1.3863) < 1e-4
 
 
 def test_gate_report_traffic_scale(tmp_path):
