@@ -7,9 +7,9 @@ the DAG of live tensors; ``backward()`` on a scalar walks it once in
 reverse topological order. An operation on constants records nothing, and
 a backward closure forms no gradient for an input that needs none. Only
 the handful of op kinds the forecasters need exist here - dense affine
-maps, ReLU, softmax, elementwise arithmetic with broadcasting,
-reshapes, axis swaps, slices and concatenation (the fused
-mixture-of-experts layers), the (fixed, linear) wavelet
+maps, ReLU, elementwise arithmetic with broadcasting, reshapes, axis
+swaps and concatenation, the softmax-gated mixture of experts after its
+fused first layer (:func:`mixture`, one op), the (fixed, linear) wavelet
 analysis/synthesis pair, the mean squared error (one op), and a scalar
 whose gradients were summed outside the tape (:func:`presummed`: the
 linear variants' train step, whose block loop lives in ``model``).
@@ -224,29 +224,48 @@ def relu(x: Tensor) -> Tensor:
     return _record(np.where(mask, x.data, 0.0), (x,), backward)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis (max-subtraction)."""
-    if not np.isfinite(x.data).all():
-        raise NonFiniteInputError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=-1, keepdims=True)
+def _softmax(logits: Array) -> Array:
+    """Row-stable softmax over the last axis (max-subtraction): the mixture's gate."""
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def mixture(pre: Tensor, w2: Tensor, b2: Tensor, num: int) -> Tensor:
+    """``num`` gated two-layer experts after their fused first layer's output
+    ``pre`` (..., E + E*H), as one op: the gate ``p`` is the softmax of the
+    first E columns, the units ``h`` (..., E, H) the ReLU of the rest, and
+    the output ``(p * h) @ w2 + p @ B`` for the stacked second-layer weights
+    ``w2`` (E*H, S) and the joined biases ``b2`` (E*S,) as ``B`` (E, S).
+    Backward, with ``d = g @ w2^T`` as (..., E, H): ``dw2 = (p * h)^T g``,
+    ``dB = p^T g``, ``dh = p * d`` where ``h > 0``, ``dp = sum_H(d * h) +
+    g @ B^T`` and ``dlogits = (dp - sum_E(dp * p)) * p``.
+    """
+    hidden, out_dim = w2.shape[0] // num, w2.shape[1]
+    if pre.shape[-1] != num * (1 + hidden) or w2.shape[0] != num * hidden or b2.shape != (num * out_dim,):
+        raise ShapeMismatchError(f"cannot mix {pre.shape} with {w2.shape} and {b2.shape} over {num} experts")
+    if not np.isfinite(pre.data).all():
+        raise NonFiniteInputError("mixture input contains non-finite values")
+    flat_probs, bias = _softmax(pre.data[..., :num]).reshape(-1, num), b2.data.reshape(num, out_dim)
+    mask = (pre.data[..., num:] > 0).reshape(-1, num, hidden)
+    units = np.where(mask, pre.data[..., num:].reshape(mask.shape), 0.0)
+    scaled = (units * flat_probs[..., None]).reshape(-1, num * hidden)
+    out_data = (scaled @ w2.data + flat_probs @ bias).reshape(pre.shape[:-1] + (out_dim,))
 
     def backward(g: Array) -> None:
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate((g - inner) * out_data)
+        flat_g = g.reshape(-1, out_dim)
+        if w2._needs_grad():
+            w2._accumulate(scaled.T @ flat_g)
+        if b2._needs_grad():
+            b2._accumulate((flat_probs.T @ flat_g).reshape(b2.shape))
+        if pre._needs_grad():
+            d_units = (flat_g @ w2.data.T).reshape(units.shape)
+            d_probs = (d_units * units).sum(axis=-1) + flat_g @ bias.T
+            grad = np.empty((len(flat_g), pre.shape[-1]))
+            grad[:, :num] = (d_probs - (d_probs * flat_probs).sum(axis=-1, keepdims=True)) * flat_probs
+            grad[:, num:] = (d_units * flat_probs[..., None] * mask).reshape(len(flat_g), -1)
+            pre._accumulate(grad.reshape(pre.shape))
 
-    return _record(out_data, (x,), backward)
-
-
-def mean(x: Tensor) -> Tensor:
-    """Mean over all elements, as a scalar tensor."""
-    size = x.data.size
-
-    def backward(g: Array) -> None:
-        x._accumulate(np.full_like(x.data, float(g) / size))
-
-    return _record(x.data.mean(), (x,), backward)
+    return _record(out_data, (pre, w2, b2), backward)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -286,18 +305,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         x._accumulate(g.reshape(x.shape))
 
     return _record(x.data.reshape(shape), (x,), backward)
-
-
-def slice_lastdim(x: Tensor, start: int, stop: int | None = None) -> Tensor:
-    """Keep-dims slice ``x[..., start:stop]``; ``stop`` defaults to ``start + 1``."""
-    stop = start + 1 if stop is None else stop
-
-    def backward(g: Array) -> None:
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        x._accumulate(full)
-
-    return _record(x.data[..., start:stop], (x,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -50,8 +50,8 @@ def save_params(params: dict[str, Tensor | np.ndarray], path: str | Path) -> Non
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as float32 arrays keyed by parameter name.
 
-    Anything but a well-formed manifest of this format and version raises
-    :class:`ParseError`.
+    Anything but a well-formed manifest of this format and version, with
+    each name once, raises :class:`ParseError`.
     """
     try:
         manifest = json.loads(Path(path).read_text())
@@ -74,6 +74,8 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
             expected = int(np.prod(shape)) if shape else 1
             if values.size != expected:
                 raise ParseError(f"parameter {name!r}: {values.size} values for shape {shape}")
+            if name in out:
+                raise ParseError(f"{path}: parameter {name!r} appears more than once")
             out[name] = values.reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed parameter entry {index}: {exc!r}") from exc

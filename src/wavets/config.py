@@ -60,12 +60,17 @@ class RunConfig:
     out: str = "runs"
 
     def seed_list(self) -> list[int]:
+        """The seeds to train: ``seeds`` when set, else ``seed``. A list that
+        names no seed, or one seed twice, raises InvalidConfigError."""
         if not self.seeds.strip():
             return [self.seed]
         try:
-            return [int(tok) for tok in self.seeds.split(",") if tok.strip()]
+            seeds = [int(tok) for tok in self.seeds.split(",") if tok.strip()]
         except ValueError:
             raise InvalidConfigError(f"seeds must be a comma-separated int list, got {self.seeds!r}") from None
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise InvalidConfigError(f"seeds must name at least one seed, each once, got {self.seeds!r}")
+        return seeds
 
     def _shared(self, cls: type) -> dict:
         """This config's values for the fields of ``cls`` that share a name with one of ours."""

@@ -239,9 +239,6 @@ class Standardizer:
     def transform(self, series: Series) -> Series:
         return Series(values=(series.values - self.mean) / self.std, channel_names=series.channel_names)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 def standardize(train: Series, *others: Series) -> tuple[Standardizer, list[Series]]:
     """Fit on train, apply to train plus any other splits."""

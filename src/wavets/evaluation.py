@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -157,9 +157,6 @@ def time_mean(fn: Callable[[], object], repeats: int) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-TIMING_FIELDS = ("epoch_time_s", "infer_time_ms")
-
-
 @dataclass
 class RunReport:
     """One train/eval run, serializable to a CSV row plus a JSON detail file.
@@ -201,14 +198,6 @@ class RunReport:
             else:
                 out.append(str(value))
         return out
-
-    def deterministic_fields(self) -> dict:
-        """Everything except wall-clock measurements and the hardware note."""
-        data = asdict(self)
-        for name in TIMING_FIELDS:
-            data.pop(name)
-        data.pop("hardware")
-        return data
 
 
 # The CSV columns, in field order: every field but the per-horizon lists and

@@ -19,9 +19,9 @@ low-frequency band is mapped:
   M   mixture-of-experts low-pass head + delta * high-pass head
   I   half-horizon heads per band fused by the inverse transform
 
-M's gate and experts run as one fused first layer and one stacked second
-layer (see :mod:`wavets.moe`). The gate diagnostics,
-:func:`gate_probabilities`, run the gate with that same first layer.
+M's gate and experts run as one fused first layer and one mixture op
+(see :mod:`wavets.moe`). The gate diagnostics, :func:`gate_probabilities`,
+run the mixture's softmax on that same first layer's gate columns.
 
 With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
@@ -514,7 +514,7 @@ def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarra
     """M's (B, N, E) gate probabilities on a lookback batch (B, L, N), from the
     first layer :func:`band_forward` gives the mixture; used for gate diagnostics."""
     approx, _, state = _prologue(cfg, params, x)
-    return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True)).data
+    return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True))
 
 
 def loss_and_grads(

@@ -4,11 +4,12 @@ A softmax gate maps each channel's coefficients to a probability vector
 over experts; every expert is a two-layer ReLU MLP and the mixture is the
 dense gate-weighted sum of all expert outputs (no top-k sparsification).
 
-:func:`moe_forward` runs the gate and all E experts as two matmuls. The
-first takes the gate's and every expert's first-layer weights,
-concatenated on the tape into one (Din, E + E*H) matrix. The second takes
-the experts' second-layer weights stacked into one (E*H, S) matrix, after
-each expert's hidden units are scaled by its gate probability, so that
+:func:`moe_forward` runs the gate and all E experts as one matmul and one
+op. The matmul takes the gate's and every expert's first-layer weights,
+concatenated on the tape into one (Din, E + E*H) matrix. Then
+:func:`~wavets.autodiff.mixture` forms the gate and the ReLU units, and
+contracts the units, each scaled by its gate probability, with the
+experts' second-layer weights stacked into one (E*H, S) matrix, so that
 the contraction over E*H is the gate-weighted sum:
 
   sum_e p_e * (h_e @ w2_e + b2_e) = (p * h) @ [w2_0; ...; w2_{E-1}] + p @ [b2_0; ...; b2_{E-1}]
@@ -28,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import Tensor, add, concat, linear, matmul, mul, relu, reshape, slice_lastdim, softmax_lastdim
-from .exceptions import InvalidConfigError, ShapeMismatchError
+from .autodiff import Tensor, _softmax, concat, linear, mixture
+from .exceptions import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,10 @@ def param_shapes(cfg: MoEConfig, in_dim: int, out_dim: int) -> dict[str, tuple[i
 FirstLayer = Callable[[Tensor, Tensor, Tensor], Tensor]
 
 
-def gate(params: dict[str, Tensor], x: Tensor, first_layer: FirstLayer = linear) -> Tensor:
-    """Per-channel expert probabilities: softmax(first_layer(x, Wg, bg)) over the last axis."""
-    weight = params["moe.gate.weight"]
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeMismatchError(
-            f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}"
-        )
-    return softmax_lastdim(first_layer(x, weight, params["moe.gate.bias"]))
+def gate(params: dict[str, Tensor], x: Tensor, first_layer: FirstLayer = linear) -> np.ndarray:
+    """Per-channel expert probabilities as an array: the mixture's softmax of
+    first_layer(x, Wg, bg) over the last axis."""
+    return _softmax(first_layer(x, params["moe.gate.weight"], params["moe.gate.bias"]).data)
 
 
 def moe_forward(
@@ -82,26 +79,19 @@ def moe_forward(
     x: Tensor,
     first_layer: FirstLayer = linear,
 ) -> Tensor:
-    """Dense mixture: sum_e gate[..., e] * expert_e(x), from two fused matmuls.
+    """Dense mixture: sum_e gate[..., e] * expert_e(x), from one fused first
+    layer and :func:`~wavets.autodiff.mixture`.
 
     ``first_layer(x, weight, bias)`` applies the concatenated first layer.
     """
-    num, hidden = cfg.num_experts, cfg.hidden
+    num = cfg.num_experts
 
     def joined(leaf: str, first: tuple[str, ...] = (), axis: int = -1) -> Tensor:
         names = [*first, *(f"moe.expert{e}.{leaf}" for e in range(num))]
         return concat([params[name] for name in names], axis=axis)
 
-    weight = joined("w1", ("moe.gate.weight",))  # (Din, E + E*H)
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeMismatchError(f"gate expects last dim {weight.shape[0]}, got {x.shape[-1]}")
-    pre = first_layer(x, weight, joined("b1", ("moe.gate.bias",)))  # (..., E + E*H)
-    probs = softmax_lastdim(slice_lastdim(pre, 0, num))  # (..., E)
-    lead = pre.shape[:-1]
-    units = reshape(relu(slice_lastdim(pre, num, num + num * hidden)), lead + (num, hidden))
-    scaled = reshape(mul(units, reshape(probs, lead + (num, 1))), lead + (num * hidden,))
-    w2, b2 = joined("w2", axis=0), reshape(joined("b2"), (num, -1))  # (E*H, S), (E, S)
-    return add(matmul(scaled, w2), matmul(probs, b2))
+    pre = first_layer(x, joined("w1", ("moe.gate.weight",)), joined("b1", ("moe.gate.bias",)))  # (..., E + E*H)
+    return mixture(pre, joined("w2", axis=0), joined("b2"), num)  # w2 (E*H, S), b2 (E*S,)
 
 
 def gate_entropy(probabilities: np.ndarray) -> np.ndarray:

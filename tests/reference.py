@@ -1,6 +1,7 @@
 """The reference forward the band path is tested against, one expert of
-the mixture on its own, and the op compositions the one-op folded
-forecast and MSE replace.
+the mixture on its own and the per-expert loop the one-op mixture
+replaces, and the op compositions the one-op folded forecast and MSE
+replace, with the test-only tape ops they are built from.
 
 It is the pipeline the paper describes, written the plain way: time-domain
 RevIN with the affine on the tape, the DWT of the affine-mapped lookback
@@ -73,6 +74,48 @@ def expert_forward(params, index, x):
     return ad.linear(hidden, param("w2"), param("b2"))
 
 
+def mixture_loop(params, num, x):
+    """The mixture as sum_e gate_e * expert_e(x), one expert at a time, from
+    the test-only ``softmax`` and ``slice_lastdim`` ops."""
+    logits = ad.linear(x, params["moe.gate.weight"], params["moe.gate.bias"])
+    probs = softmax(logits)
+    out = ad.mul(slice_lastdim(probs, 0), expert_forward(params, 0, x))
+    for e in range(1, num):
+        out = ad.add(out, ad.mul(slice_lastdim(probs, e), expert_forward(params, e, x)))
+    return out
+
+
+def softmax(x):
+    """Row-stable softmax over the last axis, on the tape."""
+    out_data = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out_data /= out_data.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        x._accumulate((g - (g * out_data).sum(axis=-1, keepdims=True)) * out_data)
+
+    return ad._record(out_data, (x,), backward)
+
+
+def slice_lastdim(x, start, stop=None):
+    """Keep-dims slice ``x[..., start:stop]`` on the tape; ``stop`` defaults to ``start + 1``."""
+    stop = start + 1 if stop is None else stop
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[..., start:stop] = g
+        x._accumulate(full)
+
+    return ad._record(x.data[..., start:stop], (x,), backward)
+
+
+def mean(x):
+    """Mean over all elements, as a scalar tensor on the tape."""
+    def backward(g):
+        x._accumulate(np.full_like(x.data, float(g) / x.data.size))
+
+    return ad._record(x.data.mean(), (x,), backward)
+
+
 def left_matmul(w, x):
     """``w @ x`` with one (S, L) matrix applied to every (L, N) slice of ``x``, on the tape."""
     out_data = w.data @ x.data
@@ -101,4 +144,4 @@ def composed_folded_forecast(weight, offset, centred, mean, std):
 def composed_mse(pred, target):
     """``mse_loss`` as three ops: ``sub``, ``mul`` and ``mean``."""
     diff = ad.sub(pred, target)
-    return ad.mean(ad.mul(diff, diff))
+    return mean(ad.mul(diff, diff))

@@ -83,6 +83,16 @@ def test_train_multi_seed_summary(tmp_path, capsys):
     assert "±" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seeds", [",", " , ", "3,3", "0,1,0"])
+def test_train_rejects_a_seed_list_with_no_seed_or_a_repeat(tmp_path, capsys, seeds):
+    out = tmp_path / "runs"
+    code = main([*TINY_TRAIN, "--out", str(out), "--seeds", seeds])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: seeds must name at least one seed, each once"), err
+    assert not out.exists()
+
+
 def test_train_missing_csv_reports_data_reason(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r")])
     assert code != 0

@@ -38,6 +38,19 @@ def test_checkpoint_size_mismatch(tmp_path):
         ckpt.load_params(path)
 
 
+def test_checkpoint_repeated_name(tmp_path):
+    """A later entry of the same name must not silently replace the first."""
+    path = tmp_path / "twice.json"
+    entry = {"name": "w", "shape": [2], "values": [1.0, 2.0]}
+    path.write_text(json.dumps({
+        "format": ckpt.FORMAT_NAME,
+        "version": 1,
+        "params": [entry, {"name": "b", "shape": [], "values": [0.5]}, {**entry, "values": [3.0, 4.0]}],
+    }))
+    with pytest.raises(ParseError, match="'w' appears more than once"):
+        ckpt.load_params(path)
+
+
 def test_train_requires_data_source(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path)]) != 0
     assert "error config" in capsys.readouterr().err

@@ -357,6 +357,3 @@ def test_run_report_roundtrip(tmp_path):
     assert len(rows) == 1
     assert rows[0]["mse"] == "0.125"
     assert rows[0]["epoch_time_s"] == ""  # None stays absent
-    det = report.deterministic_fields()
-    assert "epoch_time_s" not in det and "infer_time_ms" not in det and "hardware" not in det
-    assert det["mse"] == 0.125

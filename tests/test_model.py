@@ -37,7 +37,7 @@ from wavets.revin import DEFAULT_EPS, compute_stats
 from wavets.training import TrainSettings, evaluate_model, train_model, train_step
 
 from conftest import max_rel_err, numeric_grad
-from reference import composed_folded_forecast, composed_mse, reference_forward
+from reference import composed_folded_forecast, composed_mse, mean, reference_forward
 
 TINY = dict(lookback=8, horizon=4, channels=2)
 
@@ -724,7 +724,7 @@ def test_training_never_synthesizes(monkeypatch, variant):
         monkeypatch.setattr(wv, name, counted)
     # the counters see the transform, forward and backward, whenever it runs
     x = ad.Tensor(np.ones((1, 4)), requires_grad=True)
-    ad.mean(ad.dwt_pair(x, wv.get_bank("haar"))[0]).backward()
+    mean(ad.dwt_pair(x, wv.get_bank("haar"))[0]).backward()
     assert calls == {"dwt_arrays": [(1, 4)], "synthesize_band": [(1, 2)]}
 
     calls["dwt_arrays"].clear()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from wavets import moe
-from wavets.autodiff import Tensor, add, mean, mul, slice_lastdim
+from wavets.autodiff import Tensor, constant, mixture, mse_loss, mul
 from wavets.data import synth
-from wavets.exceptions import InvalidConfigError, ShapeMismatchError
+from wavets.exceptions import InvalidConfigError, NonFiniteInputError, ShapeMismatchError
 from wavets.wavelet import dwt_arrays, get_bank
 
 from conftest import max_rel_err, numeric_grad
-from reference import expert_forward
+from reference import expert_forward, mean, mixture_loop
 
 
 def make_params(cfg, in_dim, out_dim, seed=0, scale=0.3):
@@ -33,7 +33,7 @@ def test_uniform_gate_when_weights_zero():
     params = make_params(cfg, 4, 2)
     params["moe.gate.weight"].data[:] = 0.0
     params["moe.gate.bias"].data[:] = 0.0
-    probs = moe.gate(params, Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))).data
+    probs = moe.gate(params, Tensor(np.random.default_rng(0).normal(size=(2, 5, 4))))
     assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-12
 
 
@@ -42,7 +42,7 @@ def test_gate_bias_dominates():
     params = make_params(cfg, 4, 2)
     params["moe.gate.weight"].data[:] = 0.0
     params["moe.gate.bias"].data = np.array([10.0, 0.0, 0.0])
-    probs = moe.gate(params, Tensor(np.zeros((1, 2, 4)))).data
+    probs = moe.gate(params, Tensor(np.zeros((1, 2, 4))))
     expected = np.exp([10.0, 0.0, 0.0])
     expected = expected / expected.sum()
     assert np.max(np.abs(probs - expected)) < 1e-12
@@ -53,7 +53,7 @@ def test_gate_rows_sum_to_one():
     cfg = moe.MoEConfig(num_experts=5, hidden=2)
     params = make_params(cfg, 6, 3, seed=1, scale=2.0)
     x = np.random.default_rng(2).normal(size=(3, 7, 6)) * 5
-    probs = moe.gate(params, Tensor(x)).data
+    probs = moe.gate(params, Tensor(x))
     assert probs.shape == (3, 7, 5)
     assert np.all(probs >= 0)
     assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-12
@@ -123,30 +123,72 @@ def test_single_expert_mixture_is_identity():
 
 @pytest.mark.parametrize("experts", [1, 3])
 def test_fused_mixture_matches_the_per_expert_loop(experts):
-    """The two fused matmuls match sum_e gate_e * expert_e(x), in value and in
-    every gradient, the input's included."""
+    """The fused first layer and the mixture op match sum_e gate_e * expert_e(x),
+    in value and in every gradient, the input's included."""
     cfg = moe.MoEConfig(num_experts=experts, hidden=4)
 
-    def run(mixture):
+    def run(mixed):
         params = make_params(cfg, 5, 3, seed=10, scale=0.8)
         x = Tensor(np.random.default_rng(11).normal(size=(2, 4, 5)), requires_grad=True)
-        out = mixture(params, x)
+        out = mixed(params, x)
         mean(mul(out, out)).backward()
         return out.data, {name: p.grad for name, p in [*params.items(), ("x", x)]}
 
-    def loop(params, x):
-        probs = moe.gate(params, x)
-        terms = [mul(slice_lastdim(probs, e), expert_forward(params, e, x)) for e in range(experts)]
-        out = terms[0]
-        for term in terms[1:]:
-            out = add(out, term)
-        return out
-
     fused, fused_grads = run(lambda params, x: moe.moe_forward(params, cfg, x))
-    looped, looped_grads = run(loop)
+    looped, looped_grads = run(lambda params, x: mixture_loop(params, experts, x))
     assert np.max(np.abs(fused - looped)) < 1e-12
     for name, grad in looped_grads.items():
         assert np.max(np.abs(fused_grads[name] - grad)) < 1e-12, name
+
+
+@pytest.mark.parametrize("experts", [1, 4])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_mixture_gradients_match_finite_differences(experts, saturated):
+    """The op's hand-derived backward against central differences of a plain
+    numpy mixture, with gate logits at +-1000 (a one-hot gate) when
+    ``saturated``; ``pre`` keeps clear of the ReLU kink."""
+    hidden, out_dim = 3, 2
+    rng = np.random.default_rng(20 + experts)
+    shape = (2, 3, experts * hidden)
+    units = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    logits = rng.normal(size=(2, 3, experts))
+    if saturated:
+        logits = 1000.0 * rng.choice([-1.0, 1.0], size=logits.shape)
+    pre = Tensor(np.concatenate([logits, units], axis=-1), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(experts * hidden, out_dim)), requires_grad=True)
+    b2 = Tensor(rng.normal(size=experts * out_dim), requires_grad=True)
+    target = rng.normal(size=(2, 3, out_dim))
+
+    def f():
+        gate = np.exp(pre.data[..., :experts] - pre.data[..., :experts].max(axis=-1, keepdims=True))
+        gate /= gate.sum(axis=-1, keepdims=True)
+        h = np.maximum(pre.data[..., experts:], 0.0).reshape(2, 3, experts, hidden)
+        per_expert = np.einsum("bneh,eho->bneo", h, w2.data.reshape(experts, hidden, out_dim))
+        out = np.einsum("bne,bneo->bno", gate, per_expert + b2.data.reshape(experts, out_dim))
+        return float(np.mean((out - target) ** 2))
+
+    mse_loss(mixture(pre, w2, b2, experts), constant(target)).backward()
+    for tensor, num in zip((pre, w2, b2), numeric_grad(f, [pre.data, w2.data, b2.data])):
+        assert max_rel_err(tensor.grad, num) < 1e-5
+
+    # an input that needs no gradient gets none, and the others still do
+    frozen = Tensor(pre.data)
+    w2.zero_grad()
+    mse_loss(mixture(frozen, w2, b2, experts), constant(target)).backward()
+    assert frozen.grad is None and w2.grad is not None
+
+
+def test_mixture_rejects_non_finite_and_mismatched_input():
+    w2, b2 = Tensor(np.ones((4, 3))), Tensor(np.ones(6))
+    for bad in (np.inf, np.nan):
+        for column in (0, 3):  # a gate logit and a unit
+            pre = np.zeros((2, 6))
+            pre[1, column] = bad
+            with pytest.raises(NonFiniteInputError):
+                mixture(Tensor(pre, requires_grad=True), w2, b2, 2)
+    for pre, w, b in (((2, 7), (4, 3), (6,)), ((2, 6), (5, 3), (6,)), ((2, 6), (4, 3), (3,))):
+        with pytest.raises(ShapeMismatchError):
+            mixture(Tensor(np.zeros(pre)), Tensor(np.ones(w)), Tensor(np.ones(b)), 2)
 
 
 def test_identical_experts_ignore_gate():
@@ -215,7 +257,7 @@ def test_gate_report_traffic_scale(tmp_path):
     window = series.values[:64].T[None, :, :]  # (1, N, 64)
     band, _ = dwt_arrays(window, get_bank("haar"))
     params = make_params(cfg, band.shape[-1], 8, seed=15)
-    probs = moe.gate(params, Tensor(band)).data  # (1, N, 4)
+    probs = moe.gate(params, Tensor(band))  # (1, N, 4)
     rows = moe.gate_report(probs, channel_names=series.channel_names)
     assert len(rows) == channels
     for row in rows:
