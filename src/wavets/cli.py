@@ -129,6 +129,7 @@ def run_one_seed(
             "batch_size": macs.batch_size,
         },
         "param_breakdown": ev.count_params(mcfg).breakdown,
+        "hardware": report.hardware,
     }
     return report, details, result.params
 

@@ -23,7 +23,7 @@ import numpy as np
 from .atomic import atomic_write
 from .data import WindowBatch
 from .exceptions import InvalidConfigError, ShapeMismatchError
-from .model import WEIGHT_LEAVES, ModelConfig, param_shapes
+from .model import WEIGHT_LEAVES, ModelConfig, _block_workers, blas_threads, param_shapes
 from .wavelet import get_bank
 
 
@@ -140,10 +140,15 @@ def count_macs(cfg: ModelConfig, batch_size: int = 32) -> MacCount:
 
 
 def hardware_note() -> str:
+    """The platform, the versions, and how many threads the fold's blocks
+    run on next to the BLAS thread setting that count was read from."""
+    setting = blas_threads()
+    blas = "BLAS threads unset" if setting is None else f"{setting[0]}={setting[1]}"
     return (
         f"{platform.system()} {platform.machine()}, "
         f"python {platform.python_version()}, numpy {np.__version__}, "
-        f"cpu: {platform.processor() or 'unknown'}"
+        f"cpu: {platform.processor() or 'unknown'}, "
+        f"fold block workers: {_block_workers()} ({blas})"
     )
 
 

@@ -27,7 +27,8 @@ With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
 inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
 model into one (S, L) matrix shared by all channels plus an (S, N)
 offset. The fold is built on the tape from the weights, and one block
-loop here applies it to cache-sized blocks of lookback windows: for
+runner here applies it to cache-sized blocks of lookback windows, on
+the CPUs BLAS leaves idle (:func:`_blocks`): for
 training, :func:`batch_loss` runs those variants through
 :func:`folded_mse` (one op on the tape); for validation, evaluation and
 inference, :func:`forward` hands the fold's arrays to
@@ -44,6 +45,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -368,34 +373,80 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
 _BLOCK_BYTES = 2 * 1024 * 1024
 
 
-def _blocks(lookback: np.ndarray, rows: np.ndarray | None, weight: np.ndarray, offset: np.ndarray):
+def blas_threads() -> tuple[str, int] | None:
+    """The first BLAS thread variable set to a positive count, as ``(name,
+    count)``; None when neither is, and BLAS threads over every CPU.
+
+    These are the variables BLAS reads its thread count from when it
+    loads, in the order it reads them.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return name, int(value)
+    return None
+
+
+def _block_workers() -> int:
+    """How many threads run the fold's blocks: the CPUs this process may
+    use over BLAS's threads, at least one.
+
+    With no BLAS thread count set, BLAS already threads over every CPU and
+    the blocks run inline: block threads on top of it oversubscribe the
+    CPUs (0.5-0.8x the inline speed at N=321).
+    """
+    setting = blas_threads()
+    if setting is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // setting[1])
+
+
+def _blocks(lookback: np.ndarray, rows: np.ndarray | None, weight: np.ndarray, offset: np.ndarray, finish):
     """Forecast windows ``rows`` of the (W, L, N) ``lookback`` (all W in
-    order if None) one cache-sized block at a time.
+    order if None) one cache-sized block at a time, and yield
+    ``finish(positions, centred, std, forecast)`` for each block, in block
+    order.
 
     A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
     ``compute_stats`` reads its windows (a view when they are consecutive)
-    and writes them centred into one reused (L, b, N) buffer, so that
+    and writes them centred into a reused (L, b, N) buffer, so that
     ``centred.reshape(L, b * N)`` is one matrix with every window's
     channels side by side. The (S, b, N) forecasts ``weight @ centred +
     mean + std * offset`` are one GEMM into another reused buffer, with
-    the mean and then the scaled offset added in place. Yields
-    ``(positions, centred, std, forecast)`` per block, where the
-    ``positions`` slice picks the block from ``rows``.
+    the mean and then the scaled offset added in place. ``finish`` then
+    runs while the block is still cached; the ``positions`` slice picks
+    the block from ``rows``, and the buffers are reused once it returns.
+
+    The blocks run on :func:`_block_workers` threads of a pool made for
+    this call, each thread with its own buffers and at most one block
+    queued beyond them; with one worker (or one block) they run inline on
+    the calling thread. A block's arithmetic does not depend on the
+    thread that runs it and the results come back in block order, so
+    whatever the caller sums from them is bit-identical for any worker
+    count. An exception in a block cancels the blocks not yet started and
+    is raised here once the running ones finish; no thread outlives the
+    call.
     """
     count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
     size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
     horizon = weight.shape[0]
-    # One allocation holds the three reused buffers (centred lookback,
-    # forecasts, scaled offset): with three, an evaluation at N=7, L=720,
-    # S=96 took over three times as many page faults.
-    centred_buffer, forecast_buffer, scaled_buffer = np.split(
-        np.empty((length + 2 * horizon) * size * channels), np.cumsum([length, horizon]) * size * channels
-    )
+    starts = range(0, count, size)
+    local = threading.local()
 
     def view(buffer: np.ndarray, height: int, block: int) -> np.ndarray:
         return buffer[: height * block * channels].reshape(height, block, channels)
 
-    for start in range(0, count, size):
+    def run(start: int):
+        if not hasattr(local, "buffers"):
+            # One allocation holds a thread's three reused buffers (centred
+            # lookback, forecasts, scaled offset): with three, an evaluation
+            # at N=7, L=720, S=96 took over three times as many page faults.
+            local.buffers = np.split(
+                np.empty((length + 2 * horizon) * size * channels),
+                np.cumsum([length, horizon]) * size * channels,
+            )
+        centred_buffer, forecast_buffer, scaled_buffer = local.buffers
         positions = slice(start, min(start + size, count))
         block = positions.stop - start
         windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
@@ -405,7 +456,23 @@ def _blocks(lookback: np.ndarray, rows: np.ndarray | None, weight: np.ndarray, o
         np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
         forecast += mean
         forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
-        yield positions, centred, std, forecast
+        return finish(positions, centred, std, forecast)
+
+    workers = min(_block_workers(), len(starts))
+    if workers <= 1:
+        yield from map(run, starts)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for start in starts:
+            pending.append(pool.submit(run, start))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookback: np.ndarray) -> np.ndarray:
@@ -414,11 +481,16 @@ def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookback: np.ndarray
 
     ``weight`` (S, L) and ``offset`` (S, N) or (S, 1) are the arrays
     :func:`fold` builds; the batch is walked in cache-sized blocks
-    (:func:`_blocks`), off the tape.
+    (:func:`_blocks`), off the tape, and each block writes its own
+    windows' slice of the output.
     """
     out = np.empty((len(lookback), weight.shape[0], lookback.shape[2]))
-    for positions, _, _, forecast in _blocks(lookback, None, weight, offset):
+
+    def place(positions: slice, centred: np.ndarray, std: np.ndarray, forecast: np.ndarray) -> None:
         out[positions] = forecast.transpose(1, 0, 2)
+
+    for _ in _blocks(lookback, None, weight, offset, place):
+        pass
     return out
 
 
@@ -431,20 +503,31 @@ def folded_mse(
     sources, such as a sampler's sliding views of the series, and ``rows``
     picks the batch from them, so the batch is never gathered. Per block
     (:func:`_blocks`) the targets are subtracted from the forecasts in
-    place, and while the block is still cached its squared error is added
-    to the loss, its ``diff @ centred^T`` to the (S, L) weight gradient and
-    its ``sum(diff * std)`` to the offset gradient. The sums, scaled by
-    ``2 / count``, reach the tape through
-    :func:`~wavets.autodiff.presummed`.
+    place, and while the block is still cached its squared error, its
+    ``diff @ centred^T`` and its ``sum(diff * std)`` are formed. The
+    calling thread adds them in block order to the loss, the (S, L)
+    weight gradient and the offset gradient, so the sums do not depend on
+    the number of block workers. Scaled by ``2 / count``, they reach the
+    tape through :func:`~wavets.autodiff.presummed`.
     """
     (horizon, length), channels = weight.shape, lookback.shape[2]
     weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
     total = 0.0
-    for positions, centred, std, diff in _blocks(lookback, rows, weight.data, offset.data):
+
+    def block_sums(positions: slice, centred: np.ndarray, std: np.ndarray, diff: np.ndarray):
         diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
-        total += np.vdot(diff, diff)
-        weight_grad += diff.reshape(horizon, -1) @ centred.reshape(length, -1).T
-        offset_grad += np.einsum("sbn,bn->sn", diff, std)
+        return (
+            np.vdot(diff, diff),
+            diff.reshape(horizon, -1) @ centred.reshape(length, -1).T,
+            np.einsum("sbn,bn->sn", diff, std),
+        )
+
+    for squares, block_weight_grad, block_offset_grad in _blocks(
+        lookback, rows, weight.data, offset.data, block_sums
+    ):
+        total += squares
+        weight_grad += block_weight_grad
+        offset_grad += block_offset_grad
     count = rows.size * horizon * channels
     scale = 2.0 / count
     offset_grad *= scale
@@ -552,14 +635,18 @@ def save_model(cfg: ModelConfig, params: dict[str, Tensor], checkpoint_path: str
 
 def load_model(checkpoint_path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Load checkpoint + sidecar; every parameter name and shape is checked
-    against the config before returning."""
+    against the config before returning.
+
+    The checkpoint is read first, so a missing one is named in the error,
+    not its sidecar.
+    """
+    raw = ckpt.load_params(checkpoint_path)
     sidecar = config_sidecar_path(checkpoint_path)
     try:
         raw_cfg = json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model config file {sidecar}: {exc}") from exc
     cfg = ModelConfig.from_dict(raw_cfg)
-    raw = ckpt.load_params(checkpoint_path)
     params = {name: Tensor(values, requires_grad=True) for name, values in raw.items()}
     _check_params(cfg, params)
     return cfg, params

@@ -27,8 +27,8 @@ transforms the batch: ``model.folded_forecast`` (off-tape forecasts
 from the fold's arrays) and ``model.folded_mse`` (the train step's
 loss and gradients) walk one block loop that calls :func:`compute_stats`
 on one cache-sized block of lookback windows at a time, with a reused
-buffer for the centred values, and the affine sits inside the folded
-offset.
+buffer per block worker for the centred values, and the affine sits
+inside the folded offset.
 So only the band path (M, an MLP low-pass head, a per-channel delta)
 calls :func:`revin_forward` and :func:`revin_inverse`.
 """

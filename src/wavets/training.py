@@ -1,8 +1,10 @@
 """Training loop: Adam with early stopping on validation MSE.
 
-Single-threaded and fully seeded (init and batch shuffling draw from
-separate child streams of the run seed), so identical settings yield
-bit-identical parameters and metrics.
+Fully seeded (init and batch shuffling draw from separate child streams
+of the run seed), so identical settings yield bit-identical parameters
+and metrics. The fold's blocks may run on worker threads
+(:func:`wavets.model._blocks`), but their results are summed in block
+order, so the parameters and metrics are the same for any CPU count.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert rows[0]["epochs_trained"] == "2"
     details = json.loads((run_dir / "details.json").read_text())
     assert details["runs"][0]["persistence"]["mse"] > 0.0
+    assert "fold block workers: " in details["runs"][0]["hardware"]
     config = json.loads((run_dir / "config.json").read_text())
     assert config["lookback"] == 16  # replayable config snapshot
 
@@ -202,6 +203,14 @@ def test_sub_configs_carry_every_shared_run_field():
             assert getattr(derived, name) == getattr(run, name), name
     moe = replace(run, variant="M", lf_hidden=0, moe_experts=3, moe_hidden=5).model_config(3).moe
     assert (moe.num_experts, moe.hidden) == (3, 5)
+
+
+def test_eval_of_a_missing_checkpoint_names_it(tmp_path, capsys):
+    """The error names the checkpoint that was given, not its config sidecar."""
+    missing = tmp_path / "nope.json"
+    assert main(["eval", "--checkpoint", str(missing)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error data: [Errno 2] No such file or directory: '{missing}'"]
 
 
 def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -357,3 +359,12 @@ def test_run_report_roundtrip(tmp_path):
     assert len(rows) == 1
     assert rows[0]["mse"] == "0.125"
     assert rows[0]["epoch_time_s"] == ""  # None stays absent
+
+
+def test_hardware_note_reports_the_block_workers_and_the_blas_setting(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert ev.hardware_note().endswith(", fold block workers: 1 (BLAS threads unset)")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert ev.hardware_note().endswith(", fold block workers: 2 (OPENBLAS_NUM_THREADS=2)")

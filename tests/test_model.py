@@ -1,4 +1,7 @@
+import itertools
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -638,9 +641,9 @@ def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
 
     monkeypatch.setattr(model_mod, "compute_stats", spy)
     train_step(cfg, params, Adam(params), x, y, np.arange(5))
-    assert seen == [2, 2, 1]
+    assert sorted(seen) == [1, 2, 2]  # block workers may centre the blocks in any order
     predict(cfg, params, x)
-    assert seen == [2, 2, 1] * 2
+    assert sorted(seen) == [1, 1, 2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("variant", ["B", "M"])
@@ -880,7 +883,7 @@ def test_folded_forecast_matches_its_composition(monkeypatch, batch_shape, lengt
         out = model_mod.folded_forecast(weight.data, offset.data, x)
         mean, std, centred = compute_stats(x)
         ref = composed_folded_forecast(weight, offset, *(ad.constant(a) for a in (centred, mean, std)))
-        assert seen == [min(per_block, batch - start) for start in range(0, batch, per_block)]
+        assert sorted(seen) == sorted(min(per_block, batch - start) for start in range(0, batch, per_block))
         assert np.array_equal(out, ref.data)
 
 
@@ -937,7 +940,7 @@ def test_folded_mse_matches_its_composition(
         patch.setattr(model_mod, "_BLOCK_BYTES", per_block * length * channels * 8)
         patch.setattr(model_mod, "compute_stats", spy)
         loss = model_mod.folded_mse(weight, offset, lookback, target, rows)
-    assert seen == [min(per_block, batch - start) for start in range(0, batch, per_block)]
+    assert sorted(seen) == sorted(min(per_block, batch - start) for start in range(0, batch, per_block))
     mean, std, centred = compute_stats(lookback[rows])
     pred = composed_folded_forecast(*composed, *(ad.constant(a) for a in (centred, mean, std)))
     ref = composed_mse(pred, ad.constant(target[rows]))
@@ -967,6 +970,102 @@ def test_folded_mse_gradients_match_finite_differences():
         for tensor, num in zip((w, offset), numeric):
             assert tensor.grad.shape == tensor.shape
             assert max_rel_err(tensor.grad, num) < 1e-4
+
+
+def test_fold_is_bit_identical_for_any_worker_count(monkeypatch):
+    """With several blocks per batch, the forecasts, the fused loss and both
+    its gradients, and a two-epoch train_model of B (parameters and every
+    epoch's losses) are bit-identical on one, two and three block workers;
+    with more than one, no block runs on the calling thread."""
+    rng = np.random.default_rng(41)
+    weight, offset, lookback, target = _fused_inputs(rng, 23, 8, 3, 4, 4)
+    rows = rng.permutation(23)[:17]
+    cfg = ModelConfig("B", 16, 6, 3)
+    series = synth("sine_mix", 160, 3, seed=9)  # 139 windows: the last batch of 8 has 3
+    # two windows per block of the folded ops, one per block of train_model's
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 2 * 8 * 4 * 8)
+    on_main = []
+
+    def spy(values, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return compute_stats(values, **kwargs)
+
+    monkeypatch.setattr(model_mod, "compute_stats", spy)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+        on_main.clear()
+        w, o = (ad.Tensor(t.data.copy(), requires_grad=True) for t in (weight, offset))
+        loss = model_mod.folded_mse(w, o, lookback, target, rows)
+        loss.backward()
+        trained = train_model(cfg, series, series, TrainSettings(batch_size=8, max_epochs=2), seed=5)
+        assert set(on_main) == {workers == 1}
+        runs.append([
+            model_mod.folded_forecast(weight.data, offset.data, lookback),
+            np.array(loss.item()),
+            w.grad,
+            o.grad,
+            *(p.data for p in trained.params.values()),
+            np.array([(e.train_mse, e.val_mse) for e in trained.history]),
+        ])
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_block_cancels_the_rest_and_leaves_no_thread(monkeypatch, workers):
+    """compute_stats raising on the third of twelve blocks: folded_forecast
+    and folded_mse raise that exception, the blocks not yet started never
+    start, every worker thread has ended, and the next call succeeds."""
+    rng = np.random.default_rng(43)
+    weight, offset, lookback, target = _fused_inputs(rng, 12, 8, 3, 4, 4)
+    rows = np.arange(12)
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 8 * 4 * 8)  # one window per block
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    calls = [
+        lambda: model_mod.folded_forecast(weight.data, offset.data, lookback),
+        lambda: model_mod.folded_mse(weight, offset, lookback, target, rows).data,
+    ]
+    expected = [call() for call in calls]
+    threads = threading.active_count()
+    failure = RuntimeError("the third block fails")
+    for call, result in zip(calls, expected):
+        started = itertools.count()
+
+        def failing(values, **kwargs):
+            if next(started) == 2:
+                raise failure
+            return compute_stats(values, **kwargs)
+
+        monkeypatch.setattr(model_mod, "compute_stats", failing)
+        with pytest.raises(RuntimeError) as raised:
+            call()
+        assert raised.value is failure
+        assert next(started) <= 3 + 2 * workers < 12  # later blocks were cancelled
+        assert threading.active_count() == threads
+        monkeypatch.setattr(model_mod, "compute_stats", compute_stats)
+        assert np.array_equal(call(), result)
+
+
+def test_block_workers_share_the_cpus_with_blas(monkeypatch):
+    """The BLAS thread count comes from OPENBLAS_NUM_THREADS, then
+    OMP_NUM_THREADS (a count below one is not set, as BLAS reads it), and
+    the blocks get the CPUs it leaves; with neither set, they run inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert model_mod.blas_threads() is None
+    assert model_mod._block_workers() == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert model_mod.blas_threads() == ("OMP_NUM_THREADS", 2)
+    assert model_mod._block_workers() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert model_mod.blas_threads() == ("OPENBLAS_NUM_THREADS", 1)
+    assert model_mod._block_workers() == 5
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert model_mod._block_workers() == 1
 
 
 def test_folded_mse_shape_errors():
