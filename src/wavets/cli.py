@@ -37,7 +37,7 @@ from .config import (
     write_config,
 )
 from .exceptions import InvalidConfigError, ParseError, ReconstructionError, WavetsError
-from .training import TrainSettings, evaluate_model, train_model, train_step
+from .training import TrainSettings, evaluate_model, train_model
 
 PROG = "wavets"
 
@@ -391,23 +391,19 @@ def cmd_benchmark(args) -> int:
 
 
 def _measure_speed(mcfg: model_mod.ModelConfig, settings: TrainSettings, bench_windows: int):
-    """Seconds per training epoch over ``bench_windows`` windows, and batch-1 milliseconds."""
+    """``train_model``'s mean epoch seconds, the figure behind ``epoch_time_s``,
+    over three epochs of ``bench_windows`` synthetic training windows and
+    one validation window; then batch-1 milliseconds of the trained model."""
     rng = np.random.default_rng(0)
-    length = mcfg.lookback + mcfg.horizon + bench_windows - 1  # T rows hold T - L - S + 1 windows
-    series = data_mod.Series(
-        values=rng.normal(size=(length, mcfg.channels)),
-        channel_names=[f"ch{i}" for i in range(mcfg.channels)],
-    )
-    sampler = data_mod.WindowSampler(series, mcfg.lookback, mcfg.horizon)
-    params = model_mod.init_params(mcfg, 0)
-    optimizer = settings.optimizer(params)
 
-    def one_epoch():
-        for rows in sampler.batch_origins(settings.batch_size):
-            train_step(mcfg, params, optimizer, sampler.lookbacks, sampler.targets, rows)
+    def series(windows: int) -> data_mod.Series:  # T rows hold T - L - S + 1 windows
+        values = rng.normal(size=(mcfg.lookback + mcfg.horizon + windows - 1, mcfg.channels))
+        return data_mod.Series(values=values, channel_names=[f"ch{i}" for i in range(mcfg.channels)])
 
-    epoch_s = ev.time_mean(one_epoch, repeats=3)
-    return repr(epoch_s), repr(_infer_ms(mcfg, params, sampler))
+    train = series(bench_windows)
+    result = train_model(mcfg, train, series(1), replace(settings, max_epochs=3, patience=3))
+    sampler = data_mod.WindowSampler(train, mcfg.lookback, mcfg.horizon)
+    return repr(result.mean_epoch_seconds), repr(_infer_ms(mcfg, result.params, sampler))
 
 
 def cmd_sweep(args) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .atomic import atomic_write
 from .exceptions import InvalidConfigError
-from .model import ModelConfig
+from .model import LAYOUTS, ModelConfig
 from .moe import MoEConfig
 from .training import TrainSettings
 
@@ -80,11 +80,8 @@ class RunConfig:
         return TrainSettings(**self._shared(TrainSettings))
 
     def model_config(self, channels: int) -> ModelConfig:
-        moe = (
-            MoEConfig(num_experts=self.moe_experts, hidden=self.moe_hidden)
-            if self.variant == "M"
-            else None
-        )
+        layout = LAYOUTS.get(self.variant)  # an unknown variant fails in ModelConfig
+        moe = MoEConfig(self.moe_experts, self.moe_hidden) if layout and layout.low == "moe" else None
         return ModelConfig(channels=channels, moe=moe, **self._shared(ModelConfig))
 
     def to_dict(self) -> dict:

@@ -25,6 +25,7 @@ from .exceptions import (
     NonFiniteInputError,
     ParseError,
     SeriesTooShortError,
+    ShapeMismatchError,
     SpecOutOfRangeError,
 )
 
@@ -255,28 +256,27 @@ class WindowBatch:
     origins: np.ndarray  # (B,)
 
 
-def _is_run(origins: np.ndarray, count: int) -> bool:
-    """Whether ``origins`` is one ascending run ``o, o+1, ...`` of in-range window indices."""
-    return (
-        origins.ndim == 1
-        and origins.size > 0
-        and np.issubdtype(origins.dtype, np.integer)
-        and 0 <= origins[0]
-        and origins[-1] < count
-        and bool((np.diff(origins) == 1).all())
-    )
+def check_origins(origins, count: int) -> np.ndarray:
+    """``origins`` as an array, checked to be a non-empty 1-D integer array of
+    window indices in [0, ``count``); anything else raises ShapeMismatchError."""
+    origins = np.asarray(origins)
+    if origins.ndim != 1 or origins.size == 0 or not np.issubdtype(origins.dtype, np.integer):
+        raise ShapeMismatchError(f"origins must be a non-empty 1-D integer array, got {origins!r}")
+    if origins.min() < 0 or origins.max() >= count:
+        raise ShapeMismatchError(f"origins must lie in [0, {count})")
+    return origins
 
 
 def take_windows(source: np.ndarray, origins: np.ndarray) -> np.ndarray:
-    """Rows ``origins`` of a window stack such as :attr:`WindowSampler.lookbacks`.
+    """Rows ``origins`` of a window stack such as :attr:`WindowSampler.lookbacks`,
+    for origins that passed :func:`check_origins`.
 
     One ascending run of consecutive origins is a slice, so a view of
     ``source`` comes back and nothing is copied. Any other set of origins
-    (shuffled, with gaps or repeats, negative) is fancy-indexed, which
-    gives a fresh C-contiguous copy.
+    (shuffled, with gaps or repeats) is fancy-indexed, which gives a fresh
+    C-contiguous copy.
     """
-    origins = np.asarray(origins)
-    if _is_run(origins, len(source)):
+    if (np.diff(origins) == 1).all():
         return source[origins[0] : origins[-1] + 1]
     return source[origins]
 
@@ -312,8 +312,9 @@ class WindowSampler:
 
     def gather(self, origins: np.ndarray) -> WindowBatch:
         """The windows starting at ``origins``, taken by :func:`take_windows`:
-        read-only views of the series for one ascending run, copies otherwise."""
-        origins = np.asarray(origins)
+        read-only views of the series for one ascending run, copies otherwise.
+        Origins that fail :func:`check_origins` raise ShapeMismatchError."""
+        origins = check_origins(origins, len(self))
         return WindowBatch(
             x=take_windows(self.lookbacks, origins), y=take_windows(self.targets, origins), origins=origins
         )

@@ -130,8 +130,8 @@ def count_macs(cfg: ModelConfig, batch_size: int = 32) -> MacCount:
     )
     taps = get_bank(cfg.bank).length
     transform = taps * cfg.half
-    if cfg.variant == "I":
-        transform += taps * (cfg.horizon // 2)
+    if cfg.layout.synthesize:
+        transform += taps * cfg.head
     return MacCount(
         linear_per_sample=linear * cfg.channels,
         transform_per_sample=transform * cfg.channels,

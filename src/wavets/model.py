@@ -9,26 +9,23 @@ delta-weighted fusion of the high-frequency prediction, and inverse
 normalization. The split and the normalized bands are fixed
 functions of the input, so they stay off the autodiff tape: backward
 stops at the first layers' weights and never forms a band-sized
-gradient. Variants differ only in which heads exist and how the
-low-frequency band is mapped:
+gradient. Variants differ only in which heads exist and how their
+outputs are fused; :data:`LAYOUTS` is the one table of that.
 
-  B   low-pass linear head + delta * high-pass linear head
-  S   low-pass head only (no delta parameter)
-  LF  ablation alias of S
-  HF  delta * high-pass head only
-  M   mixture-of-experts low-pass head + delta * high-pass head
-  I   half-horizon heads per band fused by the inverse transform
+An option that is off is a constant, not a branch: without RevIN's
+affine its gain and bias are the constants one and zero, and a fixed
+delta is the scalar ``delta_init``.
 
 M's gate and experts run as one fused first layer and one mixture op
 (see :mod:`wavets.moe`). The gate diagnostics, :func:`gate_probabilities`,
 run the mixture's softmax on that same first layer's gate columns.
 
-With ``lf_hidden=0`` and a shared delta, everything between RevIN and its
-inverse in B, S, LF, HF and I is linear, so :func:`fold` collapses the
-model into one (S, L) matrix shared by all channels plus an (S, N)
-offset. The fold is built on the tape from the weights, and one block
-runner here applies it to cache-sized blocks of lookback windows, on
-the CPUs BLAS leaves idle (:func:`_blocks`): for
+With ``lf_hidden=0`` and no learnable per-channel delta, everything
+between RevIN and its inverse in B, S, LF, HF and I is linear, so
+:func:`fold` collapses the model into one (S, L) matrix shared by all
+channels plus an (S, N) offset. The fold is built on the tape from the
+weights, and one block runner here applies it to cache-sized blocks of
+lookback windows, on the CPUs BLAS leaves idle (:func:`_blocks`): for
 training, :func:`batch_loss` runs those variants through
 :func:`folded_mse` (one op on the tape); for validation, evaluation and
 inference, :func:`forward` hands the fold's arrays to
@@ -50,8 +47,9 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +73,7 @@ from .autodiff import (
     sub,
     swap_last2,
 )
-from .data import take_windows
+from .data import check_origins, take_windows
 from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
 from .moe import FirstLayer
 from .revin import (
@@ -88,14 +86,32 @@ from .revin import (
 )
 from .wavelet import get_bank
 
-VARIANTS = ("B", "S", "M", "I", "LF", "HF")
+
+class Layout(NamedTuple):
+    """A variant's heads: the low-band head (``"lf"``, ``"moe"`` or None),
+    whether a delta-weighted high-band head exists, and whether the heads
+    emit half-horizon bands fused by the inverse transform (else added)."""
+
+    low: str | None
+    high: bool
+    synthesize: bool
+
+
+# The one table of each variant's heads: everything that depends on the
+# variant reads it.
+LAYOUTS = {
+    "B": Layout("lf", True, False),  # linear low head + delta * linear high head
+    "S": Layout("lf", False, False),  # low head only, no delta
+    "M": Layout("moe", True, False),  # mixture-of-experts low head + delta * high head
+    "I": Layout("lf", True, True),  # half-horizon heads fused by the inverse transform
+    "LF": Layout("lf", False, False),  # S under its ablation name
+    "HF": Layout(None, True, False),  # delta * high head only
+}
+VARIANTS = tuple(LAYOUTS)
 
 # Leaf names of the weight matrices: init_params draws them uniformly, and
 # evaluation.count_macs counts Din*Dout multiply-accumulates for each.
 WEIGHT_LEAVES = ("weight", "w1", "w2")
-
-# Which variants carry a high-frequency weighting parameter at all.
-_DELTA_VARIANTS = ("B", "M", "I", "HF")
 
 # The Python types a scalar config field accepts, by its annotation; a bool
 # is no int here, and an int is a float.
@@ -134,35 +150,45 @@ class ModelConfig:
             raise InvalidConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.channels < 1:
             raise InvalidConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.variant == "I" and self.horizon % 2:
-            raise InvalidConfigError("variant I needs an even horizon (heads emit S/2 each)")
-        if self.variant == "M" and self.moe is None:
-            raise InvalidConfigError("variant M requires an MoE config")
-        if self.variant != "M" and self.moe is not None:
-            raise InvalidConfigError(f"variant {self.variant} must not carry an MoE config")
+        layout = self.layout
+        if layout.synthesize and self.horizon % 2:
+            raise InvalidConfigError(f"variant {self.variant} needs an even horizon (heads emit S/2 each)")
+        if (layout.low == "moe") != (self.moe is not None):
+            need = "requires" if self.moe is None else "must not carry"
+            raise InvalidConfigError(f"variant {self.variant} {need} an MoE config")
         if self.delta_mode not in ("learnable", "fixed"):
             raise InvalidConfigError(f"delta_mode must be learnable or fixed, got {self.delta_mode!r}")
         if self.lf_hidden < 0:
             raise InvalidConfigError(f"lf_hidden must be >= 0, got {self.lf_hidden}")
-        if self.lf_hidden and self.variant not in ("B", "S", "LF"):
+        if self.lf_hidden and (layout.low != "lf" or layout.synthesize):
             raise InvalidConfigError("lf_hidden only applies to variants B, S and LF")
         taps = get_bank(self.bank).length  # raises on unknown names
         if taps > self.lookback:
             raise InvalidConfigError(
                 f"bank {self.bank} has {taps} taps but the lookback is only {self.lookback}"
             )
-        # Variant I synthesizes the horizon, so training analyses S-length gradients.
-        if self.variant == "I" and taps > self.horizon:
+        # Synthesizing the horizon makes training analyse S-length gradients.
+        if layout.synthesize and taps > self.horizon:
             raise InvalidConfigError(
-                f"variant I with bank {self.bank} needs a horizon of at least {taps}, got {self.horizon}"
+                f"variant {self.variant} with bank {self.bank} needs a horizon of at least {taps}, "
+                f"got {self.horizon}"
             )
+
+    @property
+    def layout(self) -> Layout:
+        return LAYOUTS[self.variant]
 
     @property
     def half(self) -> int:
         return self.lookback // 2
 
+    @property
+    def head(self) -> int:
+        """The length of each head's output: the horizon, or half of it when synthesized."""
+        return self.horizon // 2 if self.layout.synthesize else self.horizon
+
     def has_delta(self) -> bool:
-        return self.variant in _DELTA_VARIANTS and self.delta_mode == "learnable"
+        return self.layout.high and self.delta_mode == "learnable"
 
     def to_dict(self) -> dict:
         """Every field as plain JSON values; ``moe`` only when it is set."""
@@ -183,33 +209,21 @@ class ModelConfig:
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Learnable parameter names and shapes, in deterministic init order."""
-    half, horizon, channels = cfg.half, cfg.horizon, cfg.channels
+    half, head, channels, layout = cfg.half, cfg.head, cfg.channels, cfg.layout
     shapes: dict[str, tuple[int, ...]] = {}
-    if cfg.variant in ("B", "S", "LF"):
-        if cfg.lf_hidden:
-            shapes["lf.w1"] = (half, cfg.lf_hidden)
-            shapes["lf.b1"] = (cfg.lf_hidden,)
-            shapes["lf.w2"] = (cfg.lf_hidden, horizon)
-            shapes["lf.b2"] = (horizon,)
-        else:
-            shapes["lf.weight"] = (half, horizon)
-            shapes["lf.bias"] = (horizon,)
-    if cfg.variant in ("B", "M", "HF"):
-        shapes["hf.weight"] = (half, horizon)
-        shapes["hf.bias"] = (horizon,)
-    if cfg.variant == "I":
-        shapes["lf.weight"] = (half, horizon // 2)
-        shapes["lf.bias"] = (horizon // 2,)
-        shapes["hf.weight"] = (half, horizon // 2)
-        shapes["hf.bias"] = (horizon // 2,)
-    if cfg.variant == "M":
-        assert cfg.moe is not None
-        shapes.update(moe_mod.param_shapes(cfg.moe, half, horizon))
+    if cfg.lf_hidden:  # only a full-horizon "lf" head may have one
+        shapes.update({"lf.w1": (half, cfg.lf_hidden), "lf.b1": (cfg.lf_hidden,)})
+        shapes.update({"lf.w2": (cfg.lf_hidden, head), "lf.b2": (head,)})
+    elif layout.low == "lf":
+        shapes.update({"lf.weight": (half, head), "lf.bias": (head,)})
+    if layout.high:
+        shapes.update({"hf.weight": (half, head), "hf.bias": (head,)})
+    if layout.low == "moe":
+        shapes.update(moe_mod.param_shapes(cfg.moe, half, head))
     if cfg.has_delta():
         shapes["delta"] = (channels, 1) if cfg.delta_per_channel else ()
     if cfg.revin_affine:
-        shapes["revin.gain"] = (channels,)
-        shapes["revin.bias"] = (channels,)
+        shapes.update({"revin.gain": (channels,), "revin.bias": (channels,)})
     return shapes
 
 
@@ -249,14 +263,20 @@ def _check_params(cfg: ModelConfig, params: dict[str, Tensor]) -> None:
 
 
 def _delta(cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
-    if cfg.has_delta():
-        return params["delta"]
-    if cfg.delta_per_channel:
-        return constant(np.full((cfg.channels, 1), cfg.delta_init))
-    return constant(cfg.delta_init)
+    """The learnable delta, or a fixed one as the scalar ``delta_init``."""
+    return params["delta"] if cfg.has_delta() else constant(cfg.delta_init)
 
 
-def _lf_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor, first_layer: FirstLayer) -> Tensor:
+def _affine(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """RevIN's (gain, bias): the learnable pair, or the identity (one, zero) as constants."""
+    if cfg.revin_affine:
+        return params["revin.gain"], params["revin.bias"]
+    return constant(np.ones(cfg.channels)), constant(np.zeros(cfg.channels))
+
+
+def _low_head(cfg: ModelConfig, params: dict[str, Tensor], band: Tensor, first_layer: FirstLayer) -> Tensor:
+    if cfg.layout.low == "moe":
+        return moe_mod.moe_forward(params, cfg.moe, band, first_layer=first_layer)
     if cfg.lf_hidden:
         hidden = relu(first_layer(band, params["lf.w1"], params["lf.b1"]))
         return linear(hidden, params["lf.w2"], params["lf.b2"])
@@ -282,7 +302,7 @@ def _prologue(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> tup
     """
     x = _lookback(cfg, x)
     _check_params(cfg, params)
-    normalized, state = revin_forward(x, params.get("revin.gain"), params.get("revin.bias"))
+    normalized, state = revin_forward(x, *_affine(cfg, params))
     approx, detail = dwt_pair(constant(normalized), get_bank(cfg.bank))
     return approx, detail, state
 
@@ -291,39 +311,26 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> 
     """Predict (B, S, N) from a lookback batch (B, L, N) through the bands.
 
     Every variant can run here; :func:`forward` sends M, ``lf_hidden > 0``
-    and a per-channel delta here, and the tests use it as the reference
-    for the folded variants. Each head's first layer is
-    :func:`~wavets.revin.affine_linear`, which applies RevIN's affine to
-    its output, so the bands stay constants.
+    and a learnable per-channel delta here, and the tests use it as the
+    reference for the folded variants. The heads follow the variant's
+    :data:`LAYOUTS` entry: the low-band head, then delta times the
+    high-band head, then their sum or their synthesis. Each head's first
+    layer is :func:`~wavets.revin.affine_linear`, which applies RevIN's
+    affine to its output, so the bands stay constants.
     """
     approx, detail, state = _prologue(cfg, params, x)
-    low_layer = partial(affine_linear, state=state, approx=True)
-    high_layer = partial(affine_linear, state=state, approx=False)
-
-    if cfg.variant in ("S", "LF"):
-        fused = _lf_head(cfg, params, approx, low_layer)
-    elif cfg.variant == "B":
-        low = _lf_head(cfg, params, approx, low_layer)
-        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
-        fused = add(low, mul(_delta(cfg, params), high))
-    elif cfg.variant == "HF":
-        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
-        fused = mul(_delta(cfg, params), high)
-    elif cfg.variant == "M":
-        assert cfg.moe is not None
-        low = moe_mod.moe_forward(params, cfg.moe, approx, first_layer=low_layer)
-        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
-        fused = add(low, mul(_delta(cfg, params), high))
-    else:  # variant I: predict per band at half horizon, fuse by synthesis
-        low = low_layer(approx, params["lf.weight"], params["lf.bias"])
-        high = high_layer(detail, params["hf.weight"], params["hf.bias"])
-        fused = idwt_pair(low, mul(_delta(cfg, params), high), get_bank(cfg.bank))
-
+    layout, heads = cfg.layout, []
+    if layout.low:
+        heads.append(_low_head(cfg, params, approx, partial(affine_linear, state=state, approx=True)))
+    if layout.high:
+        high = affine_linear(detail, params["hf.weight"], params["hf.bias"], state, approx=False)
+        heads.append(mul(_delta(cfg, params), high))
+    fused = idwt_pair(*heads, get_bank(cfg.bank)) if layout.synthesize else reduce(add, heads)
     return revin_inverse(swap_last2(fused), state)
 
 
 def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] | None:
-    """A linear variant as ``(weight (S, L), offset)`` on the tape; None for the rest.
+    """A linear variant as ``(weight (S, L), offset (S, N))`` on the tape; None for the rest.
 
     Per channel, with RevIN's lookback mean and std (eps included), the
     model forecasts ``weight @ (x - mean) + mean + std * offset``. With the
@@ -333,37 +340,36 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
       weight = idwt(la^T, ld^T)
       offset = (sqrt(2) * bias * sum_i la[i] + f0 - bias) / gain
 
-    The offset is (S, N), or (S, 1) without the affine. Both are functions
-    of the parameters alone, so the transform runs on the weights rather
-    than on the batch, and backward reaches every parameter through them.
-    M, an MLP low-pass head (``lf_hidden > 0``) and a per-channel delta are
-    not one shared map, so they return None and keep :func:`band_forward`.
+    Without the affine, gain and bias are the constants one and zero. Both
+    are functions of the parameters alone, so the transform runs on the
+    weights rather than on the batch, and backward reaches every parameter
+    through them. M, an MLP low-pass head (``lf_hidden > 0``) and a
+    learnable per-channel delta are not one shared map, so they return
+    None and keep :func:`band_forward`.
     """
-    if cfg.variant == "M" or cfg.lf_hidden or cfg.delta_per_channel:
+    layout = cfg.layout
+    if layout.low == "moe" or cfg.lf_hidden or (cfg.has_delta() and cfg.delta_per_channel):
         return None
     _check_params(cfg, params)
     bank = get_bank(cfg.bank)
-    head = cfg.horizon // 2 if cfg.variant == "I" else cfg.horizon
-    zero_w, zero_b = constant(np.zeros((cfg.half, head))), constant(np.zeros(head))
-    low_w, low_b = (params["lf.weight"], params["lf.bias"]) if "lf.weight" in params else (zero_w, zero_b)
+    zero_w, zero_b = constant(np.zeros((cfg.half, cfg.head))), constant(np.zeros(cfg.head))
+    low_w, low_b = (params["lf.weight"], params["lf.bias"]) if layout.low else (zero_w, zero_b)
     high_w, high_b = zero_w, zero_b
-    if "hf.weight" in params:
+    if layout.high:
         delta = _delta(cfg, params)
         high_w, high_b = mul(delta, params["hf.weight"]), mul(delta, params["hf.bias"])
-    if cfg.variant == "I":  # the heads emit horizon bands: synthesize them along the horizon
+    if layout.synthesize:  # the heads emit horizon bands: synthesize them along the horizon
         la, ld = idwt_pair(low_w, zero_w, bank), idwt_pair(zero_w, high_w, bank)
         f0 = idwt_pair(low_b, high_b, bank)
     else:
         la, ld, f0 = low_w, high_w, add(low_b, high_b)
     la_t = swap_last2(la)  # (S, L/2)
     weight = idwt_pair(la_t, swap_last2(ld), bank)
-    offset = reshape(f0, (cfg.horizon, 1))
-    if cfg.revin_affine:
-        gain, bias = params["revin.gain"], params["revin.bias"]
-        check_gain(gain.data)
-        la_sum = matmul(la_t, constant(np.ones((cfg.half, 1))))  # (S, 1)
-        lifted = mul(mul(la_sum, constant(math.sqrt(2.0))), bias)  # (S, N)
-        offset = div(sub(add(lifted, offset), bias), gain)
+    gain, bias = _affine(cfg, params)
+    check_gain(gain.data)
+    la_sum = matmul(la_t, constant(np.ones((cfg.half, 1))))  # (S, 1)
+    lifted = mul(mul(la_sum, constant(math.sqrt(2.0))), bias)  # (S, N)
+    offset = div(sub(add(lifted, reshape(f0, (cfg.horizon, 1))), bias), gain)
     return weight, offset
 
 
@@ -479,8 +485,8 @@ def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookback: np.ndarray
     """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``
     of every window of the (B, L, N) ``lookback``, as a (B, S, N) array.
 
-    ``weight`` (S, L) and ``offset`` (S, N) or (S, 1) are the arrays
-    :func:`fold` builds; the batch is walked in cache-sized blocks
+    ``weight`` (S, L) and ``offset`` (S, N) are the arrays :func:`fold`
+    builds; the batch is walked in cache-sized blocks
     (:func:`_blocks`), off the tape, and each block writes its own
     windows' slice of the output.
     """
@@ -530,10 +536,7 @@ def folded_mse(
         offset_grad += block_offset_grad
     count = rows.size * horizon * channels
     scale = 2.0 / count
-    offset_grad *= scale
-    if offset.shape[1] == 1:  # an offset shared by the channels
-        offset_grad = offset_grad.sum(axis=1, keepdims=True)
-    return presummed(total / count, (weight, offset), (weight_grad * scale, offset_grad))
+    return presummed(total / count, (weight, offset), (weight_grad * scale, offset_grad * scale))
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
@@ -561,20 +564,17 @@ def batch_loss(
     (W, S, N) ``target``, on the tape.
 
     This is the one check of a training batch: both sources' shapes and
-    window counts, and ``rows`` a non-empty 1-D integer array in [0, W).
+    window counts, and ``rows`` by :func:`~wavets.data.check_origins`.
     The sources may be read-only sliding views of a series: the linear
     variants run through :func:`fold` and :func:`folded_mse`, which never
     gathers the batch. The other variants take the windows (a view when
     ``rows`` are consecutive) through :func:`band_forward` and ``mse_loss``.
     """
     lookback = _lookback(cfg, lookback)
-    target, rows = np.asarray(target, dtype=np.float64), np.asarray(rows)
+    target = np.asarray(target, dtype=np.float64)
     if target.shape[1:] != (cfg.horizon, cfg.channels) or len(target) != len(lookback):
         raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
-    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
-        raise ShapeMismatchError(f"rows must be a non-empty 1-D integer array, got {rows!r}")
-    if rows.min() < 0 or rows.max() >= len(lookback):
-        raise ShapeMismatchError(f"rows must lie in [0, {len(lookback)})")
+    rows = check_origins(rows, len(lookback))
     folded = fold(cfg, params)
     if folded is None:
         x, y = take_windows(lookback, rows), take_windows(target, rows)

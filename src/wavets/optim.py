@@ -32,8 +32,10 @@ def check_hyperparameters(lr: float, beta1: float, beta2: float, eps: float) -> 
 class Adam:
     """Standard Adam; deterministic given parameters, gradients and state.
 
-    A zero gradient leaves its parameter untouched, and the update on the
-    very first step is approximately ``lr * sign(g)``.
+    A parameter whose every gradient so far was zero (or None) stays where
+    it is, since both moments are still zero. After a nonzero gradient the
+    first moment keeps moving it, also on steps whose gradient is zero.
+    The update on the very first step is approximately ``lr * sign(g)``.
     """
 
     def __init__(

@@ -3,7 +3,9 @@
 Statistics (population mean and std, eps under the square root) are
 computed from the lookback window only, so no future value can leak into
 them; predictions are denormalized with the same statistics. The optional
-affine pair (gain, bias) is learnable and serializes with the model.
+affine pair (gain, bias) is learnable and serializes with the model; a
+model without it passes the identity, gain one and bias zero, as
+constants, so every function here takes an affine.
 :func:`compute_stats` is the one definition of the statistics: the fold
 path and the band path both call it.
 
@@ -29,8 +31,8 @@ loss and gradients) walk one block loop that calls :func:`compute_stats`
 on one cache-sized block of lookback windows at a time, with a reused
 buffer per block worker for the centred values, and the affine sits
 inside the folded offset.
-So only the band path (M, an MLP low-pass head, a per-channel delta)
-calls :func:`revin_forward` and :func:`revin_inverse`.
+So only the band path (M, an MLP low-pass head, a learnable per-channel
+delta) calls :func:`revin_forward` and :func:`revin_inverse`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, constant, div, linear, matmul, mul, reshape, sub
+from .autodiff import Tensor, add, constant, div, matmul, mul, reshape, sub
 from .exceptions import DegenerateWindowError, ZeroGainError
 
 DEFAULT_EPS = 1e-5
@@ -54,8 +56,8 @@ class RevinState:
 
     mean: np.ndarray  # (B, N)
     std: np.ndarray   # (B, N); already includes eps under the sqrt
-    gain: Tensor | None
-    bias: Tensor | None
+    gain: Tensor  # (N,); the constant ones without the affine
+    bias: Tensor  # (N,); the constant zeros without the affine
 
 
 def compute_stats(
@@ -82,9 +84,7 @@ def check_gain(gain: np.ndarray) -> None:
         raise ZeroGainError("affine gain too close to zero to invert")
 
 
-def revin_forward(
-    lookback: np.ndarray, gain: Tensor | None = None, bias: Tensor | None = None
-) -> tuple[np.ndarray, RevinState]:
+def revin_forward(lookback: np.ndarray, gain: Tensor, bias: Tensor) -> tuple[np.ndarray, RevinState]:
     """Normalize a (B, L, N) lookback batch into a new (B, N, L) array.
 
     The one channel-major copy is centred in place by :func:`compute_stats`
@@ -111,14 +111,9 @@ def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, ap
     :func:`revin_forward`; the shift is ``sqrt(2) * bias`` on the
     approximation band (``approx``) and zero on the detail band. The affine is applied to the (B, N, Dout)
     output, ``gain * (x @ weight) + shift (x) colsum(weight) + bias``.
-    Without the affine this is :func:`linear`.
     """
-    if state.gain is None and state.bias is None:
-        return linear(x, weight, bias)
-    out = matmul(x, weight)
-    if state.gain is not None:
-        out = mul(out, _column(state.gain))
-    if approx and state.bias is not None:
+    out = mul(matmul(x, weight), _column(state.gain))
+    if approx:
         colsum = matmul(constant(np.ones((1, weight.shape[0]))), weight)  # (1, Dout)
         bias = add(mul(_column(state.bias), mul(colsum, constant(_SQRT2))), bias)  # (N, Dout)
     return add(out, bias)
@@ -126,11 +121,7 @@ def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, ap
 
 def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:
     """Exact algebraic inverse on (B, S, N): x = (y - bias)/gain * std + mean."""
-    out = y if isinstance(y, Tensor) else constant(y)
-    if state.bias is not None:
-        out = sub(out, state.bias)
-    if state.gain is not None:
-        check_gain(state.gain.data)
-        out = div(out, state.gain)
-    out = mul(out, constant(state.std[:, None, :]))
+    out = sub(y if isinstance(y, Tensor) else constant(y), state.bias)
+    check_gain(state.gain.data)
+    out = mul(div(out, state.gain), constant(state.std[:, None, :]))
     return add(out, constant(state.mean[:, None, :]))

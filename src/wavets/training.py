@@ -39,10 +39,6 @@ class TrainSettings:
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def optimizer(self, params: dict[str, Tensor]) -> Adam:
-        """Adam over ``params`` with these settings' learning rate, betas and eps."""
-        return Adam(params, lr=self.lr, betas=(self.beta1, self.beta2), eps=self.eps)
-
 
 @dataclass
 class EpochStats:
@@ -127,7 +123,7 @@ def train_model(
     init_rng = np.random.default_rng([seed, 101])
     shuffle_rng = np.random.default_rng([seed, 202])
     params = init_params(cfg, init_rng)
-    optimizer = settings.optimizer(params)
+    optimizer = Adam(params, lr=settings.lr, betas=(settings.beta1, settings.beta2), eps=settings.eps)
     train_sampler = WindowSampler(train_split, cfg.lookback, cfg.horizon)
     val_sampler = WindowSampler(val_split, cfg.lookback, cfg.horizon)
 

@@ -320,6 +320,25 @@ def test_adam_zero_gradient_is_identity():
     assert np.array_equal(theta.data, before)
 
 
+def test_adam_zero_gradient_after_a_nonzero_one_still_moves():
+    """Zero gradients are the identity only while the moments are zero: after
+    one step on a gradient of ones, a zero gradient moves the parameter by
+    lr * m_hat / (sqrt(v_hat) + eps) with the decayed moments of step two."""
+    theta = ad.Tensor(np.array([0.0]), requires_grad=True)
+    opt = Adam({"theta": theta}, lr=0.1)
+    theta.grad = np.ones(1)
+    opt.step()
+    after_first = theta.data.copy()
+    theta.grad = np.zeros(1)
+    opt.step()
+    b1, b2 = 0.9, 0.999
+    m_hat = b1 * (1 - b1) / (1 - b1**2)
+    v_hat = b2 * (1 - b2) / (1 - b2**2)
+    expected = 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert abs(expected - 0.067) < 1e-3
+    assert abs((after_first - theta.data)[0] - expected) < 1e-12
+
+
 def test_adam_converges_on_quadratic():
     theta = ad.Tensor(np.array(1.0), requires_grad=True)
     opt = Adam({"theta": theta}, lr=0.1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavets import cli, data
+from wavets import training as training_mod
 from wavets.cli import main, make_run_dir
 from wavets.config import RunConfig
 from wavets.evaluation import read_reports_csv
@@ -327,16 +328,27 @@ BENCH_TINY = ["benchmark", "--channels", "2", "--lookback", "16", "--horizon", "
 
 
 def test_benchmark_times_exactly_the_requested_windows(monkeypatch, capsys):
-    epochs = []
-    real = cli.train_step
+    """--measure times train_model's own epochs: three of exactly
+    --bench-windows windows, and reports their mean epoch seconds."""
+    epochs, results = [], []
+    real_step, real_train = training_mod.train_step, cli.train_model
 
     def counted(cfg, params, optimizer, lookback, target, rows):
         epochs.append(len(rows))
-        return real(cfg, params, optimizer, lookback, target, rows)
+        return real_step(cfg, params, optimizer, lookback, target, rows)
 
-    monkeypatch.setattr(cli, "train_step", counted)
+    def kept(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training_mod, "train_step", counted)
+    monkeypatch.setattr(cli, "train_model", kept)
     assert main([*BENCH_TINY, "--variants", "B", "--measure", "--bench-windows", "5", "--batch-size", "2"]) == 0
     assert epochs == [2, 2, 1] * 3  # three timed epochs of 5 windows each
+    (result,) = results
+    assert result.epochs_trained == 3
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert float(row["epoch_time_s"]) == result.mean_epoch_seconds
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from wavets.exceptions import (
     NonFiniteInputError,
     ParseError,
     SeriesTooShortError,
+    ShapeMismatchError,
     SpecOutOfRangeError,
 )
 
@@ -250,10 +251,19 @@ def test_consecutive_origins_gather_read_only_views():
         check(batch, view=False)
     for origins in ([3, 2, 1], [0, 2, 3], [4, 4, 5], [7]):
         check(sampler.gather(np.array(origins)), view=origins == [7])
-    # negative and out-of-range origins keep fancy indexing's meaning
-    assert np.array_equal(sampler.gather(np.array([-2, -1])).x, sampler.gather(np.array([30, 31])).x)
-    with pytest.raises(IndexError):
-        sampler.gather(np.array([31, 32]))
+
+
+def test_gather_rejects_origins_outside_the_windows():
+    """Origin -1 is no alias of the last window, and origin W no bare
+    IndexError: both, like an empty or non-integer batch, raise the
+    ShapeMismatchError that batch_loss raises for the same rows."""
+    values = np.random.default_rng(1).normal(size=(40, 3))
+    sampler = data.WindowSampler(data.Series(values, ["a", "b", "c"]), lookback=6, horizon=3)
+    assert len(sampler) == 32
+    assert np.array_equal(sampler.gather(np.array([0, 31])).origins, [0, 31])
+    for origins in ([-1], [-2, -1], [32], [31, 32], [], [0.0, 1.0], [[0, 1]]):
+        with pytest.raises(ShapeMismatchError):
+            sampler.gather(np.array(origins))
 
 
 def test_forecasts_from_views_match_forecasts_from_copies():

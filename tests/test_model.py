@@ -512,6 +512,122 @@ def test_unfoldable_heads_match_the_reference_forward(variant, overrides):
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
 
 
+# Every variant's parameter names and shapes, in order, for each option:
+# init_params draws the parameters in this order and checkpoints list them
+# in it. Each entry is ``name:shape`` with the dims joined by ``x``, at
+# lookback 12, horizon 4, two channels, ``lf_hidden=5`` and two experts of
+# three hidden units. ``lf_hidden`` applies to B, S and LF only.
+SHAPE_OPTIONS = {
+    "default": {},
+    "lf_hidden": dict(lf_hidden=5),
+    "affine_off": dict(revin_affine=False),
+    "learnable_per_channel": dict(delta_per_channel=True),
+    "fixed_per_channel": dict(delta_mode="fixed", delta_per_channel=True),
+}
+PINNED_SHAPES = {
+    ("B", "default"): "lf.weight:6x4 lf.bias:4 hf.weight:6x4 hf.bias:4 delta:() revin.gain:2 revin.bias:2",
+    ("B", "lf_hidden"): (
+        "lf.w1:6x5 lf.b1:5 lf.w2:5x4 lf.b2:4 hf.weight:6x4 hf.bias:4 delta:() revin.gain:2 "
+        "revin.bias:2"
+    ),
+    ("B", "affine_off"): "lf.weight:6x4 lf.bias:4 hf.weight:6x4 hf.bias:4 delta:()",
+    ("B", "learnable_per_channel"): (
+        "lf.weight:6x4 lf.bias:4 hf.weight:6x4 hf.bias:4 delta:2x1 revin.gain:2 revin.bias:2"
+    ),
+    ("B", "fixed_per_channel"): "lf.weight:6x4 lf.bias:4 hf.weight:6x4 hf.bias:4 revin.gain:2 revin.bias:2",
+    ("S", "default"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("S", "lf_hidden"): "lf.w1:6x5 lf.b1:5 lf.w2:5x4 lf.b2:4 revin.gain:2 revin.bias:2",
+    ("S", "affine_off"): "lf.weight:6x4 lf.bias:4",
+    ("S", "learnable_per_channel"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("S", "fixed_per_channel"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("M", "default"): (
+        "hf.weight:6x4 hf.bias:4 moe.gate.weight:6x2 moe.gate.bias:2 moe.expert0.w1:6x3 "
+        "moe.expert0.b1:3 moe.expert0.w2:3x4 moe.expert0.b2:4 moe.expert1.w1:6x3 moe.expert1.b1:3 "
+        "moe.expert1.w2:3x4 moe.expert1.b2:4 delta:() revin.gain:2 revin.bias:2"
+    ),
+    ("M", "affine_off"): (
+        "hf.weight:6x4 hf.bias:4 moe.gate.weight:6x2 moe.gate.bias:2 moe.expert0.w1:6x3 "
+        "moe.expert0.b1:3 moe.expert0.w2:3x4 moe.expert0.b2:4 moe.expert1.w1:6x3 moe.expert1.b1:3 "
+        "moe.expert1.w2:3x4 moe.expert1.b2:4 delta:()"
+    ),
+    ("M", "learnable_per_channel"): (
+        "hf.weight:6x4 hf.bias:4 moe.gate.weight:6x2 moe.gate.bias:2 moe.expert0.w1:6x3 "
+        "moe.expert0.b1:3 moe.expert0.w2:3x4 moe.expert0.b2:4 moe.expert1.w1:6x3 moe.expert1.b1:3 "
+        "moe.expert1.w2:3x4 moe.expert1.b2:4 delta:2x1 revin.gain:2 revin.bias:2"
+    ),
+    ("M", "fixed_per_channel"): (
+        "hf.weight:6x4 hf.bias:4 moe.gate.weight:6x2 moe.gate.bias:2 moe.expert0.w1:6x3 "
+        "moe.expert0.b1:3 moe.expert0.w2:3x4 moe.expert0.b2:4 moe.expert1.w1:6x3 moe.expert1.b1:3 "
+        "moe.expert1.w2:3x4 moe.expert1.b2:4 revin.gain:2 revin.bias:2"
+    ),
+    ("I", "default"): "lf.weight:6x2 lf.bias:2 hf.weight:6x2 hf.bias:2 delta:() revin.gain:2 revin.bias:2",
+    ("I", "affine_off"): "lf.weight:6x2 lf.bias:2 hf.weight:6x2 hf.bias:2 delta:()",
+    ("I", "learnable_per_channel"): (
+        "lf.weight:6x2 lf.bias:2 hf.weight:6x2 hf.bias:2 delta:2x1 revin.gain:2 revin.bias:2"
+    ),
+    ("I", "fixed_per_channel"): "lf.weight:6x2 lf.bias:2 hf.weight:6x2 hf.bias:2 revin.gain:2 revin.bias:2",
+    ("LF", "default"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("LF", "lf_hidden"): "lf.w1:6x5 lf.b1:5 lf.w2:5x4 lf.b2:4 revin.gain:2 revin.bias:2",
+    ("LF", "affine_off"): "lf.weight:6x4 lf.bias:4",
+    ("LF", "learnable_per_channel"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("LF", "fixed_per_channel"): "lf.weight:6x4 lf.bias:4 revin.gain:2 revin.bias:2",
+    ("HF", "default"): "hf.weight:6x4 hf.bias:4 delta:() revin.gain:2 revin.bias:2",
+    ("HF", "affine_off"): "hf.weight:6x4 hf.bias:4 delta:()",
+    ("HF", "learnable_per_channel"): "hf.weight:6x4 hf.bias:4 delta:2x1 revin.gain:2 revin.bias:2",
+    ("HF", "fixed_per_channel"): "hf.weight:6x4 hf.bias:4 revin.gain:2 revin.bias:2",
+}
+
+
+def test_param_shapes_are_pinned_for_every_variant_and_option():
+    for variant, option in itertools.product(VARIANTS, SHAPE_OPTIONS):
+        overrides = SHAPE_OPTIONS[option]
+        if (variant, option) not in PINNED_SHAPES:
+            with pytest.raises(InvalidConfigError):
+                tiny_config(variant, lookback=12, **overrides)
+            continue
+        expected = [
+            (name, tuple(int(d) for d in dims.split("x")) if dims != "()" else ())
+            for name, dims in (item.split(":") for item in PINNED_SHAPES[variant, option].split())
+        ]
+        assert list(param_shapes(tiny_config(variant, lookback=12, **overrides)).items()) == expected, (
+            variant, option
+        )
+
+
+@pytest.mark.parametrize(
+    "variant, overrides",
+    [
+        ("S", dict(delta_per_channel=True)),
+        ("LF", dict(delta_per_channel=True, revin_affine=False)),
+        ("B", dict(delta_mode="fixed", delta_per_channel=True)),
+        ("HF", dict(delta_mode="fixed", delta_per_channel=True, revin_affine=False)),
+        ("I", dict(delta_mode="fixed", delta_per_channel=True)),
+    ],
+)
+def test_a_per_channel_delta_that_is_not_learned_folds(monkeypatch, variant, overrides):
+    """S and LF have no delta, and a fixed delta is one scalar whatever
+    delta_per_channel says, so these configs run through the fold, never
+    band_forward, and match the reference in prediction, loss and gradients."""
+    cfg = tiny_config(variant, lookback=16, horizon=8, channels=3, bank="d4", delta_init=0.7, **overrides)
+    rng = np.random.default_rng(37)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    assert fold(cfg, params) is not None
+    x = rng.normal(size=(4, 16, 3)) * 3.0 - 7.0
+    y = rng.normal(size=(4, 8, 3)) * 3.0 - 7.0
+
+    pred_ref, loss_ref, grads_ref = _loss_and_grads(reference_forward, cfg, params, x, y)
+    monkeypatch.setattr(model_mod, "band_forward", None)  # the fold must not need it
+    assert np.max(np.abs(predict(cfg, params, x) - pred_ref)) < 1e-10
+    loss, grads = loss_and_grads(cfg, params, x, y)
+    assert abs(loss - loss_ref) < 1e-10
+    assert set(grads) == set(grads_ref)
+    for name, grad in grads_ref.items():
+        assert np.any(grad != 0), name
+        assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     bank=st.sampled_from(wv.BANK_NAMES),
@@ -691,7 +807,9 @@ def test_fold_matches_tape_forward(
 
     weight, offset = fold(cfg, params)
     assert weight.shape == (horizon, lookback)
-    assert offset.shape == (horizon, channels if affine else 1)
+    assert offset.shape == (horizon, channels)
+    if not affine:  # the identity affine's offset is the same for every channel
+        assert np.array_equal(offset.data, np.repeat(offset.data[:, :1], channels, axis=1))
     assert np.max(np.abs(predict(cfg, params, x) - band_forward(cfg, params, x).data)) < 1e-10
     loss, grads = loss_and_grads(cfg, params, x, y)
     _, loss_ref, grads_ref = _loss_and_grads(band_forward, cfg, params, x, y)
@@ -905,24 +1023,19 @@ def _fused_inputs(rng, windows, length, horizon, channels, offset_channels):
     length=st.integers(2, 8),
     horizon=st.integers(1, 5),
     channels=st.integers(1, 4),
-    shared_offset=st.booleans(),
     per_block=st.integers(1, 4),
     order=st.sampled_from(["run", "shuffled", "repeated"]),
     seed=st.integers(0, 2**16),
 )
-def test_folded_mse_matches_its_composition(
-    batch, extra, length, horizon, channels, shared_offset, per_block, order, seed
-):
+def test_folded_mse_matches_its_composition(batch, extra, length, horizon, channels, per_block, order, seed):
     """The fused op against compute_stats on the gathered batch plus
     composed_folded_forecast + composed_mse: the loss and both gradients
-    within 1e-10, for an (S, 1) and an (S, N) offset, one channel, blocks
-    of one to four windows (a partial last block whenever the block does
-    not divide the batch) and rows in a run, shuffled or repeated."""
+    within 1e-10, for one to four channels, blocks of one to four windows
+    (a partial last block whenever the block does not divide the batch)
+    and rows in a run, shuffled or repeated."""
     rng = np.random.default_rng(seed)
     windows = batch + extra
-    weight, offset, lookback, target = _fused_inputs(
-        rng, windows, length, horizon, channels, 1 if shared_offset else channels
-    )
+    weight, offset, lookback, target = _fused_inputs(rng, windows, length, horizon, channels, channels)
     if order == "run":
         rows = np.arange(extra, windows)
     elif order == "shuffled":
@@ -954,8 +1067,8 @@ def test_folded_mse_matches_its_composition(
 
 def test_folded_mse_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
-        w, offset, lookback, target = _fused_inputs(rng, 6, 5, 2, 4, offset_channels)
+    for channels in (4, 1):
+        w, offset, lookback, target = _fused_inputs(rng, 6, 5, 2, channels, channels)
         rows = np.array([5, 1, 1, 3])
         loss = model_mod.folded_mse(w, offset, lookback, target, rows)
         loss.backward()

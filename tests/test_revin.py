@@ -78,7 +78,7 @@ def test_degenerate_window_rejected():
     with pytest.raises(DegenerateWindowError):
         compute_stats(np.ones((2, 1, 3)))
     with pytest.raises(DegenerateWindowError):
-        revin_forward(np.ones((2, 1, 3)))
+        revin_forward(np.ones((2, 1, 3)), *_unit_affine(3))
 
 
 @pytest.mark.parametrize("writable", [True, False])
@@ -91,7 +91,7 @@ def test_forward_leaves_the_lookback_unchanged(batch, channels, writable):
         x = x[:]
         x.flags.writeable = False
     before = x.copy()
-    normalized, _ = revin_forward(x)
+    normalized, _ = revin_forward(x, *_unit_affine(channels))
     assert np.array_equal(x, before)
     assert not np.shares_memory(normalized, x)
 
