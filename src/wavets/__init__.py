@@ -15,7 +15,7 @@ The package is organized by responsibility:
 * :mod:`wavets.cli` - the ``wavets`` command-line entry point.
 """
 
-from .model import ModelConfig, forward, init_params, loss_and_grads, predict
+from .model import ModelConfig, forward, init_params, predict
 from .moe import MoEConfig
 from .wavelet import FilterBank, dwt_arrays, dwt_multi, idwt_arrays, idwt_multi
 
@@ -32,6 +32,5 @@ __all__ = [
     "idwt_arrays",
     "idwt_multi",
     "init_params",
-    "loss_and_grads",
     "predict",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .autodiff import Tensor
-from .exceptions import ParseError
+from .exceptions import NonFiniteInputError, ParseError
 
 FORMAT_NAME = "wavets.checkpoint"
 FORMAT_VERSION = 1
@@ -51,7 +51,8 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as float32 arrays keyed by parameter name.
 
     Anything but a well-formed manifest of this format and version, with
-    each name once, raises :class:`ParseError`.
+    each name once, raises :class:`ParseError`; a NaN, an infinity or a value
+    past the float32 range raises :class:`NonFiniteInputError`.
     """
     try:
         manifest = json.loads(Path(path).read_text())
@@ -70,13 +71,15 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     for index, entry in enumerate(entries):
         try:
             name, shape = entry["name"], entry["shape"]
-            values = np.asarray(entry["values"], dtype=np.float32)
+            values = np.asarray(entry["values"], dtype=np.float64)
             expected = int(np.prod(shape)) if shape else 1
             if values.size != expected:
                 raise ParseError(f"parameter {name!r}: {values.size} values for shape {shape}")
             if name in out:
                 raise ParseError(f"{path}: parameter {name!r} appears more than once")
-            out[name] = values.reshape(shape)
+            if not (np.abs(values) <= np.finfo(np.float32).max).all():  # NaN, infinite or past float32
+                raise NonFiniteInputError(f"{path}: parameter {name!r} has a value that is not a finite float32")
+            out[name] = values.astype(np.float32).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed parameter entry {index}: {exc!r}") from exc
     return out

@@ -214,35 +214,35 @@ PROTOCOL_KEYS = (
 )
 
 
-def _eval_config(args) -> RunConfig:
-    """The flags and ``--config`` file, with the protocol keys taken from the
-    ``config.json`` next to the checkpoint when there is one. A given
-    protocol value that disagrees with that file is a config error."""
+def _eval_config(args, mcfg: model_mod.ModelConfig) -> RunConfig:
+    """The flags and ``--config`` file over the checkpoint's model ``mcfg`` and the
+    protocol keys of the ``config.json`` beside it, if any. A given key that changes
+    either (the model once normalized) is a config error. Whether the model reads a key
+    hangs only on ``variant`` and ``delta_mode``, so keys that agree one at a time agree together."""
     settings = given_settings(args)
     given = apply_overrides(RunConfig(), settings)
     run_file = Path(args.checkpoint).with_name("config.json")
-    if not run_file.exists():
-        return given
-    run = apply_overrides(RunConfig(), load_config_file(run_file))
-    for name in PROTOCOL_KEYS:
-        if name in settings and getattr(given, name) != getattr(run, name):
-            raise InvalidConfigError(
-                f"{name}={getattr(given, name)!r} disagrees with {run_file}, which has {getattr(run, name)!r}"
-            )
-    return replace(given, **{name: getattr(run, name) for name in PROTOCOL_KEYS})
+    run = apply_overrides(RunConfig(), load_config_file(run_file)) if run_file.exists() else given
+    recorded = replace(given, **{name: getattr(run, name) for name in PROTOCOL_KEYS}).with_model(mcfg)
+
+    def described(cfg: RunConfig):
+        return cfg.model_config(mcfg.channels), [getattr(cfg, name) for name in PROTOCOL_KEYS]
+
+    for name in settings:
+        value = getattr(given, name)
+        if described(replace(recorded, **{name: value})) != described(recorded):
+            path = run_file if name in PROTOCOL_KEYS else model_mod.config_sidecar_path(args.checkpoint)
+            raise InvalidConfigError(f"{name}={value!r} disagrees with {path}, which has {getattr(recorded, name)!r}")
+    return recorded
 
 
 def cmd_eval(args) -> int:
-    cfg = _eval_config(args)
     mcfg, params = model_mod.load_model(args.checkpoint)
+    cfg = _eval_config(args, mcfg)
     series, dataset_name = load_series(cfg)
     if series.channels != mcfg.channels:
-        raise InvalidConfigError(
-            f"checkpoint expects {mcfg.channels} channels, data has {series.channels}"
-        )
-    # Window geometry comes from the checkpoint, not the flags.
-    cfg_eval = replace(cfg, lookback=mcfg.lookback, horizon=mcfg.horizon)
-    _, _, test_v = prepare_splits(cfg_eval, series)
+        raise InvalidConfigError(f"checkpoint expects {mcfg.channels} channels, data has {series.channels}")
+    _, _, test_v = prepare_splits(cfg, series)
     metrics = evaluate_model(mcfg, params, test_v, cfg.batch_size)
     print(f"{dataset_name}: test mse {metrics['mse']:.6f} mae {metrics['mae']:.6f} "
           f"({metrics['windows']} windows)")

@@ -84,6 +84,11 @@ class RunConfig:
         moe = MoEConfig(self.moe_experts, self.moe_hidden) if layout and layout.low == "moe" else None
         return ModelConfig(channels=channels, moe=moe, **self._shared(ModelConfig))
 
+    def with_model(self, mcfg: ModelConfig) -> "RunConfig":
+        """This config with ``mcfg``'s model keys, the inverse of :meth:`model_config`."""
+        moe = {"moe_experts": mcfg.moe.num_experts, "moe_hidden": mcfg.moe.hidden} if mcfg.moe else {}
+        return dataclasses.replace(self, **{name: getattr(mcfg, name) for name in self._shared(ModelConfig)}, **moe)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -120,6 +120,11 @@ _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bo
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """One model, one config: a field the model never reads takes its default. S and
+    LF (no delta) take the default delta fields, a fixed delta (one scalar) takes
+    ``delta_per_channel=False``; ``bank`` becomes its bank's name and ``delta_init`` a
+    float. ``lf_hidden`` or ``moe`` on a variant without that head is an error."""
+
     variant: str
     lookback: int
     horizon: int
@@ -173,6 +178,13 @@ class ModelConfig:
                 f"variant {self.variant} with bank {self.bank} needs a horizon of at least {taps}, "
                 f"got {self.horizon}"
             )
+        canonical = {"bank": get_bank(self.bank).name, "delta_init": float(self.delta_init)}
+        if not layout.high:
+            canonical.update((f.name, f.default) for f in fields(self) if f.name.startswith("delta_"))
+        elif self.delta_mode == "fixed":
+            canonical["delta_per_channel"] = False
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
 
     @property
     def layout(self) -> Layout:
@@ -343,12 +355,12 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
     Without the affine, gain and bias are the constants one and zero. Both
     are functions of the parameters alone, so the transform runs on the
     weights rather than on the batch, and backward reaches every parameter
-    through them. M, an MLP low-pass head (``lf_hidden > 0``) and a
-    learnable per-channel delta are not one shared map, so they return
-    None and keep :func:`band_forward`.
+    through them. M, an MLP low-pass head (``lf_hidden > 0``) and a per-channel
+    delta (always learnable: see :class:`ModelConfig`) are not one shared map,
+    so they return None and keep :func:`band_forward`.
     """
     layout = cfg.layout
-    if layout.low == "moe" or cfg.lf_hidden or (cfg.has_delta() and cfg.delta_per_channel):
+    if layout.low == "moe" or cfg.lf_hidden or cfg.delta_per_channel:
         return None
     _check_params(cfg, params)
     bank = get_bank(cfg.bank)
@@ -598,26 +610,6 @@ def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarra
     first layer :func:`band_forward` gives the mixture; used for gate diagnostics."""
     approx, _, state = _prologue(cfg, params, x)
     return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True))
-
-
-def loss_and_grads(
-    cfg: ModelConfig,
-    params: dict[str, Tensor],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE against the horizon plus gradients for every learnable tensor: the
-    :func:`batch_loss` of every window of ``x`` and ``y``."""
-    x = _lookback(cfg, x)
-    for p in params.values():
-        p.zero_grad()
-    loss = batch_loss(cfg, params, x, y, np.arange(len(x)))
-    loss.backward()
-    grads = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    return loss.item(), grads
 
 
 def config_sidecar_path(checkpoint_path: str | Path) -> Path:

@@ -1,7 +1,9 @@
 """The reference forward the band path is tested against, one expert of
 the mixture on its own and the per-expert loop the one-op mixture
 replaces, and the op compositions the one-op folded forecast and MSE
-replace, with the test-only tape ops they are built from.
+replace, with the test-only tape ops they are built from; and
+:func:`loss_and_grads`, the model's own loss and gradients as plain
+values.
 
 It is the pipeline the paper describes, written the plain way: time-domain
 RevIN with the affine on the tape, the DWT of the affine-mapped lookback
@@ -19,14 +21,12 @@ import numpy as np
 from wavets import autodiff as ad
 from wavets import moe as moe_mod
 from wavets import wavelet as wv
+from wavets.model import batch_loss
 from wavets.revin import compute_stats
 
 
 def _delta(cfg, params):
-    if cfg.has_delta():
-        return params["delta"]
-    shape = (cfg.channels, 1) if cfg.delta_per_channel else ()
-    return ad.constant(np.full(shape, cfg.delta_init))
+    return params["delta"] if cfg.has_delta() else ad.constant(cfg.delta_init)
 
 
 def reference_forward(cfg, params, x):
@@ -63,6 +63,20 @@ def reference_forward(cfg, params, x):
     if gain is not None:
         out = ad.div(ad.sub(out, bias), gain)
     return ad.add(ad.mul(out, ad.constant(std[:, None, :])), ad.constant(mean[:, None, :]))
+
+
+def loss_and_grads(cfg, params, x, y):
+    """``model.batch_loss`` of every window of ``x`` against ``y``, and the
+    gradient of every parameter (zeros where none reached it), as plain values."""
+    for p in params.values():
+        p.zero_grad()
+    loss = batch_loss(cfg, params, x, y, np.arange(len(x)))
+    loss.backward()
+    grads = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in params.items()
+    }
+    return loss.item(), grads
 
 
 def expert_forward(params, index, x):

@@ -18,11 +18,11 @@ from wavets.cli import load_series, main, prepare_splits, run_one_seed
 from wavets.config import RunConfig
 from wavets.data import synth
 from wavets.evaluation import read_reports_csv
-from wavets.model import VARIANTS, ModelConfig, init_params, loss_and_grads
+from wavets.model import VARIANTS, ModelConfig, init_params
 from wavets.moe import MoEConfig
 
 from conftest import max_rel_err, numeric_grad
-from reference import expert_forward, mean, softmax
+from reference import expert_forward, loss_and_grads, mean, softmax
 
 
 def _dataset(cfg):

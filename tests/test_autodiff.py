@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -409,3 +410,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
             ckpt.load_params(wrong)
     wrong.write_text(json.dumps({**head, "params": [entry]}))
     assert np.array_equal(ckpt.load_params(wrong)["w"], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
+def test_checkpoint_with_a_non_finite_value_is_rejected(tmp_path, bad):
+    """A NaN or infinite value (``NaN``/``Infinity`` in the JSON), or one
+    that is infinite as a float32, fails the load without a warning,
+    naming the file and the parameter."""
+    path = tmp_path / "ckpt.json"
+    ckpt.save_params({"lf.weight": np.ones((2, 2)), "delta": np.array(0.5)}, path)
+    manifest = json.loads(path.read_text())
+    assert manifest["params"][1]["name"] == "lf.weight"
+    manifest["params"][1]["values"][2] = bad
+    path.write_text(json.dumps(manifest))
+    with warnings.catch_warnings(), pytest.raises(NonFiniteInputError) as info:
+        warnings.simplefilter("error")
+        ckpt.load_params(path)
+    assert str(info.value) == f"{path}: parameter 'lf.weight' has a value that is not a finite float32"

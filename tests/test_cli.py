@@ -10,6 +10,8 @@ from wavets import training as training_mod
 from wavets.cli import main, make_run_dir
 from wavets.config import RunConfig
 from wavets.evaluation import read_reports_csv
+from wavets.model import ModelConfig
+from wavets.training import TrainSettings
 
 TINY_TRAIN = [
     "train",
@@ -162,6 +164,45 @@ def test_eval_accepts_flags_that_match_the_run_config(tmp_path, capsys):
     assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "train_flags, eval_flags, message",
+    [
+        (["--variant", "B"], ["--horizon", "4", "--lookback", "8", "--variant", "M", "--bank", "d4"], "variant='M'"),
+        (["--variant", "B"], ["--lookback", "8"], "lookback=8"),
+        (["--variant", "B"], ["--bank", "d4"], "bank='d4'"),
+        (["--variant", "B"], ["--delta-mode", "fixed"], "delta_mode='fixed'"),
+        (["--variant", "B"], ["--no-revin-affine"], "revin_affine=False"),
+        (["--variant", "M", "--moe-experts", "2", "--moe-hidden", "4"], ["--moe-experts", "3"], "moe_experts=3"),
+    ],
+    ids=["variant", "lookback", "bank", "delta_mode", "revin_affine", "moe_experts"],
+)
+def test_eval_rejects_a_model_flag_that_disagrees_with_the_checkpoint(
+    tmp_path, capsys, train_flags, eval_flags, message
+):
+    """A model key must describe the checkpoint's model; eval scores nothing otherwise."""
+    run_dir = _trained_run(tmp_path, capsys, *train_flags)
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"), *eval_flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = captured.err.strip().splitlines()
+    expected = f"error config: {message} disagrees with {run_dir / 'checkpoint.config.json'}, which has "
+    assert len(err) == 1 and err[0].startswith(expected), err
+
+
+def test_eval_accepts_model_flags_the_checkpoint_ignores(tmp_path, capsys):
+    """S reads no delta field and no MoE size, so these flags still name its model."""
+    run_dir = _trained_run(tmp_path, capsys)
+    settings = tmp_path / "eval.json"
+    settings.write_text(json.dumps({"variant": "S", "moe_experts": 7, "delta_init": 3}))
+    code = main([
+        "eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--config", str(settings),
+        "--delta-per-channel", "--delta-mode", "fixed", "--bank", "HAAR", "--lookback", "16",
+    ])
+    assert code == 0
+    (row,) = read_reports_csv(run_dir / "report.csv")
+    assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_zero_batch_size_is_a_config_error(tmp_path, capsys, command):
     if command == "train":
@@ -189,20 +230,28 @@ def test_config_error_leaves_no_run_directory(tmp_path, capsys, flag, value):
 
 def test_sub_configs_carry_every_shared_run_field():
     """Every RunConfig field that ModelConfig or TrainSettings also has is set
-    off its default here and must reach the derived config."""
-    run = RunConfig(
-        variant="B", lookback=64, horizon=12, bank="d4", delta_mode="fixed", delta_init=0.5,
+    off its default in one of two runs and must reach the derived config.
+
+    A fixed delta is one scalar, so its model config drops a per-channel
+    flag: the learnable per-channel run carries delta_per_channel, the
+    fixed run delta_mode, and each leaves the other at its default."""
+    learnable = RunConfig(
+        variant="B", lookback=64, horizon=12, bank="d4", delta_init=0.5,
         delta_per_channel=True, revin_affine=False, lf_hidden=8,
         lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, batch_size=8, max_epochs=5, patience=2,
     )
-    run_fields = {f.name for f in fields(RunConfig)}
-    for derived, explicit in ((run.model_config(3), {"channels", "moe"}), (run.train_settings(), set())):
-        shared = {f.name for f in fields(derived)} - explicit
-        assert shared <= run_fields, shared - run_fields
-        for name in shared:
-            assert getattr(run, name) != getattr(RunConfig(), name), name
-            assert getattr(derived, name) == getattr(run, name), name
-    moe = replace(run, variant="M", lf_hidden=0, moe_experts=3, moe_hidden=5).model_config(3).moe
+    fixed = replace(learnable, delta_mode="fixed", delta_per_channel=False)
+    shared = {f.name for cls in (ModelConfig, TrainSettings) for f in fields(cls)} - {"channels", "moe"}
+    assert shared <= {f.name for f in fields(RunConfig)}
+    off_default = set()
+    for run in (learnable, fixed):
+        for derived in (run.model_config(3), run.train_settings()):
+            for name in shared & {f.name for f in fields(derived)}:
+                assert getattr(derived, name) == getattr(run, name), name
+                if getattr(run, name) != getattr(RunConfig(), name):
+                    off_default.add(name)
+    assert off_default == shared, shared - off_default
+    moe = replace(learnable, variant="M", lf_hidden=0, moe_experts=3, moe_hidden=5).model_config(3).moe
     assert (moe.num_experts, moe.hidden) == (3, 5)
 
 
@@ -223,7 +272,10 @@ def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
     good = {path: path.read_text() for path in (checkpoint, sidecar)}
     manifest = json.loads(good[checkpoint])
     config = json.loads(good[sidecar])
+    first, *rest = manifest["params"]
+    nan = {**first, "values": [float("nan"), *first["values"][1:]]}
     cases = [
+        (checkpoint, json.dumps({**manifest, "params": [nan, *rest]}), "numeric"),
         (checkpoint, json.dumps({**manifest, "version": 7}), "data"),
         (checkpoint, json.dumps({k: v for k, v in manifest.items() if k != "params"}), "data"),
         (checkpoint, json.dumps(manifest["params"]), "data"),

@@ -29,7 +29,6 @@ from wavets.model import (
     forward,
     init_params,
     load_model,
-    loss_and_grads,
     param_shapes,
     predict,
     save_model,
@@ -40,7 +39,7 @@ from wavets.revin import DEFAULT_EPS, compute_stats
 from wavets.training import TrainSettings, evaluate_model, train_model, train_step
 
 from conftest import max_rel_err, numeric_grad
-from reference import composed_folded_forecast, composed_mse, mean, reference_forward
+from reference import composed_folded_forecast, composed_mse, loss_and_grads, mean, reference_forward
 
 TINY = dict(lookback=8, horizon=4, channels=2)
 
@@ -67,6 +66,11 @@ def test_config_validation():
         ModelConfig("HF", 8, 4, 2, lf_hidden=16)
     with pytest.raises(InvalidConfigError):
         ModelConfig("B", 8, 4, 2, delta_mode="frozen")
+    # S reads no delta field, but its values are still checked before they are dropped.
+    with pytest.raises(InvalidConfigError):
+        ModelConfig("S", 8, 4, 2, delta_mode="frozen")
+    with pytest.raises(InvalidConfigError):
+        ModelConfig("S", 8, 4, 2, delta_per_channel=1)
 
 
 @st.composite
@@ -75,6 +79,8 @@ def model_configs(draw):
     variant = draw(st.sampled_from(VARIANTS))
     bank = draw(st.sampled_from(wv.BANK_NAMES))
     taps = wv.get_bank(bank).length
+    if draw(st.booleans()):
+        bank = bank.upper()
     horizon = draw(st.integers(1, 48))
     if variant == "I":
         horizon = max(2 * (horizon // 2), taps)
@@ -85,7 +91,7 @@ def model_configs(draw):
         channels=draw(st.integers(1, 400)),
         bank=bank,
         delta_mode=draw(st.sampled_from(["learnable", "fixed"])),
-        delta_init=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        delta_init=draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-1000, 1000))),
         delta_per_channel=draw(st.booleans()),
         revin_affine=draw(st.booleans()),
         lf_hidden=draw(st.integers(0, 32)) if variant in ("B", "S", "LF") else 0,
@@ -96,8 +102,95 @@ def model_configs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cfg=model_configs())
 def test_config_dict_round_trips(cfg):
+    """A config round-trips through its dict and its sidecar JSON, and
+    normalizing it again changes nothing, not even a float's type."""
+    sidecar = json.dumps(cfg.to_dict(), sort_keys=True)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg  # as a sidecar
+    assert ModelConfig.from_dict(json.loads(sidecar)) == cfg
+    assert json.dumps(ModelConfig.from_dict(cfg.to_dict()).to_dict(), sort_keys=True) == sidecar
+    assert cfg.bank in wv.BANK_NAMES and type(cfg.delta_init) is float
+
+
+# Every variant with the fields it ignores set off their defaults (an
+# upper-case bank, an int delta_init, a fixed per-channel delta), and the
+# normalized dict that config must give.
+_IGNORED = dict(bank="HAAR", delta_mode="fixed", delta_init=3, delta_per_channel=True)
+_NO_DELTA = {"delta_mode": "learnable", "delta_init": 1.0, "delta_per_channel": False}
+_FIXED = {"delta_mode": "fixed", "delta_init": 3.0, "delta_per_channel": False}
+_TINY_DICT = {"bank": "haar", "channels": 2, "horizon": 4, "lf_hidden": 0, "lookback": 8, "revin_affine": True}
+NORMALIZED = {
+    "B": {**_TINY_DICT, **_FIXED, "variant": "B"},
+    "S": {**_TINY_DICT, **_NO_DELTA, "variant": "S"},
+    "M": {**_TINY_DICT, **_FIXED, "variant": "M", "moe": {"num_experts": 2, "hidden": 3}},
+    "I": {**_TINY_DICT, **_FIXED, "variant": "I"},
+    "LF": {**_TINY_DICT, **_NO_DELTA, "variant": "LF"},
+    "HF": {**_TINY_DICT, **_FIXED, "variant": "HF"},
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fields_a_variant_ignores_take_their_defaults(tmp_path, variant):
+    """One model, one config: the config with ignored fields equals the
+    canonical one, gives the pinned dict, and writes the same sidecar."""
+    cfg = tiny_config(variant, **_IGNORED)
+    assert cfg.to_dict() == NORMALIZED[variant]
+    assert type(cfg.delta_init) is float
+    canonical = ModelConfig.from_dict(NORMALIZED[variant])
+    assert cfg == canonical and hash(cfg) == hash(canonical)
+    for name, config in (("ignored", cfg), ("canonical", canonical)):
+        save_model(config, init_params(config, 0), tmp_path / f"{name}.json")
+    for suffix in (".json", ".config.json"):
+        assert (tmp_path / f"ignored{suffix}").read_bytes() == (tmp_path / f"canonical{suffix}").read_bytes()
+
+
+def test_a_learnable_per_channel_delta_is_kept():
+    cfg = tiny_config("B", bank="D4", delta_init=2, delta_per_channel=True)
+    assert (cfg.bank, cfg.delta_mode, cfg.delta_init, cfg.delta_per_channel) == ("d4", "learnable", 2.0, True)
+
+
+# Sidecars as earlier versions wrote them, with the fields the model ignores
+# kept as given.
+_OLD_SIDECARS = {
+    "S": """{
+ "bank": "HAAR",
+ "channels": 2,
+ "delta_init": 3,
+ "delta_mode": "fixed",
+ "delta_per_channel": true,
+ "horizon": 4,
+ "lf_hidden": 0,
+ "lookback": 8,
+ "revin_affine": true,
+ "variant": "S"
+}
+""",
+    "B": """{
+ "bank": "Haar",
+ "channels": 2,
+ "delta_init": 3,
+ "delta_mode": "fixed",
+ "delta_per_channel": true,
+ "horizon": 4,
+ "lf_hidden": 0,
+ "lookback": 8,
+ "revin_affine": true,
+ "variant": "B"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_OLD_SIDECARS))
+def test_an_old_sidecar_with_ignored_fields_loads_as_the_canonical_config(tmp_path, variant):
+    canonical = ModelConfig.from_dict(NORMALIZED[variant])
+    save_model(canonical, init_params(canonical, 0), tmp_path / "canonical.json")
+    save_model(canonical, init_params(canonical, 0), tmp_path / "old.json")
+    (tmp_path / "old.config.json").write_text(_OLD_SIDECARS[variant])
+    cfg, params = load_model(tmp_path / "old.json")
+    assert cfg == canonical
+    save_model(cfg, params, tmp_path / "again.json")
+    for suffix in (".json", ".config.json"):
+        assert (tmp_path / f"again{suffix}").read_bytes() == (tmp_path / f"canonical{suffix}").read_bytes()
 
 
 _WRONG_TYPES = {
