@@ -20,6 +20,7 @@ from .exceptions import NonFiniteInputError, ParseError
 
 FORMAT_NAME = "wavets.checkpoint"
 FORMAT_VERSION = 1
+_NOT_FINITE = "{}: parameter {!r} has a value that is not a finite float32"
 
 
 def _buffer(value) -> np.ndarray:
@@ -56,7 +57,7 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """
     try:
         manifest = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the 4300-digit limit
         raise ParseError(f"invalid checkpoint file {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ParseError(f"{path} is not a {FORMAT_NAME} file")
@@ -71,14 +72,17 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     for index, entry in enumerate(entries):
         try:
             name, shape = entry["name"], entry["shape"]
-            values = np.asarray(entry["values"], dtype=np.float64)
+            try:
+                values = np.asarray(entry["values"], dtype=np.float64)
+            except OverflowError:  # an int past the float64 range
+                raise NonFiniteInputError(_NOT_FINITE.format(path, name)) from None
             expected = int(np.prod(shape)) if shape else 1
             if values.size != expected:
                 raise ParseError(f"parameter {name!r}: {values.size} values for shape {shape}")
             if name in out:
                 raise ParseError(f"{path}: parameter {name!r} appears more than once")
             if not (np.abs(values) <= np.finfo(np.float32).max).all():  # NaN, infinite or past float32
-                raise NonFiniteInputError(f"{path}: parameter {name!r} has a value that is not a finite float32")
+                raise NonFiniteInputError(_NOT_FINITE.format(path, name))
             out[name] = values.astype(np.float32).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed parameter entry {index}: {exc!r}") from exc

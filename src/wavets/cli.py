@@ -8,13 +8,10 @@ reason on stderr (``error <reason>: ...``).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
-import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -25,7 +22,7 @@ from . import evaluation as ev
 from . import model as model_mod
 from . import moe as moe_mod
 from . import wavelet
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv, write_json, write_rows
 from .config import (
     RunConfig,
     add_config_arguments,
@@ -34,7 +31,6 @@ from .config import (
     given_settings,
     load_config_file,
     resolve_config,
-    write_config,
 )
 from .exceptions import InvalidConfigError, ParseError, ReconstructionError, WavetsError
 from .training import TrainSettings, evaluate_model, train_model
@@ -143,7 +139,8 @@ def _write_gate_report(mcfg, params, test_v: data_mod.Series, batch_size: int, p
 
 
 def make_run_dir(cfg: RunConfig) -> Path:
-    """A fresh directory named by start second and config hash.
+    """A fresh directory named by start second and config hash, holding the
+    run's ``config.json``.
 
     Identical runs started in the same second get numeric suffixes, so no
     run writes into another's directory.
@@ -154,9 +151,11 @@ def make_run_dir(cfg: RunConfig) -> Path:
     for suffix in itertools.count(1):
         try:
             path.mkdir()
-            return path
+            break
         except FileExistsError:
             path = base.with_name(f"{base.name}-{suffix}")
+    write_json(path / "config.json", cfg.to_dict())
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,6 @@ def cmd_train(args) -> int:
     splits = prepare_splits(cfg, series)
     mcfg, settings = cfg.model_config(series.channels), cfg.train_settings()
     run_dir = make_run_dir(cfg)
-    write_config(cfg, run_dir / "config.json")
 
     reports, all_details = [], []
     for seed in seeds:
@@ -201,9 +199,7 @@ def cmd_train(args) -> int:
             f"{len(reports)} seeds: mse {summary['mse_mean']:.6f}±{summary['mse_std']:.6f} "
             f"mae {summary['mae_mean']:.6f}±{summary['mae_std']:.6f}"
         )
-    with atomic_write(run_dir / "details.json") as fh:
-        json.dump({"runs": all_details, "summary": summary}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "details.json", {"runs": all_details, "summary": summary})
     print(f"artifacts: {run_dir}")
     return 0
 
@@ -212,27 +208,36 @@ def cmd_train(args) -> int:
 PROTOCOL_KEYS = (
     "data", "split", "train_frac", "val_frac", "standardize", "synth_length", "synth_channels", "synth_seed"
 )
+_MODEL_KEYS = {f.name for f in fields(model_mod.ModelConfig)} | {"moe_experts", "moe_hidden"}
+# Every key but the model's and batch_size: the protocol and the keys eval never reads.
+_RUN_KEYS = [f.name for f in fields(RunConfig) if f.name not in _MODEL_KEYS and f.name != "batch_size"]
 
 
 def _eval_config(args, mcfg: model_mod.ModelConfig) -> RunConfig:
     """The flags and ``--config`` file over the checkpoint's model ``mcfg`` and the
-    protocol keys of the ``config.json`` beside it, if any. A given key that changes
-    either (the model once normalized) is a config error. Whether the model reads a key
-    hangs only on ``variant`` and ``delta_mode``, so keys that agree one at a time agree together."""
+    run's keys from the ``config.json`` beside it. With no such file the given protocol
+    keys stand and every other run key takes its default. A given key that changes
+    either (the model once normalized) is a config error, so eval never ignores a key.
+    Whether the model reads a key hangs only on ``variant`` and ``delta_mode``, so keys
+    that agree one at a time agree together; eval reads ``batch_size`` as given."""
     settings = given_settings(args)
     given = apply_overrides(RunConfig(), settings)
     run_file = Path(args.checkpoint).with_name("config.json")
-    run = apply_overrides(RunConfig(), load_config_file(run_file)) if run_file.exists() else given
-    recorded = replace(given, **{name: getattr(run, name) for name in PROTOCOL_KEYS}).with_model(mcfg)
+    if run_file.exists():
+        source, run_settings = run_file, load_config_file(run_file)
+    else:
+        source, run_settings = "the default run config", {k: v for k, v in settings.items() if k in PROTOCOL_KEYS}
+    run = apply_overrides(RunConfig(), run_settings)
+    recorded = replace(given, **{name: getattr(run, name) for name in _RUN_KEYS}).with_model(mcfg)
 
     def described(cfg: RunConfig):
-        return cfg.model_config(mcfg.channels), [getattr(cfg, name) for name in PROTOCOL_KEYS]
+        return cfg.model_config(mcfg.channels), [getattr(cfg, name) for name in _RUN_KEYS]
 
     for name in settings:
         value = getattr(given, name)
         if described(replace(recorded, **{name: value})) != described(recorded):
-            path = run_file if name in PROTOCOL_KEYS else model_mod.config_sidecar_path(args.checkpoint)
-            raise InvalidConfigError(f"{name}={value!r} disagrees with {path}, which has {getattr(recorded, name)!r}")
+            where = model_mod.config_sidecar_path(args.checkpoint) if name in _MODEL_KEYS else source
+            raise InvalidConfigError(f"{name}={value!r} disagrees with {where}, which has {getattr(recorded, name)!r}")
     return recorded
 
 
@@ -278,9 +283,10 @@ def _run_grid(
     ``error:<reason>`` row and the grid goes on.
     """
     settings = cfg.train_settings()  # no cell overrides it: a bad one fails before any output
+    if cfg.seeds:
+        raise InvalidConfigError(f"a grid trains one seed, set by seed; seeds={cfg.seeds!r} would be ignored")
     series, dataset_name = load_series(cfg)
     run_dir = make_run_dir(cfg)
-    write_config(cfg, run_dir / "config.json")
     rows = []
     for cell in cells:
         try:
@@ -288,15 +294,12 @@ def _run_grid(
             splits = prepare_splits(cell_cfg, series)
             mcfg = cell_cfg.model_config(series.channels)
             report, _, _ = run_one_seed(mcfg, settings, cell_cfg.seed, splits, dataset_name, measure_infer)
-            rows.append({key: cell, "status": "ok", **dict(zip(ev.RunReport.CSV_FIELDS, report.csv_row()))})
+            rows.append([cell, "ok", *(getattr(report, name) for name in ev.RunReport.CSV_FIELDS)])
             print(f"{key} {cell}: mse {report.mse:.6f} mae {report.mae:.6f}")
         except WavetsError as exc:
-            rows.append({key: cell, "status": f"error:{exc.reason}"})
+            rows.append([cell, f"error:{exc.reason}", *[None] * len(ev.RunReport.CSV_FIELDS)])
             print(f"{key} {cell}: failed ({exc.reason}: {exc})", file=sys.stderr)
-    with atomic_write(run_dir / csv_name) as fh:
-        writer = csv.DictWriter(fh, fieldnames=[key, "status", *ev.RunReport.CSV_FIELDS], restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(run_dir / csv_name, [key, "status", *ev.RunReport.CSV_FIELDS], rows)
     print(f"artifacts: {run_dir}")
     return 0
 
@@ -317,26 +320,20 @@ def cmd_ablate(args) -> int:
     )
 
 
-_BAND_LABEL_APPROX = "approx"
-
-
 def cmd_decompose(args) -> int:
     series = data_mod.load_csv(args.input)
     bank = wavelet.get_bank(args.bank)
     bands = wavelet.dwt_multi(series.values.T, bank, args.levels)  # channels on rows
-    out_path = Path(args.output)
-    with atomic_write(out_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "band", "index", "value"])
-        for level, (_, detail) in enumerate(bands, start=1):
-            for c, name in enumerate(series.channel_names):
-                for i, value in enumerate(detail[c]):
-                    writer.writerow([name, f"detail{level}", i, repr(float(value))])
-        deepest_approx = bands[-1][0]
-        for c, name in enumerate(series.channel_names):
-            for i, value in enumerate(deepest_approx[c]):
-                writer.writerow([name, _BAND_LABEL_APPROX, i, repr(float(value))])
-    print(f"wrote {out_path}")
+    labelled = [(f"detail{level}", detail) for level, (_, detail) in enumerate(bands, start=1)]
+    labelled.append(("approx", bands[-1][0]))  # the deepest level's approximation
+    rows = (
+        (name, label, i, value)
+        for label, coeffs in labelled
+        for name, channel in zip(series.channel_names, coeffs)
+        for i, value in enumerate(channel.tolist())
+    )
+    write_csv(args.output, ["channel", "band", "index", "value"], rows)
+    print(f"wrote {Path(args.output)}")
     if args.reconstruct:
         recon = wavelet.idwt_multi(bands, bank).T
         err = float(np.max(np.abs(recon - series.values)))
@@ -364,16 +361,14 @@ def cmd_benchmark(args) -> int:
         "epoch_time_s",
         "infer_time_ms",
     ]
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
+    rows = []
     settings = cfg.train_settings() if args.measure else None
     for variant in variants:
         vcfg = replace(cfg, variant=variant)
         mcfg = vcfg.model_config(args.channels)
         macs = ev.count_macs(mcfg, cfg.batch_size)
-        timing = _measure_speed(mcfg, settings, args.bench_windows) if args.measure else ("", "")
-        writer.writerow([
+        timing = _measure_speed(mcfg, settings, args.bench_windows) if args.measure else (None, None)
+        rows.append([
             variant,
             ev.count_params(mcfg).total,
             macs.linear_per_sample,
@@ -382,11 +377,10 @@ def cmd_benchmark(args) -> int:
             macs.total_per_batch,
             *timing,
         ])
-    print(text.getvalue(), end="")
+    write_rows(sys.stdout, header, rows)
     if args.output:
-        with atomic_write(args.output) as fh:
-            fh.write(text.getvalue())
-        write_config(cfg, Path(args.output).with_suffix(".config.json"))
+        write_csv(args.output, header, rows)
+        write_json(Path(args.output).with_suffix(".config.json"), cfg.to_dict())
     return 0
 
 
@@ -403,7 +397,7 @@ def _measure_speed(mcfg: model_mod.ModelConfig, settings: TrainSettings, bench_w
     train = series(bench_windows)
     result = train_model(mcfg, train, series(1), replace(settings, max_epochs=3, patience=3))
     sampler = data_mod.WindowSampler(train, mcfg.lookback, mcfg.horizon)
-    return repr(result.mean_epoch_seconds), repr(_infer_ms(mcfg, result.params, sampler))
+    return result.mean_epoch_seconds, _infer_ms(mcfg, result.params, sampler)
 
 
 def cmd_sweep(args) -> int:

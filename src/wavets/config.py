@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atomic import atomic_write
 from .exceptions import InvalidConfigError
 from .model import LAYOUTS, ModelConfig
 from .moe import MoEConfig
@@ -109,7 +108,7 @@ def _coerce(name: str, value, target_type: type):
         raise InvalidConfigError(f"key {name!r}: expected a boolean, got {value!r}")
     try:
         return target_type(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
         raise InvalidConfigError(
             f"key {name!r}: expected {target_type.__name__}, got {value!r}"
         ) from None
@@ -130,7 +129,7 @@ def apply_overrides(base: RunConfig, overrides: dict) -> RunConfig:
 def load_config_file(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the 4300-digit limit
         raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config file {path} must hold a flat JSON object")
@@ -176,9 +175,3 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps(cfg.to_dict(), sort_keys=True)
     return hashlib.sha1(canonical.encode()).hexdigest()[:8]
-
-
-def write_config(cfg: RunConfig, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

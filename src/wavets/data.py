@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .exceptions import (
     EmptyFileError,
     InvalidConfigError,
@@ -156,11 +156,8 @@ def save_csv(series: Series, path: str | Path) -> None:
     load_csv drops that column, so every channel survives the round trip,
     also one named like a timestamp column.
     """
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *series.channel_names])
-        for index, row in enumerate(series.values):
-            writer.writerow([index, *(repr(float(v)) for v in row)])
+    rows = ([index, *row.tolist()] for index, row in enumerate(series.values))
+    write_csv(path, ["time", *series.channel_names], rows)
 
 
 SPLIT_SCHEMES = ("ratio", "ett_hours", "ett_minutes")

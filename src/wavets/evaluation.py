@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .data import WindowBatch
 from .exceptions import InvalidConfigError, ShapeMismatchError
 from .model import WEIGHT_LEAVES, ModelConfig, _block_workers, blas_threads, param_shapes
@@ -192,18 +192,6 @@ class RunReport:
     per_horizon_mae: list[float] = field(default_factory=list)
     hardware: str = ""
 
-    def csv_row(self) -> list[str]:
-        out = []
-        for name in self.CSV_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                out.append("")
-            elif isinstance(value, float):
-                out.append(repr(value))
-            else:
-                out.append(str(value))
-        return out
-
 
 # The CSV columns, in field order: every field but the per-horizon lists and
 # the hardware note, which go to the JSON details.
@@ -213,10 +201,7 @@ RunReport.CSV_FIELDS = tuple(
 
 
 def write_reports_csv(reports: Sequence[RunReport], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(",".join(RunReport.CSV_FIELDS) + "\n")
-        for r in reports:
-            fh.write(",".join(r.csv_row()) + "\n")
+    write_csv(path, RunReport.CSV_FIELDS, ([getattr(r, name) for name in RunReport.CSV_FIELDS] for r in reports))
 
 
 def read_reports_csv(path: str | Path) -> list[dict[str, str]]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import moe as moe_mod
-from .atomic import atomic_write
+from .atomic import write_json
 from .autodiff import (
     Tensor,
     add,
@@ -143,7 +144,7 @@ class ModelConfig:
             bool_as_number = isinstance(value, bool) and f.type != "bool"
             if accepted and (bool_as_number or not isinstance(value, accepted)):
                 raise InvalidConfigError(f"{f.name} must be a {f.type}, got {value!r}")
-        if not math.isfinite(self.delta_init):
+        if not abs(self.delta_init) <= sys.float_info.max:  # NaN, infinite, or an int past the float range
             raise InvalidConfigError(f"delta_init must be finite, got {self.delta_init}")
         if self.moe is not None and not isinstance(self.moe, moe_mod.MoEConfig):
             raise InvalidConfigError(f"moe must be an MoEConfig, got {self.moe!r}")
@@ -620,9 +621,7 @@ def config_sidecar_path(checkpoint_path: str | Path) -> Path:
 def save_model(cfg: ModelConfig, params: dict[str, Tensor], checkpoint_path: str | Path) -> None:
     """Write the checkpoint plus its model-config sidecar, each atomically."""
     ckpt.save_params(params, checkpoint_path)
-    with atomic_write(config_sidecar_path(checkpoint_path)) as fh:
-        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(config_sidecar_path(checkpoint_path), cfg.to_dict())
 
 
 def load_model(checkpoint_path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:
@@ -636,7 +635,7 @@ def load_model(checkpoint_path: str | Path) -> tuple[ModelConfig, dict[str, Tens
     sidecar = config_sidecar_path(checkpoint_path)
     try:
         raw_cfg = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the 4300-digit limit
         raise ParseError(f"invalid model config file {sidecar}: {exc}") from exc
     cfg = ModelConfig.from_dict(raw_cfg)
     params = {name: Tensor(values, requires_grad=True) for name, values in raw.items()}

@@ -21,14 +21,13 @@ The expert order is fixed, so results are reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .autodiff import Tensor, _softmax, concat, linear, mixture
 from .exceptions import InvalidConfigError
 
@@ -122,8 +121,4 @@ def gate_report(probs: np.ndarray, channel_names: list[str] | None = None) -> li
 
 def write_gate_report_csv(rows: list[dict], path: str | Path, num_experts: int) -> None:
     header = ["channel"] + [f"expert_{e}" for e in range(num_experts)] + ["argmax", "entropy"]
-    with atomic_write(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in header})
+    write_csv(path, header, ([row[k] for k in header] for row in rows))

@@ -1,7 +1,9 @@
-"""Checkpoints, sidecars, configs, reports, gate reports and grid CSVs are written atomically."""
+"""Checkpoints, sidecars, configs, reports, gate reports and grid CSVs are written atomically,
+and every CSV cell by one rule."""
 
 import csv
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -12,14 +14,24 @@ from wavets import cli
 from wavets import evaluation as ev
 from wavets import model as model_mod
 from wavets import moe as moe_mod
-from wavets.atomic import atomic_write
+from wavets.atomic import atomic_write, write_csv
 from wavets.autodiff import Tensor
-from wavets.config import RunConfig, write_config
+from wavets.config import RunConfig
 from wavets.model import ModelConfig, init_params
 
 
 class Unserializable:
-    pass
+    """Neither JSON nor a CSV cell can hold it."""
+
+    def __str__(self):
+        raise TypeError("cannot serialize")
+
+
+REPORT = ev.RunReport(
+    dataset="toy", variant="S", lookback=16, horizon=4, channels=2, bank="haar", seed=0,
+    mse=0.125, mae=0.25, param_count=40, macs_per_sample=32, macs_per_batch=1024,
+    transform_macs_per_sample=16,
+)
 
 
 def _unchanged_after(path, fails, exc=TypeError):
@@ -73,28 +85,22 @@ def test_sidecar_serialization_error_keeps_the_previous_sidecar(tmp_path, monkey
 
 
 def test_config_serialization_error_keeps_the_previous_config(tmp_path, monkeypatch):
-    cfg = RunConfig()
-    path = tmp_path / "config.json"
-    write_config(cfg, path)
+    """benchmark rewrites the config beside its output (a run's goes to a fresh directory)."""
+    argv = [
+        "benchmark", "--variants", "S", "--channels", "2", "--lookback", "16", "--horizon", "4",
+        "--output", str(tmp_path / "eff.csv"),
+    ]
+    assert cli.main(argv) == 0
     monkeypatch.setattr(RunConfig, "to_dict", lambda self: {"a": 1, "z": Unserializable()})
-    _unchanged_after(path, lambda: write_config(cfg, path))
+    _unchanged_after(tmp_path / "eff.config.json", lambda: cli.main(argv))
 
 
 def test_report_serialization_error_keeps_the_previous_report(tmp_path):
-    report = ev.RunReport(
-        dataset="toy", variant="S", lookback=16, horizon=4, channels=2, bank="haar", seed=0,
-        mse=0.125, mae=0.25, param_count=40, macs_per_sample=32, macs_per_batch=1024,
-        transform_macs_per_sample=16,
-    )
     path = tmp_path / "report.csv"
-    ev.write_reports_csv([report], path)
-
-    class Broken:
-        def csv_row(self):
-            raise TypeError("cannot serialize")
-
-    other = dataclasses.replace(report, seed=1)
-    _unchanged_after(path, lambda: ev.write_reports_csv([other, Broken()], path))
+    ev.write_reports_csv([REPORT], path)
+    other = dataclasses.replace(REPORT, seed=1)
+    broken = dataclasses.replace(REPORT, dataset=Unserializable())
+    _unchanged_after(path, lambda: ev.write_reports_csv([other, broken], path))
 
 
 def test_gate_report_error_mid_write_keeps_the_previous_report(tmp_path):
@@ -105,26 +111,43 @@ def test_gate_report_error_mid_write_keeps_the_previous_report(tmp_path):
     path = tmp_path / "gates.csv"
     moe_mod.write_gate_report_csv(rows, path, num_experts=2)
     assert path.read_text().splitlines()[0] == "channel,expert_0,expert_1,argmax,entropy"
-    broken = [dict(rows[0], expert_0=0.5), {"channel": "ch1"}]  # the second row lacks its values
-    _unchanged_after(path, lambda: moe_mod.write_gate_report_csv(broken, path, num_experts=2), KeyError)
+    broken = [dict(rows[0], expert_0=0.5), dict(rows[1], channel=Unserializable())]
+    _unchanged_after(path, lambda: moe_mod.write_gate_report_csv(broken, path, num_experts=2))
 
 
 def test_grid_csv_error_mid_write_keeps_the_previous_grid(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    write_config(RunConfig(), run_dir / "config.json")  # the grid rewrites it before its cells
     path = run_dir / "sweep.csv"
     path.write_text("L,status\n16,ok\n")
     monkeypatch.setattr(cli, "make_run_dir", lambda cfg: run_dir)
-
-    def writerows(self, rows):  # the header is out; fail after the first row
-        self.writerow(rows[0])
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(csv.DictWriter, "writerows", writerows)
+    # the second cell trains to a report that no cell can hold, so its row fails after the first's
+    broken = dataclasses.replace(REPORT, bank=Unserializable())
+    monkeypatch.setattr(cli, "run_one_seed", lambda *args: (broken, {}, {}))
     args = [
-        "sweep", "--lengths", "15,17",  # odd lookbacks fail their cells at once
+        "sweep", "--lengths", "15,16",  # an odd lookback fails its cell at once
         "--data", "synth:sine_mix", "--synth-length", "400", "--synth-channels", "2",
         "--horizon", "4", "--out", str(tmp_path),
     ]
-    _unchanged_after(path, lambda: cli.main(args), RuntimeError)
+    _unchanged_after(path, lambda: cli.main(args))
+
+
+def test_one_cell_rule_quotes_and_round_trips(tmp_path):
+    """None is an empty cell, a float its shortest repr (which reads back to the
+    same float), anything else str; the csv module quotes what needs it."""
+    floats = [0.1, 1 / 3, -0.0, 1e-300, 2.5e17, float(np.float64(0.7)), math.pi]
+    texts = ["a,b", 'say "hi"', "two\nlines", ""]
+    path = tmp_path / "cells.csv"
+    header = ["none", "int", *(f"f{i}" for i in range(len(floats))), *(f"s{i}" for i in range(len(texts)))]
+    rows = [[None, -3, *floats, *texts], (value for value in [None, 12, *floats, *texts])]  # any iterable
+    write_csv(path, header, rows)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 2 + len(floats) + len(texts) and len(rows) == 2
+    for row, integer in zip(rows, ["-3", "12"]):
+        assert row[:2] == ["", integer]
+        assert [float(cell) for cell in row[2 : 2 + len(floats)]] == floats
+        assert row[2 : 2 + len(floats)] == [repr(value) for value in floats]
+        assert row[2 + len(floats) :] == texts
+    raw = path.read_bytes()
+    assert raw.count(b"\r\n") == 3 and b',"a,b","say ""hi""","two\nlines",\r\n' in raw

@@ -412,11 +412,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
     assert np.array_equal(ckpt.load_params(wrong)["w"], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39, pytest.param(10**400, id="10**400")])
 def test_checkpoint_with_a_non_finite_value_is_rejected(tmp_path, bad):
-    """A NaN or infinite value (``NaN``/``Infinity`` in the JSON), or one
-    that is infinite as a float32, fails the load without a warning,
-    naming the file and the parameter."""
+    """A NaN or infinite value (``NaN``/``Infinity`` in the JSON), one that
+    is infinite as a float32, or an integer past the float range fails the
+    load without a warning, naming the file and the parameter."""
     path = tmp_path / "ckpt.json"
     ckpt.save_params({"lf.weight": np.ones((2, 2)), "delta": np.array(0.5)}, path)
     manifest = json.loads(path.read_text())

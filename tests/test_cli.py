@@ -103,6 +103,21 @@ def test_train_missing_csv_reports_data_reason(tmp_path, capsys):
     assert "error data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "digits, message",
+    [(400, "key 'delta_init': expected float, got 1000"), (5000, "config file ")],  # json's int limit is 4300 digits
+)
+def test_an_int_past_the_float_range_is_a_config_error(tmp_path, capsys, digits, message):
+    big = tmp_path / "big.json"
+    big.write_text('{"delta_init": 1' + "0" * digits + "}")
+    out = tmp_path / "runs"
+    code = main([*TINY_TRAIN, "--config", str(big), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error config: {message}"), err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps({"variant": "S", "lookbak": 16}))
@@ -189,6 +204,34 @@ def test_eval_rejects_a_model_flag_that_disagrees_with_the_checkpoint(
     assert len(err) == 1 and err[0].startswith(expected), err
 
 
+def test_eval_rejects_a_key_it_does_not_read(tmp_path, capsys):
+    """eval reads no optimizer, epoch, seed or output key: one given off the run's
+    config.json, or off the default with no config.json, is an error and scores
+    nothing. The run's own config.json still evaluates."""
+    run_dir = _trained_run(tmp_path, capsys, "--lr", "0.01")
+    checkpoint, run_file = str(run_dir / "checkpoint.json"), run_dir / "config.json"
+    out, elsewhere = tmp_path / "runs", tmp_path / "elsewhere"
+    cases = [
+        (["--lr", "5"], f"lr=5.0 disagrees with {run_file}, which has 0.01"),
+        (["--max-epochs", "9"], f"max_epochs=9 disagrees with {run_file}, which has 2"),
+        (["--seeds", "1,2"], f"seeds='1,2' disagrees with {run_file}, which has ''"),
+        (["--out", str(elsewhere)], f"out={str(elsewhere)!r} disagrees with {run_file}, which has {str(out)!r}"),
+    ]
+    for flags, message in cases:
+        code = main(["eval", "--checkpoint", checkpoint, *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error config: {message}"]
+    assert not elsewhere.exists()
+    assert main(["eval", "--checkpoint", checkpoint, "--config", str(run_file)]) == 0
+    (row,) = read_reports_csv(run_dir / "report.csv")
+    assert f"test mse {float(row['mse']):.6f} " in capsys.readouterr().out
+    run_file.unlink()
+    code = main(["eval", "--checkpoint", checkpoint, "--data", "synth:sine_mix", "--lr", "0.01"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and err == ["error config: lr=0.01 disagrees with the default run config, which has 0.001"]
+
+
 def test_eval_accepts_model_flags_the_checkpoint_ignores(tmp_path, capsys):
     """S reads no delta field and no MoE size, so these flags still name its model."""
     run_dir = _trained_run(tmp_path, capsys)
@@ -273,7 +316,8 @@ def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
     manifest = json.loads(good[checkpoint])
     config = json.loads(good[sidecar])
     first, *rest = manifest["params"]
-    nan = {**first, "values": [float("nan"), *first["values"][1:]]}
+    values = first["values"][1:]
+    nan = {**first, "values": [float("nan"), *values]}
     cases = [
         (checkpoint, json.dumps({**manifest, "params": [nan, *rest]}), "numeric"),
         (checkpoint, json.dumps({**manifest, "version": 7}), "data"),
@@ -281,6 +325,10 @@ def test_eval_of_a_malformed_checkpoint_prints_one_error_line(tmp_path, capsys):
         (checkpoint, json.dumps(manifest["params"]), "data"),
         (sidecar, good[sidecar][:-5], "data"),
         (sidecar, json.dumps({**config, "lookbak": 16}), "config"),
+        (sidecar, json.dumps({**config, "delta_init": 10**400}), "config"),
+        (checkpoint, json.dumps({**manifest, "params": [{**first, "values": [10**400, *values]}, *rest]}), "numeric"),
+        (checkpoint, good[checkpoint].replace("[", "[1" + "0" * 5000 + ",", 1), "data"),  # past json's int limit
+        (sidecar, good[sidecar].replace("{", '{"x": 1' + "0" * 5000 + ",", 1), "data"),
     ]
     for path, text, reason in cases:
         path.write_text(text)
@@ -464,8 +512,10 @@ def test_ablate_empty_grid_is_noop(tmp_path, capsys):
         (["ablate", "--grid", " , "], "error config: --grid names no cell"),
         (["sweep", "--lengths", ""], "error config: --lengths names no length"),
         (["sweep", "--lengths", "16,abc"], "error config: --lengths must be integers"),
+        (["ablate", "--grid", "B,S", "--seeds", "3,4"], "error config: a grid trains one seed, set by seed"),
+        (["sweep", "--lengths", "16", "--seeds", "3,4"], "error config: a grid trains one seed, set by seed"),
     ],
-    ids=["blank-grid", "empty-lengths", "non-integer-length"],
+    ids=["blank-grid", "empty-lengths", "non-integer-length", "ablate-seeds", "sweep-seeds"],
 )
 def test_bad_grid_list_is_a_config_error(tmp_path, capsys, grid, message):
     _assert_grid_list_rejected(tmp_path, capsys, grid, message)
@@ -579,6 +629,24 @@ def test_table_grid(tmp_path, capsys):
     assert cells[0] == "4"
     assert "/" in cells[1] and "/" in cells[2]  # mse/mae pairs
     assert table_csv.read_text() == text
+
+
+def test_a_dataset_name_with_a_comma_keeps_its_report_row_and_table_block(tmp_path, capsys):
+    path = tmp_path / "a,b.csv"
+    data.save_csv(data.synth("sine_mix", 400, 2, seed=1), path)
+    out = tmp_path / "runs"
+    assert main([
+        "train", "--data", str(path), "--variant", "S", "--lookback", "16", "--horizon", "4",
+        "--max-epochs", "1", "--out", str(out),
+    ]) == 0
+    (run_dir,) = run_dirs(out)
+    (row,) = read_reports_csv(run_dir / "report.csv")
+    assert (row["dataset"], row["variant"], row["horizon"]) == ("a,b", "S", "4")
+    capsys.readouterr()
+    assert main(["table", "--runs", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# a,b (cells: mse/mae, mean over seeds)", "horizon,S"]
+    assert lines[2] == f"4,{float(row['mse']):.3f}/{float(row['mae']):.3f}"
 
 
 @pytest.mark.parametrize(

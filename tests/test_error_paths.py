@@ -95,6 +95,11 @@ def test_config_error_branches(tmp_path):
         apply_overrides(RunConfig(), {"revin_affine": "maybe"})
     with pytest.raises(InvalidConfigError):
         apply_overrides(RunConfig(), {"lookback": "twelve"})
+    for too_large in ({"delta_init": 10**400}, {"lookback": float("inf")}):  # OverflowError in float() / int()
+        with pytest.raises(InvalidConfigError):
+            apply_overrides(RunConfig(), too_large)
+    with pytest.raises(InvalidConfigError):
+        ModelConfig.from_dict({**ModelConfig("B", 8, 4, 2).to_dict(), "delta_init": 10**400})
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     with pytest.raises(InvalidConfigError):

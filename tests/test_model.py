@@ -200,7 +200,7 @@ _WRONG_TYPES = {
     "channels": [2.5, True, [2]],
     "bank": [5, None],
     "delta_mode": [1, None],
-    "delta_init": ["1.0", None, True, float("nan"), float("inf")],
+    "delta_init": ["1.0", None, True, float("nan"), float("inf"), 10**400],
     "delta_per_channel": [1, "false", None],
     "revin_affine": [0, "yes"],
     "lf_hidden": [1.0, "0", None],
