@@ -84,7 +84,7 @@ def run_one_seed(
     result = train_model(mcfg, train_v, val_v, settings, seed)
     metrics = evaluate_model(mcfg, result.params, test_v, settings.batch_size)
 
-    macs = ev.count_macs(mcfg, settings.batch_size)
+    macs, counts = ev.count_macs(mcfg, settings.batch_size), ev.count_params(mcfg)
     report = ev.RunReport(
         dataset=dataset_name,
         variant=mcfg.variant,
@@ -95,15 +95,12 @@ def run_one_seed(
         seed=seed,
         mse=metrics["mse"],
         mae=metrics["mae"],
-        param_count=ev.count_params(mcfg).total,
+        param_count=counts.total,
         macs_per_sample=macs.linear_per_sample,
         macs_per_batch=macs.linear_per_batch,
         transform_macs_per_sample=macs.transform_per_sample,
         epochs_trained=result.epochs_trained,
         epoch_time_s=result.mean_epoch_seconds,
-        per_horizon_mse=metrics["per_horizon_mse"],
-        per_horizon_mae=metrics["per_horizon_mae"],
-        hardware=ev.hardware_note(),
     )
     sampler = data_mod.WindowSampler(test_v, mcfg.lookback, mcfg.horizon)
     if measure_infer:
@@ -124,8 +121,8 @@ def run_one_seed(
             "total_per_sample": macs.total_per_sample,
             "batch_size": macs.batch_size,
         },
-        "param_breakdown": ev.count_params(mcfg).breakdown,
-        "hardware": report.hardware,
+        "param_breakdown": counts.breakdown,
+        "hardware": ev.hardware_note(),
     }
     return report, details, result.params
 

@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exceptions import InvalidConfigError
+from .data import SplitSpec
+from .exceptions import InvalidConfigError, check_fields
 from .model import LAYOUTS, ModelConfig
 from .moe import MoEConfig
 from .training import TrainSettings
@@ -28,47 +29,53 @@ class RunConfig:
     variant: str = "S"
     lookback: int = 96
     horizon: int = 24
-    bank: str = "haar"
-    delta_mode: str = "learnable"
-    delta_init: float = 1.0
-    delta_per_channel: bool = False
-    revin_affine: bool = True
-    lf_hidden: int = 0
-    moe_experts: int = 4
-    moe_hidden: int = 64
+    bank: str = ModelConfig.bank
+    delta_mode: str = ModelConfig.delta_mode
+    delta_init: float = ModelConfig.delta_init
+    delta_per_channel: bool = ModelConfig.delta_per_channel
+    revin_affine: bool = ModelConfig.revin_affine
+    lf_hidden: int = ModelConfig.lf_hidden
+    moe_experts: int = MoEConfig.num_experts
+    moe_hidden: int = MoEConfig.hidden
     # data: a CSV path or "synth:<kind>" (sine_mix, trend_sine, noise_walk)
     data: str = ""
-    split: str = "ratio"
-    train_frac: float = 0.7
-    val_frac: float = 0.1
+    split: str = SplitSpec.scheme
+    train_frac: float = SplitSpec.train_frac
+    val_frac: float = SplitSpec.val_frac
     standardize: bool = True
     synth_length: int = 4000
     synth_channels: int = 4
     synth_seed: int = 0
     # optimizer
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 30
-    patience: int = 3
+    lr: float = TrainSettings.lr
+    beta1: float = TrainSettings.beta1
+    beta2: float = TrainSettings.beta2
+    eps: float = TrainSettings.eps
+    batch_size: int = TrainSettings.batch_size
+    max_epochs: int = TrainSettings.max_epochs
+    patience: int = TrainSettings.patience
     # run control
     seed: int = 0
     seeds: str = ""  # comma-separated list; overrides `seed` when non-empty
     out: str = "runs"
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for name in ("seed", "synth_seed"):
+            if getattr(self, name) < 0:
+                raise InvalidConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def seed_list(self) -> list[int]:
         """The seeds to train: ``seeds`` when set, else ``seed``. A list that
-        names no seed, or one seed twice, raises InvalidConfigError."""
+        names no seed, one seed twice, or a negative seed, raises InvalidConfigError."""
         if not self.seeds.strip():
             return [self.seed]
         try:
             seeds = [int(tok) for tok in self.seeds.split(",") if tok.strip()]
         except ValueError:
             raise InvalidConfigError(f"seeds must be a comma-separated int list, got {self.seeds!r}") from None
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise InvalidConfigError(f"seeds must name at least one seed, each once, got {self.seeds!r}")
+        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+            raise InvalidConfigError(f"seeds must name at least one seed, each once and >= 0, got {self.seeds!r}")
         return seeds
 
     def _shared(self, cls: type) -> dict:
@@ -96,19 +103,21 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(name: str, value, target_type: type):
-    if isinstance(value, target_type) and not (target_type is int and isinstance(value, bool)):
+    """Parse a string (a flag value, or a string in the file) into the key's type, and widen an
+    int to a float for a float key, so ``config.json`` and its hash record ``3.0`` for ``3``.
+    Every other value passes unchanged to RunConfig's ``check_fields``: nothing is truncated."""
+    if target_type is str or not (isinstance(value, str) or (target_type is float and type(value) is int)):
         return value
     if target_type is bool:
-        if isinstance(value, str):
-            low = value.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
+        low = value.strip().lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
         raise InvalidConfigError(f"key {name!r}: expected a boolean, got {value!r}")
     try:
         return target_type(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
+    except (ValueError, OverflowError):  # OverflowError: an int past the float range
         raise InvalidConfigError(
             f"key {name!r}: expected {target_type.__name__}, got {value!r}"
         ) from None
@@ -119,10 +128,7 @@ def apply_overrides(base: RunConfig, overrides: dict) -> RunConfig:
     unknown = sorted(set(overrides) - set(_FIELDS))
     if unknown:
         raise InvalidConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    coerced = {
-        name: _coerce(name, value, type(_FIELDS[name].default))
-        for name, value in overrides.items()
-    }
+    coerced = {name: _coerce(name, value, type(_FIELDS[name].default)) for name, value in overrides.items()}
     return dataclasses.replace(base, **coerced)
 
 
@@ -140,30 +146,15 @@ def add_config_arguments(parser: argparse.ArgumentParser) -> None:
     """One ``--key`` flag per RunConfig field (flags win over the file)."""
     parser.add_argument("--config", default=None, help="flat JSON config file")
     for field in dataclasses.fields(RunConfig):
+        action = argparse.BooleanOptionalAction if field.type == "bool" else "store"
         flag = "--" + field.name.replace("_", "-")
-        if field.type == "bool" or isinstance(field.default, bool):
-            parser.add_argument(
-                flag,
-                dest=field.name,
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help=f"(default: {field.default})",
-            )
-        else:
-            parser.add_argument(
-                flag,
-                dest=field.name,
-                default=None,
-                help=f"(default: {field.default})",
-            )
+        parser.add_argument(flag, dest=field.name, action=action, default=None, help=f"(default: {field.default})")
 
 
 def given_settings(args: argparse.Namespace) -> dict:
     """The keys set by the config file and the CLI flags, flags winning; values uncoerced."""
     settings = load_config_file(args.config) if getattr(args, "config", None) else {}
-    settings.update(
-        {name: getattr(args, name) for name in _FIELDS if getattr(args, name, None) is not None}
-    )
+    settings.update({name: getattr(args, name) for name in _FIELDS if getattr(args, name, None) is not None})
     return settings
 
 

@@ -27,6 +27,7 @@ from .exceptions import (
     SeriesTooShortError,
     ShapeMismatchError,
     SpecOutOfRangeError,
+    check_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -65,7 +66,7 @@ def _parse_cell(cell: str, row: int, col: int, name: str) -> float:
 def _parse_fast(path: Path, start: int, columns: int) -> np.ndarray | None:
     """Vectorized parse of a plain numeric CSV; None when it does not apply.
 
-    Anything loadtxt chokes on (empty cells, quoting, ragged rows) falls
+    Anything loadtxt chokes on (empty cells, quoting, short rows) falls
     back to the per-cell parser, which reports exact error locations.
     """
     try:
@@ -99,7 +100,8 @@ def load_csv(path: str | Path) -> Series:
     the Series invariant that ingested values are finite; an infinite
     value fails the load with its row and column. Only the header and the
     first data row go through the csv module unless the vectorized parse
-    fails.
+    fails or, since loadtxt drops cells past the header's width, that row's
+    width differs from the header's.
     """
     path = Path(path)
     header, first = _read_rows(path, limit=1)
@@ -120,7 +122,7 @@ def load_csv(path: str | Path) -> Series:
     if not names:
         raise ParseError(f"{path} has no numeric columns")
 
-    values = _parse_fast(path, start, len(names))
+    values = _parse_fast(path, start, len(names)) if len(first[0]) == len(header) else None
     if values is None:
         _, rows = _read_rows(path)
         values = np.empty((len(rows), len(names)))
@@ -173,6 +175,9 @@ class SplitSpec:
     scheme: str = "ratio"
     train_frac: float = 0.7
     val_frac: float = 0.1
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def boundaries(self, length: int) -> tuple[int, int, int]:
         if self.scheme == "ratio":
@@ -381,6 +386,8 @@ def synth(kind: str, length: int, channels: int, seed: int) -> Series:
     """Deterministic synthetic series for tests and CLI experiments."""
     if length < 1 or channels < 1:
         raise InvalidConfigError("length and channels must be positive")
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     t = np.arange(length)
     values = np.empty((length, channels))
     if kind == "sine_mix":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import platform
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -164,7 +164,7 @@ def time_mean(fn: Callable[[], object], repeats: int) -> float:
 
 @dataclass
 class RunReport:
-    """One train/eval run, serializable to a CSV row plus a JSON detail file.
+    """One train/eval run: one row of ``report.csv`` and of the grid CSVs.
 
     ``macs_per_sample``/``macs_per_batch`` are the headline (linear-layer)
     figures; the fixed-transform share is reported separately. Timing
@@ -188,16 +188,9 @@ class RunReport:
     epochs_trained: int = 0
     epoch_time_s: float | None = None
     infer_time_ms: float | None = None
-    per_horizon_mse: list[float] = field(default_factory=list)
-    per_horizon_mae: list[float] = field(default_factory=list)
-    hardware: str = ""
 
 
-# The CSV columns, in field order: every field but the per-horizon lists and
-# the hardware note, which go to the JSON details.
-RunReport.CSV_FIELDS = tuple(
-    f.name for f in fields(RunReport) if f.name not in ("per_horizon_mse", "per_horizon_mae", "hardware")
-)
+RunReport.CSV_FIELDS = tuple(f.name for f in fields(RunReport))  # the CSV columns, in field order
 
 
 def write_reports_csv(reports: Sequence[RunReport], path: str | Path) -> None:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +74,7 @@ from .autodiff import (
     swap_last2,
 )
 from .data import check_origins, take_windows
-from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError
+from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError, check_fields
 from .moe import FirstLayer
 from .revin import (
     RevinState,
@@ -114,10 +113,6 @@ VARIANTS = tuple(LAYOUTS)
 # evaluation.count_macs counts Din*Dout multiply-accumulates for each.
 WEIGHT_LEAVES = ("weight", "w1", "w2")
 
-# The Python types a scalar config field accepts, by its annotation; a bool
-# is no int here, and an int is a float.
-_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -139,13 +134,7 @@ class ModelConfig:
     moe: moe_mod.MoEConfig | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, accepted = getattr(self, f.name), _FIELD_TYPES.get(f.type)
-            bool_as_number = isinstance(value, bool) and f.type != "bool"
-            if accepted and (bool_as_number or not isinstance(value, accepted)):
-                raise InvalidConfigError(f"{f.name} must be a {f.type}, got {value!r}")
-        if not abs(self.delta_init) <= sys.float_info.max:  # NaN, infinite, or an int past the float range
-            raise InvalidConfigError(f"delta_init must be finite, got {self.delta_init}")
+        check_fields(self)
         if self.moe is not None and not isinstance(self.moe, moe_mod.MoEConfig):
             raise InvalidConfigError(f"moe must be an MoEConfig, got {self.moe!r}")
         if self.variant not in VARIANTS:

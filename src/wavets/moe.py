@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic import write_csv
 from .autodiff import Tensor, _softmax, concat, linear, mixture
-from .exceptions import InvalidConfigError
+from .exceptions import InvalidConfigError, check_fields
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class MoEConfig:
     hidden: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("num_experts", "hidden"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be an int, got {value!r}")
+        check_fields(self)
         if self.num_experts < 1:
             raise InvalidConfigError(f"num_experts must be >= 1, got {self.num_experts}")
         if self.hidden < 1:

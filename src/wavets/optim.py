@@ -20,13 +20,13 @@ class AdamState:
 
 
 def check_hyperparameters(lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """Reject a non-positive learning rate or eps, or a beta outside (0, 1)."""
-    if lr <= 0:
-        raise InvalidConfigError(f"learning rate must be positive, got {lr}")
+    """Reject a learning rate or eps outside (0, inf), NaN included, or a beta outside (0, 1)."""
+    if not 0.0 < lr < np.inf:
+        raise InvalidConfigError(f"learning rate must be positive and finite, got {lr}")
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise InvalidConfigError(f"betas must lie in (0, 1), got {(beta1, beta2)}")
-    if eps <= 0:
-        raise InvalidConfigError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise InvalidConfigError(f"eps must be positive and finite, got {eps}")
 
 
 class Adam:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import Series, WindowSampler
 from .evaluation import accumulate_errors
-from .exceptions import InvalidConfigError
+from .exceptions import InvalidConfigError, check_fields
 from .model import ModelConfig, batch_loss, forward, init_params
 from .optim import Adam, check_hyperparameters
 
@@ -34,6 +34,7 @@ class TrainSettings:
     patience: int = 3
 
     def __post_init__(self) -> None:
+        check_fields(self)
         check_hyperparameters(self.lr, self.beta1, self.beta2, self.eps)
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -120,6 +121,8 @@ def train_model(
 
     Returns the parameters of the best validation epoch, with no gradients.
     """
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     init_rng = np.random.default_rng([seed, 101])
     shuffle_rng = np.random.default_rng([seed, 202])
     params = init_params(cfg, init_rng)

@@ -8,7 +8,7 @@ import pytest
 from wavets import cli, data
 from wavets import training as training_mod
 from wavets.cli import main, make_run_dir
-from wavets.config import RunConfig
+from wavets.config import RunConfig, apply_overrides, config_hash
 from wavets.evaluation import read_reports_csv
 from wavets.model import ModelConfig
 from wavets.training import TrainSettings
@@ -269,6 +269,49 @@ def test_config_error_leaves_no_run_directory(tmp_path, capsys, flag, value):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error config: "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--train-frac", "nan"], ["--train-frac", "inf"], ["--lr", "nan"], ["--lr", "inf"], ["--eps", "inf"],
+        ["--seed", "-1"], ["--seeds=-1,2"], ["--synth-seed", "-5"], ["--lookback", "16.9"], ["--max-epochs", "2.5"],
+        ["--config", "{bad}"],
+    ],
+    ids=" ".join,
+)
+def test_a_non_finite_fractional_or_negative_value_fails_before_any_output(tmp_path, capsys, flags):
+    """Nothing is truncated, every float is finite and every seed >= 0: one config line, no run directory."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"lookback": 16.9, "max_epochs": True}))
+    # TINY_TRAIN without --lookback and --max-epochs, which would override the file's keys
+    argv = ["train", "--data", "synth:sine_mix", "--synth-length", "600", "--synth-channels", "2", "--horizon", "4"]
+    out = tmp_path / "runs"
+    code = main([*argv, "--out", str(out), *(flag.format(bad=bad) for flag in flags)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error config: "), err
+    assert not out.exists()
+
+
+def test_synth_refuses_a_negative_seed(tmp_path, capsys):
+    output = tmp_path / "s.csv"
+    assert main(["synth", "--seed", "-1", "--output", str(output)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error config: seed must be >= 0, got -1"]
+    assert not output.exists()
+
+
+def test_an_int_for_a_float_key_is_recorded_as_a_float_under_the_same_hash(tmp_path, capsys):
+    given = tmp_path / "given.json"
+    given.write_text('{"delta_init": 3}')
+    out = tmp_path / "runs"
+    assert main([*TINY_TRAIN, "--variant", "B", "--config", str(given), "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    recorded = json.loads((run_dir / "config.json").read_text())
+    assert '"delta_init": 3.0' in (run_dir / "config.json").read_text()
+    assert run_dir.name.endswith("-" + config_hash(RunConfig(**recorded)))
+    # Pinned: the hash of this request, as every earlier config.json recorded it.
+    assert config_hash(apply_overrides(RunConfig(), {"delta_init": 3, "variant": "B"})) == "d50da2a3"
 
 
 def test_sub_configs_carry_every_shared_run_field():

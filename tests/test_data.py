@@ -83,6 +83,12 @@ def test_load_csv_ragged_row(tmp_path):
         data.load_csv(path)
 
 
+@pytest.mark.parametrize("text", ["a,b\n1,2,3\n4,5,6\n", "date,a,b\nx,1,2,3\ny,4,5,6\n"])
+def test_load_csv_refuses_a_first_row_wider_than_its_header(tmp_path, text):
+    with pytest.raises(ParseError, match="row 2: expected 2 value columns, found 3"):
+        data.load_csv(write(tmp_path, text))
+
+
 def test_load_csv_empty_inputs(tmp_path):
     with pytest.raises(EmptyFileError):
         data.load_csv(write(tmp_path, "", name="empty.csv"))
@@ -295,6 +301,12 @@ def test_synth_deterministic():
     assert np.array_equal(a.values, b.values)
     c = data.synth("sine_mix", 1000, 2, seed=8)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("kind", data.SYNTH_KINDS)
+def test_synth_refuses_a_negative_seed(kind):
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+        data.synth(kind, 100, 2, seed=-1)
 
 
 def test_sine_mix_periodogram_peaks():

@@ -1,5 +1,6 @@
 """Small checks for the less-traveled error branches."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,8 +19,9 @@ from wavets.exceptions import (
     ShapeMismatchError,
 )
 from wavets.model import ModelConfig
+from wavets.moe import MoEConfig
 from wavets.optim import Adam
-from wavets.training import TrainSettings
+from wavets.training import TrainSettings, train_model
 
 
 def test_swap_needs_two_axes():
@@ -158,6 +160,48 @@ def test_batch_and_epoch_settings_checks():
 def test_adam_eps_check():
     with pytest.raises(InvalidConfigError):
         Adam({"w": Tensor(np.zeros(2), requires_grad=True)}, eps=0.0)
+
+
+@pytest.mark.parametrize("name", ["lr", "eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_adam_refuses_a_non_finite_lr_or_eps(name, value):
+    with pytest.raises(InvalidConfigError, match="must be positive and finite"):
+        Adam({"w": Tensor(np.zeros(2), requires_grad=True)}, **{name: value})
+
+
+# A value of the wrong type for each scalar annotation: a bool for a number, a
+# fraction for an int, a non-finite float (or an int past the float range), and
+# a number or None for a str.
+_WRONG = {
+    "int": [True, 2.5, float("nan"), float("inf"), "3", None],
+    "float": [True, float("nan"), float("inf"), -float("inf"), 10**400, "0.5", None],
+    "bool": [1, 0.0, "true", None],
+    "str": [5, 2.5, True, None],
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ModelConfig("B", 8, 4, 2), MoEConfig(), TrainSettings(), data.SplitSpec(), RunConfig()],
+    ids=lambda config: type(config).__name__,
+)
+def test_every_config_class_refuses_a_value_of_the_wrong_type(config):
+    """Every str, int, float or bool field of each config class is checked by one rule, with one message."""
+    cases = [(f.name, f.type, value) for f in dataclasses.fields(config) for value in _WRONG.get(f.type, [])]
+    assert len(cases) >= 10  # the annotations read as the four type names
+    for name, kind, value in cases:
+        with pytest.raises(InvalidConfigError) as err:
+            dataclasses.replace(config, **{name: value})
+        article = "an" if kind == "int" else "a"
+        finite = kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool)
+        expected = f"{name} must be a finite float" if finite else f"{name} must be {article} {kind}, got {value!r}"
+        assert str(err.value).startswith(expected), (name, value, str(err.value))
+
+
+def test_train_model_refuses_a_negative_seed():
+    series = data.synth("noise_walk", 40, 2, seed=0)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+        train_model(ModelConfig("B", 8, 4, 2), series, series, TrainSettings(max_epochs=1), seed=-1)
 
 
 def test_wavelet_level_checks():

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -349,14 +350,11 @@ def test_run_report_roundtrip(tmp_path):
         epochs_trained=3,
         epoch_time_s=None,
         infer_time_ms=None,
-        per_horizon_mse=[0.1, 0.2],
-        per_horizon_mae=[0.2, 0.3],
-        hardware="test",
     )
     path = tmp_path / "report.csv"
     ev.write_reports_csv([report], path)
     rows = ev.read_reports_csv(path)
-    assert len(rows) == 1
+    assert len(rows) == 1 and list(rows[0]) == [f.name for f in fields(ev.RunReport)]  # every field is a column
     assert rows[0]["mse"] == "0.125"
     assert rows[0]["epoch_time_s"] == ""  # None stays absent
 
