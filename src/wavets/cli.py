@@ -29,6 +29,7 @@ from .config import (
     apply_overrides,
     config_hash,
     given_settings,
+    join_flag_values,
     load_config_file,
     resolve_config,
 )
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(join_flag_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except WavetsError as exc:

@@ -132,9 +132,18 @@ def apply_overrides(base: RunConfig, overrides: dict) -> RunConfig:
     return dataclasses.replace(base, **coerced)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise InvalidConfigError(f"key {key!r} is given more than once")
+    return dict(pairs)
+
+
 def load_config_file(path: str | Path) -> dict:
+    """The file's flat JSON object; a key given twice in one object is refused, not resolved."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an int literal past the 4300-digit limit
         raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -142,13 +151,30 @@ def load_config_file(path: str | Path) -> dict:
     return raw
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# The flags of add_config_arguments that take a value.
+_VALUE_FLAGS = {"--config", *(_flag(f.name) for f in dataclasses.fields(RunConfig) if f.type != "bool")}
+
+
 def add_config_arguments(parser: argparse.ArgumentParser) -> None:
     """One ``--key`` flag per RunConfig field (flags win over the file)."""
     parser.add_argument("--config", default=None, help="flat JSON config file")
     for field in dataclasses.fields(RunConfig):
         action = argparse.BooleanOptionalAction if field.type == "bool" else "store"
-        flag = "--" + field.name.replace("_", "-")
-        parser.add_argument(flag, dest=field.name, action=action, default=None, help=f"(default: {field.default})")
+        parser.add_argument(_flag(field.name), dest=field.name, action=action, default=None, help=f"(default: {field.default})")
+
+
+def join_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with every ``--key value`` of a value-taking config flag written ``--key=value``,
+    so that argparse reads a value starting with ``-`` (``--seeds -1,2``) as the value."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
 
 
 def given_settings(args: argparse.Namespace) -> dict:

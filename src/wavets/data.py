@@ -63,76 +63,72 @@ def _parse_cell(cell: str, row: int, col: int, name: str) -> float:
         ) from None
 
 
-def _parse_fast(path: Path, start: int, columns: int) -> np.ndarray | None:
-    """Vectorized parse of a plain numeric CSV; None when it does not apply.
+def _parse_fast(path: Path, start: int, columns: int, skip: int = 1) -> np.ndarray | None:
+    """The values the per-cell parse reads, in one vectorized loadtxt call; None when it does not apply.
 
-    Anything loadtxt chokes on (empty cells, quoting, short rows) falls
-    back to the per-cell parser, which reports exact error locations.
+    loadtxt reads every line after the ``skip`` lines up to the header's end
+    as ``start`` opaque one-byte fields and ``columns`` numbers. So it fails,
+    and the per-cell parser reports the exact row and column, on any row of
+    another width and on any value cell that is not a plain number: an
+    empty, quoted, ``#`` or ``na`` cell. A dropped first cell that opens a
+    quote may hide a comma or a line break from loadtxt, so it steps aside
+    too. The values are a strided view of loadtxt's table, not a copy.
     """
+    fields = [("stamp", "S1")] * start + [("values", float, (columns,))]
     try:
-        values = np.loadtxt(
-            path,
-            delimiter=",",
-            skiprows=1,
-            usecols=range(start, start + columns),
-            ndmin=2,
-        )
-    except (ValueError, IndexError):
+        table = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=skip, ndmin=1)
+    except ValueError:
         return None
-    return values
-
-
-def _read_rows(path: Path, limit: int | None = None) -> tuple[list[str], list[list[str]]]:
-    """The header and up to ``limit`` data rows (all of them by default)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path} is empty") from None
-        return header, list(itertools.islice(reader, limit))
+    if start and (table["stamp"] == b'"').any():
+        return None
+    return table["values"]
 
 
 def load_csv(path: str | Path) -> Series:
     """Load a header-ed CSV; a leading timestamp column is dropped.
 
-    Rows containing any NaN are dropped and counted in the log, matching
-    the Series invariant that ingested values are finite; an infinite
-    value fails the load with its row and column. Only the header and the
-    first data row go through the csv module unless the vectorized parse
-    fails or, since loadtxt drops cells past the header's width, that row's
-    width differs from the header's.
+    One csv reader gives the rows. A blank line is no row and takes no row
+    number (the header is row 1), and there is no comment syntax. The first
+    column is dropped when its header names a timestamp or the first data
+    row's cell there is no number, and every row must hold as many cells
+    as the header. Rows containing any NaN are dropped and counted in the
+    log, matching the Series invariant that ingested values are finite; an
+    infinite value fails the load with its row and column. Only the header
+    and the first data row go through the csv module unless
+    :func:`_parse_fast` steps aside.
     """
     path = Path(path)
-    header, first = _read_rows(path, limit=1)
-    if not first:
-        raise EmptyFileError(f"{path} has a header but no data rows")
+    with open(path, newline="") as fh:
+        taken = itertools.count()  # the next value is the number of lines the reader has taken
+        rows = filter(None, csv.reader(line for line, _ in zip(fh, taken)))
+        header = next(rows, None)
+        if header is None:
+            raise EmptyFileError(f"{path} is empty")
+        skip = next(taken)
+        first = next(rows, None)
+        if first is None:
+            raise EmptyFileError(f"{path} has a header but no data rows")
 
-    drop_first = False
-    if header and header[0].strip().lower() in _TIMESTAMP_NAMES:
-        drop_first = True
-    else:
-        # No recognized name: drop the first column only if it is not numeric.
+        start = 1 if header[0].strip().lower() in _TIMESTAMP_NAMES else 0
         try:
-            float(first[0][0])
-        except (ValueError, IndexError):
-            drop_first = True
-    start = 1 if drop_first else 0
-    names = [h.strip() for h in header[start:]]
-    if not names:
-        raise ParseError(f"{path} has no numeric columns")
+            _parse_cell(first[0], 2, 1, header[0])
+        except ParseError:
+            start = 1
+        names = [h.strip() for h in header[start:]]
+        if not names:
+            raise ParseError(f"{path} has no numeric columns")
 
-    values = _parse_fast(path, start, len(names)) if len(first[0]) == len(header) else None
-    if values is None:
-        _, rows = _read_rows(path)
-        values = np.empty((len(rows), len(names)))
-        for i, row in enumerate(rows):
-            if len(row) - start != len(names):
-                raise ParseError(
-                    f"row {i + 2}: expected {len(names)} value columns, found {len(row) - start}"
-                )
-            for j, cell in enumerate(row[start:]):
-                values[i, j] = _parse_cell(cell, i + 2, j + start + 1, names[j])
+        values = _parse_fast(path, start, len(names), skip)
+        if values is None:
+            rows = [first, *rows]
+            values = np.empty((len(rows), len(names)))
+            for i, row in enumerate(rows):
+                if len(row) - start != len(names):
+                    raise ParseError(
+                        f"row {i + 2}: expected {len(names)} value columns, found {len(row) - start}"
+                    )
+                for j, cell in enumerate(row[start:]):
+                    values[i, j] = _parse_cell(cell, i + 2, j + start + 1, names[j])
 
     finite = np.isfinite(values)
     if not finite.all():

@@ -294,6 +294,24 @@ def test_a_non_finite_fractional_or_negative_value_fails_before_any_output(tmp_p
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seeds", "-1,2"], "error config: seeds must name at least one seed, each once and >= 0, got '-1,2'"),
+        (["--data", "-x.csv"], "error data: dataset file not found: -x.csv"),
+    ],
+    ids=["seeds", "data"],
+)
+def test_a_flag_value_starting_with_a_dash_reads_as_the_value(tmp_path, capsys, flags, message):
+    """``--key value`` behaves like ``--key=value``: one error line, not argparse's usage text."""
+    out = tmp_path / "runs"
+    for argv in (flags, [f"{flags[0]}={flags[1]}"]):
+        code = main([*TINY_TRAIN, "--out", str(out), *argv])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [message]
+        assert not out.exists()
+
 def test_synth_refuses_a_negative_seed(tmp_path, capsys):
     output = tmp_path / "s.csv"
     assert main(["synth", "--seed", "-1", "--output", str(output)]) == 1

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +88,104 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_refuses_a_first_row_wider_than_its_header(tmp_path, text):
     with pytest.raises(ParseError, match="row 2: expected 2 value columns, found 3"):
         data.load_csv(write(tmp_path, text))
+
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n3,4,5\n", "date,a,b\nx,1,2\ny,3,4,5\n"])
+def test_load_csv_refuses_a_wider_row_further_down(tmp_path, text):
+    with pytest.raises(ParseError, match="row 3: expected 2 value columns, found 3"):
+        data.load_csv(write(tmp_path, text))
+
+
+def test_load_csv_blank_lines_are_no_rows(tmp_path, caplog):
+    """A blank line, right after the header or at the end, is skipped and takes no row number."""
+    assert np.array_equal(data.load_csv(write(tmp_path, "a,b\n\n1,2\n3,4\n")).values, [[1, 2], [3, 4]])
+    with caplog.at_level(logging.WARNING):
+        series = data.load_csv(write(tmp_path, "date,a,b\n2020,1,2\n2021,,4\n2022,5,6\n\n"))
+    assert series.channel_names == ["a", "b"]
+    assert np.array_equal(series.values, [[1, 2], [5, 6]])
+    assert "dropped 1 rows" in caplog.text
+    with pytest.raises(ParseError, match=r"row 3, column 1 \('a'\)"):
+        data.load_csv(write(tmp_path, "a,b\n\n1,2\n\nx,4\n"))
+    # The header is the first row, after any blank lines, also when its names read as numbers.
+    series = data.load_csv(write(tmp_path, "\n\ndate,1,2\nx,3,4\n"))
+    assert series.channel_names == ["1", "2"]
+    assert np.array_equal(series.values, [[3, 4]])
+
+
+@pytest.mark.parametrize(
+    "text, location",
+    [("a,b\n1,2#3\n4,5\n", r"row 2, column 2 \('b'\)"), ("a,b\n1,2\n#3,4\n5,6\n", r"row 3, column 1 \('a'\)")],
+    ids=["inside_a_cell", "leading_a_row"],
+)
+def test_load_csv_has_no_comment_syntax(tmp_path, text, location):
+    with pytest.raises(ParseError, match=location):
+        data.load_csv(write(tmp_path, text))
+
+
+def test_load_csv_a_quoted_timestamp_may_span_lines(tmp_path):
+    """The csv reader reads one row from the first two lines; loadtxt would read two."""
+    series = data.load_csv(write(tmp_path, 'date,a\n"x,1\ny",2\nd,3\n'))
+    assert np.array_equal(series.values, [[2], [3]])
+
+@pytest.mark.parametrize("missing", ["", "na", "null"])
+def test_load_csv_a_missing_first_value_is_no_timestamp(tmp_path, caplog, missing):
+    with caplog.at_level(logging.WARNING):
+        series = data.load_csv(write(tmp_path, f"a,b\n{missing},2\n3,4\n"))
+    assert series.channel_names == ["a", "b"]
+    assert np.array_equal(series.values, [[3, 4]])
+    assert "dropped 1 rows" in caplog.text
+
+
+def _loaded(path):
+    """load_csv's channel names and values, or its exception's type and message."""
+    try:
+        series = data.load_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.channel_names, series.values
+
+
+_NUMBERS = st.integers(-999, 999).map(str) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CELLS = (
+    _NUMBERS
+    | _NUMBERS
+    | st.sampled_from(["", " ", "nan", "NaN", "na", "null", "inf", "-inf", "1e400", "#", "2#3", "x", "2020-01-01"])
+    | _NUMBERS.map('"{}"'.format)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    dated=st.booleans(),
+    columns=st.integers(1, 4),
+    data_=st.data(),
+)
+def test_load_csv_reads_the_same_with_or_without_the_vectorized_parse(tmp_path_factory, dated, columns, data_):
+    """_parse_fast is a shortcut: whatever the file, load_csv gives the per-cell parse's
+    names and values, or its exception, with the shortcut live or stepping aside."""
+    header = ["date"] * dated + [f"c{j}" for j in range(columns)]
+    clean = st.lists(_NUMBERS, min_size=columns, max_size=columns)
+    if dated:
+        clean = st.builds(lambda day, cells: [day, *cells], st.sampled_from(["2020-01-01", "1"]), clean)
+    width = st.integers(len(header) - 1, len(header) + 1)
+    messy = width.flatmap(lambda w: st.lists(_CELLS, min_size=w, max_size=w))
+    rows = data_.draw(st.lists(clean, min_size=1, max_size=6))
+    for i in data_.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows[i] = data_.draw(messy)
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    blanks = data_.draw(st.lists(st.integers(0, 2), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "".join("\n" * blank + line + "\n" for blank, line in zip(blanks, lines)) + "\n" * blanks[-1]
+    path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+    path.write_text(text.replace("\n", data_.draw(st.sampled_from(["\n", "\r\n"]))), newline="")
+    fast = _loaded(path)
+    with mock.patch.object(data, "_parse_fast", return_value=None):
+        per_cell = _loaded(path)
+    assert fast[0] == per_cell[0]
+    if isinstance(fast[1], np.ndarray):
+        assert np.array_equal(fast[1], per_cell[1])
+    else:
+        assert fast[1] == per_cell[1]
 
 
 def test_load_csv_empty_inputs(tmp_path):

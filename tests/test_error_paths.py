@@ -112,6 +112,14 @@ def test_config_error_branches(tmp_path):
         load_config_file(listy)
 
 
+
+def test_a_config_file_refuses_a_key_given_twice(tmp_path):
+    """The later value does not silently win: the file is refused, naming the key."""
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"lr": 0.1, "lr": 5}')
+    with pytest.raises(InvalidConfigError, match="key 'lr' is given more than once"):
+        apply_overrides(RunConfig(), load_config_file(twice))
+
 def test_csv_without_numeric_columns(tmp_path):
     path = tmp_path / "dates.csv"
     path.write_text("date\n2020-01-01\n2020-01-02\n")
