@@ -9,6 +9,7 @@ row of each split is predictable, but window targets never cross back.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
@@ -73,10 +74,14 @@ def _parse_fast(path: Path, start: int, columns: int, skip: int = 1) -> np.ndarr
     empty, quoted, ``#`` or ``na`` cell. A dropped first cell that opens a
     quote may hide a comma or a line break from loadtxt, so it steps aside
     too. The values are a strided view of loadtxt's table, not a copy.
+
+    loadtxt gets the path (read in chunks, faster) unless it would decompress that name.
     """
     fields = [("stamp", "S1")] * start + [("values", float, (columns,))]
+    compressed = path.suffix in (".gz", ".bz2", ".xz", ".lzma")  # names loadtxt would decompress
     try:
-        table = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=skip, ndmin=1)
+        with open(path, newline="") if compressed else contextlib.nullcontext(path) as source:
+            table = np.loadtxt(source, dtype=fields, delimiter=",", comments=None, skiprows=skip, ndmin=1)
     except ValueError:
         return None
     if start and (table["stamp"] == b'"').any():
@@ -95,9 +100,17 @@ def load_csv(path: str | Path) -> Series:
     log, matching the Series invariant that ingested values are finite; an
     infinite value fails the load with its row and column. Only the header
     and the first data row go through the csv module unless
-    :func:`_parse_fast` steps aside.
+    :func:`_parse_fast` steps aside. A file that does not decode as text,
+    such as a compressed one, is a ParseError.
     """
     path = Path(path)
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not a text CSV: {exc}") from None
+
+
+def _read_csv(path: Path) -> Series:
     with open(path, newline="") as fh:
         taken = itertools.count()  # the next value is the number of lines the reader has taken
         rows = filter(None, csv.reader(line for line, _ in zip(fh, taken)))

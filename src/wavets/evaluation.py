@@ -140,8 +140,9 @@ def count_macs(cfg: ModelConfig, batch_size: int = 32) -> MacCount:
 
 
 def hardware_note() -> str:
-    """The platform, the versions, and how many threads the fold's blocks
-    run on next to the BLAS thread setting that count was read from."""
+    """The platform, the versions, and how many threads the blocks (the
+    fold's and the served batches) run on next to the BLAS thread setting
+    that count was read from."""
     setting = blas_threads()
     blas = "BLAS threads unset" if setting is None else f"{setting[0]}={setting[1]}"
     return (

@@ -23,16 +23,17 @@ run the mixture's softmax on that same first layer's gate columns.
 With ``lf_hidden=0`` and no learnable per-channel delta, everything
 between RevIN and its inverse in B, S, LF, HF and I is linear, so
 :func:`fold` collapses the model into one (S, L) matrix shared by all
-channels plus an (S, N) offset. The fold is built on the tape from the
-weights, and one block runner here applies it to cache-sized blocks of
-lookback windows, on the CPUs BLAS leaves idle (:func:`_blocks`): for
+channels plus an (S, N) offset, built on the tape from the weights. For
 training, :func:`batch_loss` runs those variants through
-:func:`folded_mse` (one op on the tape); for validation, evaluation and
-inference, :func:`forward` hands the fold's arrays to
-:func:`folded_forecast`, off the tape. Either way the transform runs on
-the (S, L) weights rather than on the (B, N, L) batch. The other
-variants run :func:`band_forward`, which is also the reference the fold
-is tested against.
+:func:`folded_mse` (one op on the tape); the other variants run
+:func:`band_forward`, which is also the reference the fold is tested
+against. Validation, evaluation and inference share one serving path,
+:func:`forecast_batches`: the fold's arrays or the band path's parameter
+views are made once per call, and one block runner (:func:`_blocks`, the
+only place that makes threads) runs its blocks on the CPUs BLAS leaves
+idle. A fold block is a cache-sized slice of a batch, so the transform
+runs on the (S, L) weights rather than on the (B, N, L) batch; a band
+block is a whole batch. :func:`forward` is the one-batch case.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -48,8 +49,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial, reduce
+from itertools import chain, islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -396,7 +398,7 @@ def blas_threads() -> tuple[str, int] | None:
 
 
 def _block_workers() -> int:
-    """How many threads run the fold's blocks: the CPUs this process may
+    """How many threads run the blocks of a call: the CPUs this process may
     use over BLAS's threads, at least one.
 
     With no BLAS thread count set, BLAS already threads over every CPU and
@@ -410,107 +412,112 @@ def _block_workers() -> int:
     return max(1, cpus // setting[1])
 
 
-def _blocks(lookback: np.ndarray, rows: np.ndarray | None, weight: np.ndarray, offset: np.ndarray, finish):
-    """Forecast windows ``rows`` of the (W, L, N) ``lookback`` (all W in
-    order if None) one cache-sized block at a time, and yield
-    ``finish(positions, centred, std, forecast)`` for each block, in block
-    order.
+def _blocks(run, blocks: Iterable):
+    """Yield ``run(local, block)`` for each of ``blocks``, in block order:
+    the one runner of per-block tasks, and the only place that makes threads.
 
-    A block is ``_BLOCK_BYTES // (L * N * 8)`` windows (at least one).
-    ``compute_stats`` reads its windows (a view when they are consecutive)
-    and writes them centred into a reused (L, b, N) buffer, so that
-    ``centred.reshape(L, b * N)`` is one matrix with every window's
-    channels side by side. The (S, b, N) forecasts ``weight @ centred +
-    mean + std * offset`` are one GEMM into another reused buffer, with
-    the mean and then the scaled offset added in place. ``finish`` then
-    runs while the block is still cached; the ``positions`` slice picks
-    the block from ``rows``, and the buffers are reused once it returns.
-
-    The blocks run on :func:`_block_workers` threads of a pool made for
-    this call, each thread with its own buffers and at most one block
-    queued beyond them; with one worker (or one block) they run inline on
-    the calling thread. A block's arithmetic does not depend on the
-    thread that runs it and the results come back in block order, so
-    whatever the caller sums from them is bit-identical for any worker
-    count. An exception in a block cancels the blocks not yet started and
-    is raised here once the running ones finish; no thread outlives the
-    call.
+    The blocks run on :func:`_block_workers` threads of a pool made for this
+    call (inline with one worker or one block), with at most one block
+    queued beyond them; ``blocks`` is read only as blocks are queued.
+    ``local`` is the running thread's own namespace, for reused buffers.
+    Results do not depend on the thread, so whatever the caller sums from
+    them is bit-identical for any worker count. An exception in a block
+    cancels the blocks not yet started and is raised here once the running
+    ones finish; no thread outlives the call.
     """
-    count, (length, channels) = len(lookback if rows is None else rows), lookback.shape[1:]
-    size = max(1, min(_BLOCK_BYTES // (length * channels * 8), count))
-    horizon = weight.shape[0]
-    starts = range(0, count, size)
-    local = threading.local()
-
-    def view(buffer: np.ndarray, height: int, block: int) -> np.ndarray:
-        return buffer[: height * block * channels].reshape(height, block, channels)
-
-    def run(start: int):
-        if not hasattr(local, "buffers"):
-            # One allocation holds a thread's three reused buffers (centred
-            # lookback, forecasts, scaled offset): with three, an evaluation
-            # at N=7, L=720, S=96 took over three times as many page faults.
-            local.buffers = np.split(
-                np.empty((length + 2 * horizon) * size * channels),
-                np.cumsum([length, horizon]) * size * channels,
-            )
-        centred_buffer, forecast_buffer, scaled_buffer = local.buffers
-        positions = slice(start, min(start + size, count))
-        block = positions.stop - start
-        windows = lookback[positions] if rows is None else take_windows(lookback, rows[positions])
-        centred = view(centred_buffer, length, block)
-        mean, std, _ = compute_stats(windows, out=centred.transpose(1, 0, 2))
-        forecast = view(forecast_buffer, horizon, block)
-        np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
-        forecast += mean
-        forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon, block))
-        return finish(positions, centred, std, forecast)
-
-    workers = min(_block_workers(), len(starts))
-    if workers <= 1:
-        yield from map(run, starts)
+    local, blocks = threading.local(), iter(blocks)
+    task = partial(run, local)
+    head = list(islice(blocks, _block_workers()))
+    if len(head) <= 1:
+        yield from map(task, chain(head, blocks))
         return
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(len(head))
     try:
-        pending = deque()
-        for start in starts:
-            pending.append(pool.submit(run, start))
-            if len(pending) > workers:
-                yield pending.popleft().result()
+        pending = deque(pool.submit(task, block) for block in head)
+        for block in blocks:
+            pending.append(pool.submit(task, block))
+            yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookback: np.ndarray) -> np.ndarray:
-    """The folded linear forecast ``weight @ (x - mean) + mean + std * offset``
-    of every window of the (B, L, N) ``lookback``, as a (B, S, N) array.
+def _slices(start: int, stop: int, size: int) -> Iterator[slice]:
+    return (slice(first, min(first + size, stop)) for first in range(start, stop, size))
 
-    ``weight`` (S, L) and ``offset`` (S, N) are the arrays :func:`fold`
-    builds; the batch is walked in cache-sized blocks
-    (:func:`_blocks`), off the tape, and each block writes its own
-    windows' slice of the output.
+
+def _block_size(windows: int, length: int, channels: int) -> int:  # at least one, at most ``windows``
+    return max(1, min(_BLOCK_BYTES // (length * channels * 8), windows))
+
+
+def _fold_block(local, windows: np.ndarray, weight: np.ndarray, offset: np.ndarray, size: int):
+    """The centred (L, b, N) windows, their (b, N) std and their (S, b, N)
+    forecasts ``weight @ centred + mean + std * offset`` of one block of b <=
+    ``size`` windows, off the tape, in the thread's buffers on ``local``.
+
+    ``compute_stats`` writes the windows centred into the (L, b, N) buffer,
+    so ``centred.reshape(L, b * N)`` is one matrix with every window's
+    channels side by side, and the forecasts are one GEMM, with the mean and
+    the scaled offset added in place. The thread's next block reuses them.
     """
-    out = np.empty((len(lookback), weight.shape[0], lookback.shape[2]))
+    (block, length, channels), horizon = windows.shape, weight.shape[0]
+    if not hasattr(local, "buffers"):
+        # One allocation holds a thread's three reused buffers (centred
+        # lookback, forecasts, scaled offset): with three, an evaluation
+        # at N=7, L=720, S=96 took over three times as many page faults.
+        sizes = np.cumsum([length, horizon]) * size * channels
+        local.buffers = np.split(np.empty((length + 2 * horizon) * size * channels), sizes)
 
-    def place(positions: slice, centred: np.ndarray, std: np.ndarray, forecast: np.ndarray) -> None:
-        out[positions] = forecast.transpose(1, 0, 2)
+    def view(buffer: np.ndarray, height: int) -> np.ndarray:
+        return buffer[: height * block * channels].reshape(height, block, channels)
 
-    for _ in _blocks(lookback, None, weight, offset, place):
-        pass
-    return out
+    centred_buffer, forecast_buffer, scaled_buffer = local.buffers
+    centred = view(centred_buffer, length)
+    mean, std, _ = compute_stats(windows, out=centred.transpose(1, 0, 2))
+    forecast = view(forecast_buffer, horizon)
+    np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
+    forecast += mean
+    forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon))
+    return centred, std, forecast
+
+
+def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookbacks: np.ndarray, batch_size: int):
+    """Yield the folded forecast ``weight @ (x - mean) + mean + std * offset``
+    of each consecutive batch of ``batch_size`` windows of the (W, L, N)
+    ``lookbacks``, as (B, S, N) arrays, from :func:`fold`'s (S, L) and (S, N) arrays.
+
+    A block is a cache-sized slice of one batch (:func:`_fold_block`). A
+    batch's output is made when its first block is queued, each block
+    writes its own windows into it, and it is yielded with its last block.
+    """
+    (count, length, channels), horizon = lookbacks.shape, weight.shape[0]
+    size = _block_size(min(batch_size, count), length, channels)
+
+    def blocks():
+        for batch in _slices(0, count, batch_size):
+            out = np.empty((batch.stop - batch.start, horizon, channels))
+            for block in _slices(batch.start, batch.stop, size):
+                yield out, batch.start, block, block.stop == batch.stop
+
+    def place(local, task) -> np.ndarray | None:
+        out, first, block, last = task
+        forecast = _fold_block(local, lookbacks[block], weight, offset, size)[2]
+        out[block.start - first : block.stop - first] = forecast.transpose(1, 0, 2)
+        return out if last else None
+
+    return (out for out in _blocks(place, blocks()) if out is not None)
 
 
 def folded_mse(
     weight: Tensor, offset: Tensor, lookback: np.ndarray, target: np.ndarray, rows: np.ndarray
 ) -> Tensor:
-    """The MSE of :func:`folded_forecast` on windows ``rows`` against their targets, as one op.
+    """The MSE of the folded forecast on windows ``rows`` against their targets, as one op.
 
     ``lookback`` (W, L, N) and ``target`` (W, S, N) are read-only window
     sources, such as a sampler's sliding views of the series, and ``rows``
     picks the batch from them, so the batch is never gathered. Per block
-    (:func:`_blocks`) the targets are subtracted from the forecasts in
+    (:func:`_fold_block`) the targets are subtracted from the forecasts in
     place, and while the block is still cached its squared error, its
     ``diff @ centred^T`` and its ``sum(diff * std)`` are formed. The
     calling thread adds them in block order to the loss, the (S, L)
@@ -521,18 +528,19 @@ def folded_mse(
     (horizon, length), channels = weight.shape, lookback.shape[2]
     weight_grad, offset_grad = np.zeros(weight.shape), np.zeros((horizon, channels))
     total = 0.0
+    size = _block_size(rows.size, length, channels)
 
-    def block_sums(positions: slice, centred: np.ndarray, std: np.ndarray, diff: np.ndarray):
-        diff -= take_windows(target, rows[positions]).transpose(1, 0, 2)
+    def block_sums(local, block: slice):
+        windows = take_windows(lookback, rows[block])
+        centred, std, diff = _fold_block(local, windows, weight.data, offset.data, size)
+        diff -= take_windows(target, rows[block]).transpose(1, 0, 2)
         return (
             np.vdot(diff, diff),
             diff.reshape(horizon, -1) @ centred.reshape(length, -1).T,
             np.einsum("sbn,bn->sn", diff, std),
         )
 
-    for squares, block_weight_grad, block_offset_grad in _blocks(
-        lookback, rows, weight.data, offset.data, block_sums
-    ):
+    for squares, block_weight_grad, block_offset_grad in _blocks(block_sums, _slices(0, rows.size, size)):
         total += squares
         weight_grad += block_weight_grad
         offset_grad += block_offset_grad
@@ -541,22 +549,36 @@ def folded_mse(
     return presummed(total / count, (weight, offset), (weight_grad * scale, offset_grad * scale))
 
 
-def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """Forecasts (B, S, N) from a lookback batch (B, L, N), as a plain array.
+def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.ndarray, batch_size: int):
+    """Yield the (B, S, N) forecast of each consecutive batch of ``batch_size``
+    windows of a (W, L, N) window source, in order: the one serving path.
 
-    The linear variants build :func:`fold` from the live parameters and
-    hand its arrays to :func:`folded_forecast`, so the batch is never
-    transformed. The other variants return the values of
-    :func:`band_forward`. Nothing backpropagates through a forecast:
-    training runs :func:`batch_loss`, which has the same branch.
+    What depends only on the parameters is made once per call: the linear
+    variants' :func:`fold`, whose arrays :func:`folded_forecast` applies
+    in cache-sized blocks, or the band path's (M, ``lf_hidden > 0``, a
+    learnable per-channel delta) ``constant`` parameter views, on which
+    :func:`band_forward` records no tape, one batch per block. One
+    :func:`_blocks` runner serves the call. Training runs :func:`batch_loss`.
     """
-    x = _lookback(cfg, x)
+    lookbacks = _lookback(cfg, lookbacks)
+    if batch_size < 1:
+        raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
     folded = fold(cfg, params)
-    if folded is None:
-        # Real parameters, not constant copies: those made an M evaluation refault the heap over 20x as often.
-        return band_forward(cfg, params, x).data
-    weight, offset = folded
-    return folded_forecast(weight.data, offset.data, x)
+    if folded is not None:
+        yield from folded_forecast(folded[0].data, folded[1].data, lookbacks, batch_size)
+        return
+    # Constant views: a tape on the live parameters made a 2000-window M evaluation at N=7 1.2x slower, 4 MiB larger.
+    views = {name: constant(p.data) for name, p in params.items()}
+    batches = _slices(0, len(lookbacks), batch_size)
+    yield from _blocks(lambda local, batch: band_forward(cfg, views, lookbacks[batch]).data, batches)
+
+
+def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
+    """Forecasts (B, S, N) from a lookback batch (B, L, N), as a plain array:
+    the one batch of :func:`forecast_batches`."""
+    x = _lookback(cfg, x)
+    forecasts = list(forecast_batches(cfg, params, x, max(1, len(x))))
+    return forecasts[0] if forecasts else np.empty((0, cfg.horizon, cfg.channels))
 
 
 def batch_loss(
@@ -589,8 +611,9 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
     """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array:
     :func:`forward`'s.
 
-    The fold is rebuilt on every call, so it always matches the parameters
-    (the optimizer updates them in place).
+    The fold (or the band path's parameter views) is made again on every
+    call, so it always matches the parameters (the optimizer updates them
+    in place).
     """
     return forward(cfg, params, x)
 

@@ -26,13 +26,13 @@ gradient and no input gradient for the band. It is the one place the
 affine meets the bands: M's gate diagnostics use it too. The linear
 variants train and forecast through ``model.fold``, which never
 transforms the batch: ``model.folded_forecast`` (off-tape forecasts
-from the fold's arrays) and ``model.folded_mse`` (the train step's
-loss and gradients) walk one block loop that calls :func:`compute_stats`
-on one cache-sized block of lookback windows at a time, with a reused
-buffer per block worker for the centred values, and the affine sits
-inside the folded offset.
-So only the band path (M, an MLP low-pass head, a learnable per-channel
-delta) calls :func:`revin_forward` and :func:`revin_inverse`.
+from the fold's arrays, batch by batch) and ``model.folded_mse`` (the
+train step's loss and gradients) call :func:`compute_stats` on one
+cache-sized block of lookback windows at a time, with a reused buffer
+per block worker for the centred values, and the affine sits inside the
+folded offset. So only the band path (M, an MLP low-pass head, a
+learnable per-channel delta) calls :func:`revin_forward` and
+:func:`revin_inverse`, on one whole batch per block when serving.
 """
 
 from __future__ import annotations

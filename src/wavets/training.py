@@ -2,16 +2,17 @@
 
 Fully seeded (init and batch shuffling draw from separate child streams
 of the run seed), so identical settings yield bit-identical parameters
-and metrics. The fold's blocks may run on worker threads
-(:func:`wavets.model._blocks`), but their results are summed in block
-order, so the parameters and metrics are the same for any CPU count.
+and metrics. The fold's blocks, and the batches that validation and
+:func:`evaluate_model` serve through :func:`wavets.model.forecast_batches`,
+may run on worker threads (:func:`wavets.model._blocks`), but their results
+come back in block order, so the metrics are the same for any CPU count.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .autodiff import Tensor
 from .data import Series, WindowSampler
 from .evaluation import accumulate_errors
 from .exceptions import InvalidConfigError, check_fields
-from .model import ModelConfig, batch_loss, forward, init_params
+from .model import ModelConfig, batch_loss, forecast_batches, init_params
+from .model import forward  # noqa: F401 (perfbench wraps training.forward)
 from .optim import Adam, check_hyperparameters
 
 
@@ -66,11 +68,12 @@ class TrainResult:
         return float(np.mean([h.seconds for h in self.history]))
 
 
-def _scored_pairs(
-    cfg: ModelConfig, params: dict[str, Tensor], sampler: WindowSampler, batch_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(prediction, target) pairs over every window of the sampler, batch by batch."""
-    return ((forward(cfg, params, batch.x), batch.y) for batch in sampler.batches(batch_size))
+def _score(cfg: ModelConfig, params: dict[str, Tensor], sampler: WindowSampler, batch_size: int) -> dict:
+    """The errors over every window of the sampler: :func:`~wavets.model.forecast_batches`
+    of its lookbacks zipped with its target batches, closed on return."""
+    targets = (batch.y for batch in sampler.batches(batch_size))
+    with closing(forecast_batches(cfg, params, sampler.lookbacks, batch_size)) as forecasts:
+        return accumulate_errors(zip(forecasts, targets))
 
 
 def evaluate_mse(
@@ -80,7 +83,7 @@ def evaluate_mse(
     batch_size: int,
 ) -> float:
     """Window-weighted MSE over every window of the sampler."""
-    return accumulate_errors(_scored_pairs(cfg, params, sampler, batch_size))["mse"]
+    return _score(cfg, params, sampler, batch_size)["mse"]
 
 
 def train_step(
@@ -173,4 +176,4 @@ def evaluate_model(
 ) -> dict:
     """Test-set metrics plus the per-horizon-step breakdown."""
     sampler = WindowSampler(test_split, cfg.lookback, cfg.horizon)
-    return accumulate_errors(_scored_pairs(cfg, params, sampler, batch_size))
+    return _score(cfg, params, sampler, batch_size)

@@ -18,7 +18,7 @@ sys.path[:0] = [str(BENCH_DIR)]
 import workloads  # noqa: E402
 from tracing import NAME, Tracer  # noqa: E402
 
-from wavets import training  # noqa: E402
+from wavets import model, training  # noqa: E402
 from wavets.data import Series, synth  # noqa: E402
 from wavets.model import ModelConfig  # noqa: E402
 from wavets.moe import MoEConfig  # noqa: E402
@@ -35,9 +35,12 @@ def _assert_train_and_eval_spans(cfg):
     try:
         result = training.train_model(cfg, train, val, training.TrainSettings(max_epochs=1), seed=0)
         metrics = training.evaluate_model(cfg, result.params, test)
+        # Validation and evaluation serve through model.forecast_batches;
+        # forward is the one-batch case that predict (the infer_b1 phase) calls.
+        forecast = model.predict(cfg, result.params, test.values[None, : cfg.lookback])
     finally:
         tracer.uninstall()
-    assert np.isfinite(metrics["mse"])
+    assert np.isfinite(metrics["mse"]) and np.isfinite(forecast).all()
     recorded = {span[NAME] for span in tracer.spans}
     for name in ("training.validation", "model.forward", "training.evaluate_model", "optim.step"):
         assert name in recorded, name

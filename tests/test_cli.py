@@ -1,3 +1,4 @@
+import gzip
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -101,6 +102,15 @@ def test_train_missing_csv_reports_data_reason(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r")])
     assert code != 0
     assert "error data" in capsys.readouterr().err
+
+
+def test_a_compressed_csv_is_one_data_error(tmp_path, capsys):
+    csv_path = tmp_path / "real.csv.gz"
+    csv_path.write_bytes(gzip.compress(b"date,a\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(40))))
+    code = main(["train", "--data", str(csv_path), "--lookback", "8", "--horizon", "4", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error data: ") and "is not a text CSV" in err[0], err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gzip
 import logging
 import os
 import subprocess
@@ -193,6 +194,38 @@ def test_load_csv_empty_inputs(tmp_path):
         data.load_csv(write(tmp_path, "", name="empty.csv"))
     with pytest.raises(EmptyFileError):
         data.load_csv(write(tmp_path, "a,b\n", name="header_only.csv"))
+
+
+DATED = "date,a,b\n" + "".join(f"2020-01-{d:02d},{d}.5,{-d}\n" for d in range(1, 29))
+
+
+@pytest.mark.parametrize("case", ["header", "row 20", "gzip"])
+def test_load_csv_a_file_that_is_no_text_is_a_parse_error(tmp_path, case):
+    """A byte that does not decode, in the header or further down, and a
+    gzip-compressed CSV fail the load with one ParseError naming the file."""
+    raw = DATED.encode()
+    if case == "header":
+        raw = raw.replace(b"a", b"\xff", 1)
+    elif case == "row 20":
+        raw = raw.replace(b"20.5", b"20\xff5")
+    else:
+        raw = gzip.compress(raw)
+    path = tmp_path / ("x.csv.gz" if case == "gzip" else "x.csv")
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="is not a text CSV"):
+        data.load_csv(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_load_csv_reads_a_plain_csv_by_a_compressed_name(tmp_path, suffix):
+    """numpy decompresses a path by its name; a plain-text CSV so named
+    still loads, through the vectorized parse, as it does as ``.csv``."""
+    plain = data.load_csv(write(tmp_path, DATED, name="x.csv"))
+    path = write(tmp_path, DATED, name="x" + suffix)
+    named = data.load_csv(path)
+    assert named.channel_names == plain.channel_names == ["a", "b"]
+    assert np.array_equal(named.values, plain.values)
+    assert np.array_equal(data._parse_fast(path, 1, 2), plain.values)
 
 
 def test_load_csv_reads_only_header_and_first_row_of_a_clean_file(tmp_path, monkeypatch):

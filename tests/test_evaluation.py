@@ -1,4 +1,5 @@
 import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -148,6 +149,73 @@ def test_linear_variants_never_run_the_band_path(monkeypatch, variant):
         assert len(calls) > 0
     else:
         assert calls == []
+
+
+# The band path's configs: M, an MLP low head and a learnable per-channel delta.
+BAND_CONFIGS = {
+    "M/d4": EVAL_CONFIGS["M"],
+    "B/lf_hidden": ModelConfig("B", 16, 6, 3, lf_hidden=4),
+    "B/delta": ModelConfig("B", 16, 6, 3, delta_per_channel=True),
+}
+
+
+@pytest.mark.parametrize("name", BAND_CONFIGS)
+def test_band_path_serving_is_bit_identical_for_any_worker_count(monkeypatch, name):
+    """evaluate_model and evaluate_mse equal the errors of band_forward on
+    each batch, bit for bit, and with a two-epoch train_model (whose
+    validation serves through the same runner) they are bit-identical on
+    one, two and three block workers; with more than one, no batch of an
+    evaluation runs on the calling thread."""
+    cfg = BAND_CONFIGS[name]
+    series = synth("sine_mix", 160, 3, seed=9)  # 139 windows: the last batch of 8 has 3
+    params = _perturbed_params(cfg, 6)
+    sampler = WindowSampler(series, cfg.lookback, cfg.horizon)
+    reference = ev.accumulate_errors((band_forward(cfg, params, b.x).data, b.y) for b in sampler.batches(8))
+    on_main = []
+    real = model_mod.band_forward
+
+    def spy(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "band_forward", spy)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+        on_main.clear()
+        assert evaluate_model(cfg, params, series, batch_size=8) == reference
+        assert evaluate_mse(cfg, params, sampler, 8) == reference["mse"]
+        assert len(on_main) == 2 * 18 and set(on_main) == {workers == 1}
+        trained = train_model(cfg, series, series, TrainSettings(batch_size=8, max_epochs=2), seed=5)
+        runs.append([
+            *(p.data for p in trained.params.values()),
+            np.array([(e.train_mse, e.val_mse) for e in trained.history]),
+        ])
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_the_fold_is_built_once_per_evaluation_call(monkeypatch):
+    """One fold serves every batch of an evaluate_model or evaluate_mse call;
+    a batch size below one is a config error."""
+    cfg = EVAL_CONFIGS["B"]
+    series = synth("sine_mix", 120, 3, seed=3)
+    params = _perturbed_params(cfg, 5)
+    calls = []
+    real = model_mod.fold
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "fold", counted)
+    assert evaluate_model(cfg, params, series, batch_size=7)["windows"] == 99  # 15 batches
+    assert len(calls) == 1
+    evaluate_mse(cfg, params, WindowSampler(series, cfg.lookback, cfg.horizon), 7)
+    assert len(calls) == 2
+    with pytest.raises(InvalidConfigError):
+        evaluate_model(cfg, params, series, batch_size=0)
 
 
 @pytest.mark.parametrize("variant", EVAL_CONFIGS)

@@ -1022,6 +1022,12 @@ def test_gate_probabilities_are_the_gate_the_mixture_sees(monkeypatch):
     assert np.max(np.abs(model_mod.gate_probabilities(cfg, params, x) - softmax)) < 1e-12
 
 
+def _folded_forecast(weight, offset, lookback):
+    """model_mod.folded_forecast of a non-empty lookback as one batch."""
+    (out,) = model_mod.folded_forecast(weight, offset, lookback, len(lookback))
+    return out
+
+
 def _fold_inputs(rng, batch, length, horizon, channels, offset_channels):
     """Random (weight, offset, lookback) for the folded ops: the weight and
     offset as tensors, and the lookback as a plain array."""
@@ -1037,11 +1043,11 @@ def test_folded_forecast_shape_errors():
     ``forward`` boundary, since ``fold`` builds the weight and offset."""
 
     def forecast(weight, offset, lookback):
-        return model_mod.folded_forecast(np.ones(weight), np.ones(offset), np.ones(lookback))
+        return list(model_mod.folded_forecast(np.ones(weight), np.ones(offset), np.ones(lookback), 5))
 
-    assert forecast((2, 3), (2, 4), (5, 3, 4)).shape == (5, 2, 4)
-    assert forecast((2, 3), (2, 1), (5, 3, 4)).shape == (5, 2, 4)
-    assert forecast((2, 3), (2, 4), (0, 3, 4)).shape == (0, 2, 4)  # an empty batch
+    assert [out.shape for out in forecast((2, 3), (2, 4), (5, 3, 4))] == [(5, 2, 4)]
+    assert [out.shape for out in forecast((2, 3), (2, 1), (7, 3, 4))] == [(5, 2, 4), (2, 2, 4)]
+    assert forecast((2, 3), (2, 4), (0, 3, 4)) == []  # an empty source has no batch
     cfg = ModelConfig("B", 4, 2, 3)
     params = init_params(cfg, 0)
     assert forward(cfg, params, np.ones((0, 4, 3))).shape == (0, 2, 3)
@@ -1062,7 +1068,7 @@ def test_folded_forecast_matches_the_per_window_formula():
     for offset_channels in (4, 1):  # a per-channel offset, and one shared by the channels
         weight, offset, x = _fold_inputs(rng, 3, 5, 2, 4, offset_channels)
         w, offset = weight.data, offset.data
-        out = model_mod.folded_forecast(w, offset, x)
+        out = _folded_forecast(w, offset, x)
         mean, std, centred = compute_stats(x)
         expected = [w @ x_b + m_b + s_b * offset for x_b, m_b, s_b in zip(centred, mean, std)]
         assert isinstance(out, np.ndarray)
@@ -1091,7 +1097,7 @@ def test_folded_forecast_matches_its_composition(monkeypatch, batch_shape, lengt
             return compute_stats(values, **kwargs)
 
         monkeypatch.setattr(model_mod, "compute_stats", spy)
-        out = model_mod.folded_forecast(weight.data, offset.data, x)
+        out = _folded_forecast(weight.data, offset.data, x)
         mean, std, centred = compute_stats(x)
         ref = composed_folded_forecast(weight, offset, *(ad.constant(a) for a in (centred, mean, std)))
         assert sorted(seen) == sorted(min(per_block, batch - start) for start in range(0, batch, per_block))
@@ -1207,7 +1213,7 @@ def test_fold_is_bit_identical_for_any_worker_count(monkeypatch):
         trained = train_model(cfg, series, series, TrainSettings(batch_size=8, max_epochs=2), seed=5)
         assert set(on_main) == {workers == 1}
         runs.append([
-            model_mod.folded_forecast(weight.data, offset.data, lookback),
+            _folded_forecast(weight.data, offset.data, lookback),
             np.array(loss.item()),
             w.grad,
             o.grad,
@@ -1230,7 +1236,7 @@ def test_a_failing_block_cancels_the_rest_and_leaves_no_thread(monkeypatch, work
     monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 8 * 4 * 8)  # one window per block
     monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
     calls = [
-        lambda: model_mod.folded_forecast(weight.data, offset.data, lookback),
+        lambda: _folded_forecast(weight.data, offset.data, lookback),
         lambda: model_mod.folded_mse(weight, offset, lookback, target, rows).data,
     ]
     expected = [call() for call in calls]
@@ -1252,6 +1258,48 @@ def test_a_failing_block_cancels_the_rest_and_leaves_no_thread(monkeypatch, work
         assert threading.active_count() == threads
         monkeypatch.setattr(model_mod, "compute_stats", compute_stats)
         assert np.array_equal(call(), result)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_batch_of_the_band_path_cancels_the_rest_and_leaves_no_thread(monkeypatch, workers):
+    """band_forward raising on the third of twelve batches of an M
+    evaluation: evaluate_model raises that exception, no batch beyond the
+    runner's look-ahead starts, every worker thread has ended, and the next
+    call succeeds."""
+    cfg = tiny_config("M", lookback=16, horizon=6, channels=3, bank="d4")
+    series = synth("noise_walk", 12 * 4 + 16 + 6 - 1, 3, seed=7)  # twelve batches of four windows
+    params = init_params(cfg, 0)
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    expected = evaluate_model(cfg, params, series, batch_size=4)
+    threads = threading.active_count()
+    failure = RuntimeError("the third batch fails")
+    started = itertools.count()
+    real = model_mod.band_forward
+
+    def failing(*args):
+        if next(started) == 2:
+            raise failure
+        return real(*args)
+
+    queued = []
+    real_slices = model_mod._slices
+
+    def counted(*args):
+        for batch in real_slices(*args):
+            queued.append(batch)
+            yield batch
+
+    monkeypatch.setattr(model_mod, "band_forward", failing)
+    monkeypatch.setattr(model_mod, "_slices", counted)
+    with pytest.raises(RuntimeError) as raised:
+        evaluate_model(cfg, params, series, batch_size=4)
+    assert raised.value is failure
+    # Read up to the third batch: the workers' batches plus one queued, at most.
+    assert next(started) <= len(queued) <= 3 + workers < 12
+    assert threading.active_count() == threads
+    monkeypatch.setattr(model_mod, "band_forward", real)
+    monkeypatch.setattr(model_mod, "_slices", real_slices)
+    assert evaluate_model(cfg, params, series, batch_size=4) == expected
 
 
 def test_block_workers_share_the_cpus_with_blas(monkeypatch):
