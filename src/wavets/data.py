@@ -72,8 +72,10 @@ def _parse_fast(path: Path, start: int, columns: int, skip: int = 1) -> np.ndarr
     and the per-cell parser reports the exact row and column, on any row of
     another width and on any value cell that is not a plain number: an
     empty, quoted, ``#`` or ``na`` cell. A dropped first cell that opens a
-    quote may hide a comma or a line break from loadtxt, so it steps aside
-    too. The values are a strided view of loadtxt's table, not a copy.
+    quote may hide a comma (its closing quote then fails a value cell) or a
+    line break (the csv reader then reads fewer rows than loadtxt), so it
+    steps aside unless the row counts agree. The values are a strided view
+    of loadtxt's table, not a copy.
 
     loadtxt gets the path (read in chunks, faster) unless it would decompress that name.
     """
@@ -85,7 +87,8 @@ def _parse_fast(path: Path, start: int, columns: int, skip: int = 1) -> np.ndarr
     except ValueError:
         return None
     if start and (table["stamp"] == b'"').any():
-        return None
+        with open(path, newline="") as fh:  # the header and each data row, as the csv reader reads them
+            return table["values"] if sum(map(bool, csv.reader(fh))) == 1 + len(table) else None
     return table["values"]
 
 

@@ -6,34 +6,36 @@ per-window normalization of each channel's lookback (RevIN), a
 one-level wavelet split of the normalized lookback, half-length heads
 with RevIN's affine applied after each head's first layer, a
 delta-weighted fusion of the high-frequency prediction, and inverse
-normalization. The split and the normalized bands are fixed
-functions of the input, so they stay off the autodiff tape: backward
-stops at the first layers' weights and never forms a band-sized
-gradient. Variants differ only in which heads exist and how their
-outputs are fused; :data:`LAYOUTS` is the one table of that.
+normalization. The normalized bands and their statistics,
+:func:`band_prologue`, read no parameter: they stay off the autodiff
+tape, so backward stops at the first layers' weights and never forms a
+band-sized gradient, and they can be made ahead on another thread.
+Variants differ only in which heads exist and how their outputs are
+fused; :data:`LAYOUTS` is the one table of that.
 
 An option that is off is a constant, not a branch: without RevIN's
 affine its gain and bias are the constants one and zero, and a fixed
-delta is the scalar ``delta_init``.
-
-M's gate and experts run as one fused first layer and one mixture op
-(see :mod:`wavets.moe`). The gate diagnostics, :func:`gate_probabilities`,
-run the mixture's softmax on that same first layer's gate columns.
+delta is the scalar ``delta_init``. M's gate and experts run as one
+fused first layer and one mixture op (see :mod:`wavets.moe`); the gate
+diagnostics, :func:`gate_probabilities`, run its softmax on that layer.
 
 With ``lf_hidden=0`` and no learnable per-channel delta, everything
 between RevIN and its inverse in B, S, LF, HF and I is linear, so
 :func:`fold` collapses the model into one (S, L) matrix shared by all
-channels plus an (S, N) offset, built on the tape from the weights. For
-training, :func:`batch_loss` runs those variants through
-:func:`folded_mse` (one op on the tape); the other variants run
-:func:`band_forward`, which is also the reference the fold is tested
-against. Validation, evaluation and inference share one serving path,
-:func:`forecast_batches`: the fold's arrays or the band path's parameter
-views are made once per call, and one block runner (:func:`_blocks`, the
-only place that makes threads) runs its blocks on the CPUs BLAS leaves
-idle. A fold block is a cache-sized slice of a batch, so the transform
-runs on the (S, L) weights rather than on the (B, N, L) batch; a band
-block is a whole batch. :func:`forward` is the one-batch case.
+channels plus an (S, N) offset, built on the tape from the weights, and
+:func:`batch_loss` trains it through :func:`folded_mse` (one op on the
+tape). The other variants, the band path, run :func:`band_forward`,
+which is also the reference the fold is tested against.
+
+One block runner, :func:`_blocks`, is the only place that makes threads:
+it runs blocks on the CPUs BLAS leaves idle. Validation, evaluation and
+inference share :func:`forecast_batches`, where a fold block is a
+cache-sized slice of a batch, so the transform runs on the (S, L)
+weights rather than on the (B, N, L) batch, and a band block is a whole
+batch; :func:`forward` is the one-batch case. Training takes the band
+path's batches from :func:`train_batches`, whose blocks gather each batch
+and run its prologue on one worker fewer while the calling thread runs
+the heads, backward and Adam.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -297,26 +299,38 @@ def _lookback(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64, copy=False)
 
 
-def _prologue(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> tuple[Tensor, Tensor, RevinState]:
-    """The (B, N, L/2) bands of a normalized (B, L, N) lookback batch, as
-    constants, plus the RevIN state that carries the affine.
+class Bands(NamedTuple):
+    """A (B, L, N) lookback batch's (B, N, L/2) bands, as constants, and RevIN's (B, N) mean and std."""
 
-    RevIN normalizes a channel-major copy of the lookback, which is then
-    split off the tape.
-    """
-    x = _lookback(cfg, x)
+    approx: Tensor
+    detail: Tensor
+    mean: np.ndarray
+    std: np.ndarray
+
+
+def band_prologue(cfg: ModelConfig, x: np.ndarray, local=None) -> Bands:
+    """The :class:`Bands` of a (B, L, N) lookback batch: RevIN normalizes a channel-major
+    copy (into the reused buffer of a thread's namespace ``local``, see :func:`_blocks`),
+    which the transform splits into new arrays. It reads no parameter."""
+    x, local = _lookback(cfg, x), threading.local() if local is None else local
+    if getattr(local, "channel_major", np.empty(0)).size < x.size:
+        local.channel_major = np.empty(x.size)
+    normalized, mean, std = revin_forward(x, local.channel_major[: x.size].reshape(len(x), cfg.channels, cfg.lookback))
+    return Bands(*dwt_pair(constant(normalized), get_bank(cfg.bank)), mean, std)
+
+
+def _prologue(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray | Bands) -> tuple[Tensor, Tensor, RevinState]:
+    """A lookback batch's bands (or its :class:`Bands` made ahead) plus the RevIN state that carries the affine."""
+    bands = x if isinstance(x, Bands) else band_prologue(cfg, x)
     _check_params(cfg, params)
-    normalized, state = revin_forward(x, *_affine(cfg, params))
-    approx, detail = dwt_pair(constant(normalized), get_bank(cfg.bank))
-    return approx, detail, state
+    return bands.approx, bands.detail, RevinState(bands.mean, bands.std, *_affine(cfg, params))
 
 
-def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> Tensor:
-    """Predict (B, S, N) from a lookback batch (B, L, N) through the bands.
+def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray | Bands) -> Tensor:
+    """Predict (B, S, N) from a lookback batch (B, L, N), or its :class:`Bands`, through the bands.
 
-    Every variant can run here; :func:`forward` sends M, ``lf_hidden > 0``
-    and a learnable per-channel delta here, and the tests use it as the
-    reference for the folded variants. The heads follow the variant's
+    Every variant can run here; the band path does, and the tests use it
+    as the reference for the folded variants. The heads follow the variant's
     :data:`LAYOUTS` entry: the low-band head, then delta times the
     high-band head, then their sum or their synthesis. Each head's first
     layer is :func:`~wavets.revin.affine_linear`, which applies RevIN's
@@ -331,6 +345,10 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> 
         heads.append(mul(_delta(cfg, params), high))
     fused = idwt_pair(*heads, get_bank(cfg.bank)) if layout.synthesize else reduce(add, heads)
     return revin_inverse(swap_last2(fused), state)
+
+
+def _on_band_path(cfg: ModelConfig) -> bool:  # M, an MLP low head or a learnable per-channel delta
+    return cfg.layout.low == "moe" or bool(cfg.lf_hidden) or cfg.delta_per_channel
 
 
 def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] | None:
@@ -351,10 +369,10 @@ def fold(cfg: ModelConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor] |
     delta (always learnable: see :class:`ModelConfig`) are not one shared map,
     so they return None and keep :func:`band_forward`.
     """
-    layout = cfg.layout
-    if layout.low == "moe" or cfg.lf_hidden or cfg.delta_per_channel:
+    if _on_band_path(cfg):
         return None
     _check_params(cfg, params)
+    layout = cfg.layout
     bank = get_bank(cfg.bank)
     zero_w, zero_b = constant(np.zeros((cfg.half, cfg.head))), constant(np.zeros(cfg.head))
     low_w, low_b = (params["lf.weight"], params["lf.bias"]) if layout.low else (zero_w, zero_b)
@@ -412,23 +430,23 @@ def _block_workers() -> int:
     return max(1, cpus // setting[1])
 
 
-def _blocks(run, blocks: Iterable):
+def _blocks(run, blocks: Iterable, caller_works: bool = False):
     """Yield ``run(local, block)`` for each of ``blocks``, in block order:
     the one runner of per-block tasks, and the only place that makes threads.
 
-    The blocks run on :func:`_block_workers` threads of a pool made for this
-    call (inline with one worker or one block), with at most one block
-    queued beyond them; ``blocks`` is read only as blocks are queued.
+    The blocks run on :func:`_block_workers` threads of a pool made for this call (one
+    fewer when the caller works between results, inline when no thread would overlap
+    anything), with at most one block queued beyond them, read only as they are queued.
     ``local`` is the running thread's own namespace, for reused buffers.
     Results do not depend on the thread, so whatever the caller sums from
-    them is bit-identical for any worker count. An exception in a block
-    cancels the blocks not yet started and is raised here once the running
-    ones finish; no thread outlives the call.
+    them is bit-identical for any worker count. An exception in a block,
+    or closing the generator, cancels the blocks not yet started and
+    returns once the running ones finish; no thread outlives the call.
     """
     local, blocks = threading.local(), iter(blocks)
     task = partial(run, local)
-    head = list(islice(blocks, _block_workers()))
-    if len(head) <= 1:
+    head = list(islice(blocks, _block_workers() - caller_works))
+    if not head or (len(head) == 1 and not caller_works):
         yield from map(task, chain(head, blocks))
         return
     pool = ThreadPoolExecutor(len(head))
@@ -557,8 +575,9 @@ def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.
     variants' :func:`fold`, whose arrays :func:`folded_forecast` applies
     in cache-sized blocks, or the band path's (M, ``lf_hidden > 0``, a
     learnable per-channel delta) ``constant`` parameter views, on which
-    :func:`band_forward` records no tape, one batch per block. One
-    :func:`_blocks` runner serves the call. Training runs :func:`batch_loss`.
+    :func:`band_forward` records no tape, one batch per block (its
+    :func:`band_prologue` in the worker's reused buffer). One :func:`_blocks`
+    runner serves the call. Training runs :func:`batch_loss`.
     """
     lookbacks = _lookback(cfg, lookbacks)
     if batch_size < 1:
@@ -570,7 +589,8 @@ def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.
     # Constant views: a tape on the live parameters made a 2000-window M evaluation at N=7 1.2x slower, 4 MiB larger.
     views = {name: constant(p.data) for name, p in params.items()}
     batches = _slices(0, len(lookbacks), batch_size)
-    yield from _blocks(lambda local, batch: band_forward(cfg, views, lookbacks[batch]).data, batches)
+    bands = partial(band_prologue, cfg)
+    yield from _blocks(lambda local, batch: band_forward(cfg, views, bands(lookbacks[batch], local)).data, batches)
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
@@ -581,8 +601,24 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
     return forecasts[0] if forecasts else np.empty((0, cfg.horizon, cfg.channels))
 
 
+def train_batches(cfg: ModelConfig, lookback: np.ndarray, target: np.ndarray, batches: Iterable[np.ndarray]):
+    """Yield ``(rows, prepared)`` for each of ``batches`` (origins into the (W, L, N) ``lookback``
+    and (W, S, N) ``target`` sources), in order. ``prepared`` is None for the linear variants,
+    whose fused pass reads the sources; for the band path it is one block, the batch's
+    :class:`Bands` and targets, from one :func:`_blocks` call that keeps a CPU for the caller's
+    heads, backward and Adam. The blocks read no parameter, so no update can reach them."""
+    if not _on_band_path(cfg):
+        return ((rows, None) for rows in batches)
+
+    def prepare(local, rows: np.ndarray):
+        return rows, (band_prologue(cfg, take_windows(lookback, rows), local), take_windows(target, rows))
+
+    return _blocks(prepare, batches, caller_works=True)
+
+
 def batch_loss(
-    cfg: ModelConfig, params: dict[str, Tensor], lookback: np.ndarray, target: np.ndarray, rows: np.ndarray
+    cfg: ModelConfig, params: dict[str, Tensor], lookback: np.ndarray, target: np.ndarray, rows: np.ndarray,
+    prepared: tuple[Bands, np.ndarray] | None = None,
 ) -> Tensor:
     """The MSE of windows ``rows`` of the (W, L, N) ``lookback`` against the
     (W, S, N) ``target``, on the tape.
@@ -592,7 +628,8 @@ def batch_loss(
     The sources may be read-only sliding views of a series: the linear
     variants run through :func:`fold` and :func:`folded_mse`, which never
     gathers the batch. The other variants take the windows (a view when
-    ``rows`` are consecutive) through :func:`band_forward` and ``mse_loss``.
+    ``rows`` are consecutive) through :func:`band_forward` and ``mse_loss``,
+    or the :func:`train_batches` block ``prepared`` from those rows.
     """
     lookback = _lookback(cfg, lookback)
     target = np.asarray(target, dtype=np.float64)
@@ -601,20 +638,15 @@ def batch_loss(
     rows = check_origins(rows, len(lookback))
     folded = fold(cfg, params)
     if folded is None:
-        x, y = take_windows(lookback, rows), take_windows(target, rows)
+        x, y = prepared or (take_windows(lookback, rows), take_windows(target, rows))
         return mse_loss(band_forward(cfg, params, x), constant(y))
     weight, offset = folded
     return folded_mse(weight, offset, lookback, target, rows)
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """Forecasts (B, S, N) from a lookback batch (B, L, N) as a plain array:
-    :func:`forward`'s.
-
-    The fold (or the band path's parameter views) is made again on every
-    call, so it always matches the parameters (the optimizer updates them
-    in place).
-    """
+    """:func:`forward`'s forecasts, with the fold (or the band path's parameter views) made
+    again on every call, so it always matches the parameters that Adam updates in place."""
     return forward(cfg, params, x)
 
 

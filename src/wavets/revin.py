@@ -5,17 +5,18 @@ computed from the lookback window only, so no future value can leak into
 them; predictions are denormalized with the same statistics. The optional
 affine pair (gain, bias) is learnable and serializes with the model; a
 model without it passes the identity, gain one and bias zero, as
-constants, so every function here takes an affine.
-:func:`compute_stats` is the one definition of the statistics: the fold
-path and the band path both call it.
+constants. :func:`compute_stats` is the one definition of the
+statistics: the fold path and the band path both call it.
 
 The band path normalizes the lookback with :func:`revin_forward`, which
-returns it channel-major for the transform, and leaves the per-channel
-affine to the heads. Every supported low-pass sums to sqrt(2) with equal
-even and odd halves and the high-pass sums to zero, so the transform of a
-constant c is (sqrt(2)*c, 0), and the affine of the time-domain
-``gain * x_n + bias`` is ``(gain * A_n + sqrt(2) * bias, gain * D_n)`` on
-the bands of ``x_n``. It commutes with a head's first layer:
+reads no parameter and returns it channel-major for the transform, so a
+block worker can run it ahead of the train step (``model.band_prologue``);
+a :class:`RevinState` adds the affine, which the heads apply. Every
+supported low-pass sums to sqrt(2) with equal even and odd halves and the
+high-pass sums to zero, so the transform of a constant c is (sqrt(2)*c, 0),
+and the affine of the time-domain ``gain * x_n + bias`` is
+``(gain * A_n + sqrt(2) * bias, gain * D_n)`` on the bands of ``x_n``. It
+commutes with a head's first layer:
 
   (gain * A_n + sqrt(2) * bias) @ W + b = gain * (A_n @ W) + sqrt(2) * bias (x) colsum(W) + b
   (gain * D_n) @ W + b                  = gain * (D_n @ W) + b
@@ -24,15 +25,10 @@ the bands of ``x_n``. It commutes with a head's first layer:
 the (B, N, H) first-layer output, and backward forms no band-sized
 gradient and no input gradient for the band. It is the one place the
 affine meets the bands: M's gate diagnostics use it too. The linear
-variants train and forecast through ``model.fold``, which never
-transforms the batch: ``model.folded_forecast`` (off-tape forecasts
-from the fold's arrays, batch by batch) and ``model.folded_mse`` (the
-train step's loss and gradients) call :func:`compute_stats` on one
-cache-sized block of lookback windows at a time, with a reused buffer
-per block worker for the centred values, and the affine sits inside the
-folded offset. So only the band path (M, an MLP low-pass head, a
-learnable per-channel delta) calls :func:`revin_forward` and
-:func:`revin_inverse`, on one whole batch per block when serving.
+variants never transform the batch: ``model.fold`` puts the affine inside
+the folded offset, and ``model.folded_forecast`` and ``model.folded_mse``
+call :func:`compute_stats` on one cache-sized block of windows at a time,
+in a reused buffer per block worker.
 """
 
 from __future__ import annotations
@@ -84,20 +80,18 @@ def check_gain(gain: np.ndarray) -> None:
         raise ZeroGainError("affine gain too close to zero to invert")
 
 
-def revin_forward(lookback: np.ndarray, gain: Tensor, bias: Tensor) -> tuple[np.ndarray, RevinState]:
-    """Normalize a (B, L, N) lookback batch into a new (B, N, L) array.
-
-    The one channel-major copy is centred in place by :func:`compute_stats`
-    and divided by the std, so the caller's lookback is never written.
-    Returns it with the state: the statistics plus the affine, which
-    :func:`affine_linear` applies after a head's first layer and
-    :func:`revin_inverse` undoes.
-    """
-    normalized = np.swapaxes(lookback, 1, 2).copy()  # (B, N, L)
+def revin_forward(lookback: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize a (B, L, N) lookback batch into a (B, N, L) array (``out`` if
+    given, else a new one), centred in place by :func:`compute_stats` and divided
+    by the std, so the lookback is never written; returns it with the (B, N) mean
+    and std. A :class:`RevinState` adds the affine that :func:`affine_linear`
+    applies after a head's first layer and :func:`revin_inverse` undoes."""
+    normalized = np.empty(np.swapaxes(lookback, 1, 2).shape) if out is None else out
+    normalized[...] = np.swapaxes(lookback, 1, 2)
     time_major = np.swapaxes(normalized, 1, 2)  # (B, L, N) view of the copy
     mean, std, _ = compute_stats(time_major, out=time_major)
     normalized /= std[..., None]
-    return normalized, RevinState(mean=mean, std=std, gain=gain, bias=bias)
+    return normalized, mean, std
 
 
 def _column(param: Tensor) -> Tensor:

@@ -1,12 +1,11 @@
 """Training loop: Adam with early stopping on validation MSE.
 
-Fully seeded (init and batch shuffling draw from separate child streams
-of the run seed), so identical settings yield bit-identical parameters
-and metrics. The fold's blocks, and the batches that validation and
-:func:`evaluate_model` serve through :func:`wavets.model.forecast_batches`,
-may run on worker threads (:func:`wavets.model._blocks`), but their results
-come back in block order, so the metrics are the same for any CPU count.
-"""
+Fully seeded (init and batch shuffling draw from separate child streams of the
+run seed), so identical settings yield bit-identical parameters and metrics for
+any CPU count. Worker threads (:func:`wavets.model._blocks`) run the fold's blocks,
+the batches validation and :func:`evaluate_model` serve, and the band path's next
+train batch (gathered, normalized and split while this thread trains on the last
+one, :func:`wavets.model.train_batches`); results come back in block order."""
 
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from .autodiff import Tensor
 from .data import Series, WindowSampler
 from .evaluation import accumulate_errors
 from .exceptions import InvalidConfigError, check_fields
-from .model import ModelConfig, batch_loss, forecast_batches, init_params
+from .model import ModelConfig, batch_loss, forecast_batches, init_params, train_batches
 from .model import forward  # noqa: F401 (perfbench wraps training.forward)
 from .optim import Adam, check_hyperparameters
 
@@ -93,16 +92,16 @@ def train_step(
     lookback: np.ndarray,
     target: np.ndarray,
     rows: np.ndarray,
+    prepared=None,
 ) -> float:
     """One optimizer update on windows ``rows`` of the (W, L, N) ``lookback``
     and (W, S, N) ``target`` sources; returns the batch MSE before the update.
 
-    The sources are a sampler's read-only sliding views, and
-    :func:`~wavets.model.batch_loss` reads the batch from them: the linear
-    variants form the forecast, the loss and the gradients in one fused
-    pass per cache block, so a shuffled batch is never copied.
+    :func:`~wavets.model.batch_loss` reads the batch from the sources (a
+    sampler's read-only sliding views; the linear variants' fused pass never
+    copies a shuffled batch), or takes it ``prepared`` by ``train_batches``.
     """
-    loss = batch_loss(cfg, params, lookback, target, rows)
+    loss = batch_loss(cfg, params, lookback, target, rows, prepared)
     # Zeroed after the forward, so the last step's gradients are freed only
     # once this step's forward has allocated: glibc then reuses the heap
     # rather than trimming and refaulting it (an M/d4 epoch at N=7 took
@@ -131,6 +130,7 @@ def train_model(
     params = init_params(cfg, init_rng)
     optimizer = Adam(params, lr=settings.lr, betas=(settings.beta1, settings.beta2), eps=settings.eps)
     train_sampler = WindowSampler(train_split, cfg.lookback, cfg.horizon)
+    lookbacks, targets = train_sampler.lookbacks, train_sampler.targets
     val_sampler = WindowSampler(val_split, cfg.lookback, cfg.horizon)
 
     result = TrainResult(params=params)
@@ -140,9 +140,11 @@ def train_model(
     for epoch in range(1, settings.max_epochs + 1):
         start = time.perf_counter()
         batch_losses = []
-        for rows in train_sampler.batch_origins(settings.batch_size, shuffle=shuffle_rng):
-            loss = train_step(cfg, params, optimizer, train_sampler.lookbacks, train_sampler.targets, rows)
-            batch_losses.append(loss * len(rows))
+        origins = train_sampler.batch_origins(settings.batch_size, shuffle=shuffle_rng)
+        with closing(train_batches(cfg, lookbacks, targets, origins)) as batches:  # no helper outlives a failed step
+            for rows, prepared in batches:
+                loss = train_step(cfg, params, optimizer, lookbacks, targets, rows, prepared)
+                batch_losses.append(loss * len(rows))
         train_mse = float(np.sum(batch_losses) / len(train_sampler))
         val_mse = evaluate_mse(cfg, params, val_sampler, settings.batch_size)
         result.history.append(

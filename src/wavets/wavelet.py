@@ -142,12 +142,21 @@ def dwt_arrays(x: np.ndarray, bank: str | FilterBank) -> tuple[np.ndarray, np.nd
         raise OddLengthError(f"signal length {length} is odd")
     if taps > length:
         raise FilterTooLongError(f"filter has {taps} taps but signal only {length} samples")
-    if taps > 2:
-        # Periodic extension: the last stride-2 window starts at L-2 and
-        # reaches K-2 samples past the end.
-        x = np.concatenate([x, x[..., : taps - 2]], axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(x, taps, axis=-1)[..., ::2, :]
-    return windows @ bank.low_pass, windows @ bank.high_pass
+    if taps == 2:
+        return windows @ bank.low_pass, windows @ bank.high_pass
+    # Periodic extension: the last (K-2)/2 windows reach K-2 samples past the end. They and
+    # the one before are read from a tail (the last K samples, then the first K-2), so the
+    # signal is never copied. No part is one window: numpy sums a one-row matmul otherwise.
+    inner = (length - taps) // 2
+    inner *= inner > 1
+    tail = np.concatenate([x[..., 2 * inner :], x[..., : taps - 2]], axis=-1)
+    parts = windows[..., :inner, :], np.lib.stride_tricks.sliding_window_view(tail, taps, axis=-1)[..., ::2, :]
+    bands = np.empty(x.shape[:-1] + (length // 2,)), np.empty(x.shape[:-1] + (length // 2,))
+    for band, filt in zip(bands, (bank.low_pass, bank.high_pass)):
+        np.matmul(parts[0], filt, out=band[..., :inner])
+        np.matmul(parts[1], filt, out=band[..., inner:])
+    return bands
 
 
 def synthesize_band(coeffs: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """The reference forward the band path is tested against, one expert of
 the mixture on its own and the per-expert loop the one-op mixture
 replaces, and the op compositions the one-op folded forecast and MSE
-replace, with the test-only tape ops they are built from; and
+replace, with the test-only tape ops they are built from; the transform
+and the band prologue as they were before their buffers were reused
+(:func:`concatenated_dwt`, :func:`copied_prologue`); and
 :func:`loss_and_grads`, the model's own loss and gradients as plain
 values.
 
@@ -63,6 +65,27 @@ def reference_forward(cfg, params, x):
     if gain is not None:
         out = ad.div(ad.sub(out, bias), gain)
     return ad.add(ad.mul(out, ad.constant(std[:, None, :])), ad.constant(mean[:, None, :]))
+
+
+def concatenated_dwt(x, bank):
+    """``wavelet.dwt_arrays`` as one matmul over the whole signal with its
+    periodic extension appended: the transform the tail-reading one replaced."""
+    bank = wv.get_bank(bank)
+    x = np.asarray(x, dtype=np.float64)
+    if bank.length > 2:
+        x = np.concatenate([x, x[..., : bank.length - 2]], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(x, bank.length, axis=-1)[..., ::2, :]
+    return windows @ bank.low_pass, windows @ bank.high_pass
+
+
+def copied_prologue(cfg, x):
+    """The band path's prologue with a fresh channel-major copy of each batch and
+    :func:`concatenated_dwt`: (approx, detail, mean, std) as plain arrays."""
+    normalized = np.swapaxes(x, 1, 2).copy()
+    time_major = np.swapaxes(normalized, 1, 2)
+    mean, std, _ = compute_stats(time_major, out=time_major)
+    normalized /= std[..., None]
+    return (*concatenated_dwt(normalized, cfg.bank), mean, std)
 
 
 def loss_and_grads(cfg, params, x, y):

@@ -504,9 +504,9 @@ def test_benchmark_times_exactly_the_requested_windows(monkeypatch, capsys):
     epochs, results = [], []
     real_step, real_train = training_mod.train_step, cli.train_model
 
-    def counted(cfg, params, optimizer, lookback, target, rows):
+    def counted(cfg, params, optimizer, lookback, target, rows, prepared=None):
         epochs.append(len(rows))
-        return real_step(cfg, params, optimizer, lookback, target, rows)
+        return real_step(cfg, params, optimizer, lookback, target, rows, prepared)
 
     def kept(*args, **kwargs):
         results.append(real_train(*args, **kwargs))

@@ -168,7 +168,9 @@ def test_load_csv_reads_the_same_with_or_without_the_vectorized_parse(tmp_path_f
     header = ["date"] * dated + [f"c{j}" for j in range(columns)]
     clean = st.lists(_NUMBERS, min_size=columns, max_size=columns)
     if dated:
-        clean = st.builds(lambda day, cells: [day, *cells], st.sampled_from(["2020-01-01", "1"]), clean)
+        # Quoted stamps, also hiding a comma, a line break or both from loadtxt.
+        stamps = st.sampled_from(["2020-01-01", "1", '"2020-01-01 00:00"', '"x,1"', '"x\ny"', '"x,1\ny"'])
+        clean = st.builds(lambda day, cells: [day, *cells], stamps, clean)
     width = st.integers(len(header) - 1, len(header) + 1)
     messy = width.flatmap(lambda w: st.lists(_CELLS, min_size=w, max_size=w))
     rows = data_.draw(st.lists(clean, min_size=1, max_size=6))

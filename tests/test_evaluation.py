@@ -1,17 +1,29 @@
+import itertools
 import os
+import sys
 import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from wavets import autodiff as ad
 from wavets import evaluation as ev
 from wavets import model as model_mod
+from wavets import training as training_mod
 from wavets.data import WindowBatch, WindowSampler, synth
-from wavets.exceptions import ConfigMismatchError, InvalidConfigError, ShapeMismatchError, ZeroGainError
+from wavets.exceptions import (
+    ConfigMismatchError,
+    InvalidConfigError,
+    NonFiniteGradientError,
+    ShapeMismatchError,
+    ZeroGainError,
+)
 from wavets.model import ModelConfig, band_forward, init_params
 from wavets.moe import MoEConfig
 from wavets.training import TrainResult, TrainSettings, evaluate_model, evaluate_mse, train_model
+
+from reference import copied_prologue
 
 
 def _one_batch(pred, true):
@@ -194,6 +206,108 @@ def test_band_path_serving_is_bit_identical_for_any_worker_count(monkeypatch, na
     for other in runs[1:]:
         for a, b in zip(runs[0], other, strict=True):
             assert np.array_equal(a, b)
+
+
+def _trained(cfg, series, seed=5):
+    """A two-epoch train_model's parameters and per-epoch losses, as arrays."""
+    trained = train_model(cfg, series, series, TrainSettings(batch_size=8, max_epochs=2), seed=seed)
+    return [*(p.data for p in trained.params.values()), np.array([(e.train_mse, e.val_mse) for e in trained.history])]
+
+
+@pytest.mark.parametrize("name", BAND_CONFIGS)
+def test_band_path_training_prepares_its_batches_off_the_calling_thread(monkeypatch, name):
+    """train_model takes the band path's batches from train_batches: with two
+    or more block workers no prologue runs on the calling thread and the
+    train batches' run on one worker fewer (the calling thread runs the
+    heads, backward and Adam), with one every prologue runs inline, and two
+    epochs are bit-identical on one, two and three workers."""
+    cfg = BAND_CONFIGS[name]
+    series = synth("sine_mix", 160, 3, seed=9)  # 139 windows: 18 batches of 8, the last of 3
+    threads = []
+    real = model_mod.band_prologue
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "band_prologue", spy)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a read of a parameter mid-update would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+            threads.clear()
+            runs.append(_trained(cfg, series))
+            # Per epoch, the 18 train batches, then the 18 validation batches.
+            assert len(threads) == 2 * (18 + 18)
+            assert {thread is threading.main_thread() for thread in threads} == {workers == 1}
+            for epoch in (0, 36):
+                assert len({thread.name for thread in threads[epoch : epoch + 18]}) <= max(1, workers - 1)
+    finally:
+        sys.setswitchinterval(interval)
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", BAND_CONFIGS)
+def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(name):
+    """band_prologue's bands and statistics equal a fresh channel-major copy
+    of each batch through the whole-signal transform, bit for bit, also for
+    a short batch after a full one in the same thread's reused buffer, which
+    leaves the first batch's bands as they were; _prologue adds the affine."""
+    cfg = BAND_CONFIGS[name]
+    params = _perturbed_params(cfg, 8)
+    lookbacks = WindowSampler(synth("noise_walk", 60, 3, seed=4), cfg.lookback, cfg.horizon).lookbacks
+    local = threading.local()
+    full = model_mod.band_prologue(cfg, lookbacks[[5, 0, 30, 17]], local)
+    kept = [full.approx.data.copy(), full.detail.data.copy()]
+    short = model_mod.band_prologue(cfg, lookbacks[[9, 2]], local)
+    for bands, rows in ((full, [5, 0, 30, 17]), (short, [9, 2])):
+        for got, expected in zip((bands.approx.data, bands.detail.data, bands.mean, bands.std),
+                                 copied_prologue(cfg, lookbacks[rows]), strict=True):
+            assert np.array_equal(got, expected)
+    assert np.array_equal(full.approx.data, kept[0]) and np.array_equal(full.detail.data, kept[1])
+    assert not np.shares_memory(short.approx.data, local.channel_major)
+    approx, detail, state = model_mod._prologue(cfg, params, short)
+    assert approx is short.approx and detail is short.detail and state.mean is short.mean
+    assert state.gain is params["revin.gain"] and state.bias is params["revin.bias"]
+    assert np.array_equal(band_forward(cfg, params, short).data, band_forward(cfg, params, lookbacks[[9, 2]]).data)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", BAND_CONFIGS)
+def test_a_failing_train_step_stops_the_look_ahead_and_leaves_no_thread(monkeypatch, name, workers):
+    """A non-finite gradient in the third step of a band-path epoch: train_model
+    raises Adam's NonFiniteGradientError, at most two batches beyond the
+    failing one were prepared, every helper thread has ended, and the next
+    train_model call trains as one that never failed."""
+    cfg = BAND_CONFIGS[name]
+    series = synth("sine_mix", 160, 3, seed=9)
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    expected = _trained(cfg, series)
+    threads = threading.active_count()
+    steps, prepared = itertools.count(), itertools.count()
+    real_loss, real_prologue = training_mod.batch_loss, model_mod.band_prologue
+
+    def failing_loss(*args):
+        loss = real_loss(*args)
+        return ad.mul(loss, ad.constant(np.nan)) if next(steps) == 2 else loss
+
+    def counted_prologue(*args):
+        next(prepared)
+        return real_prologue(*args)
+
+    monkeypatch.setattr(training_mod, "batch_loss", failing_loss)
+    monkeypatch.setattr(model_mod, "band_prologue", counted_prologue)
+    with pytest.raises(NonFiniteGradientError):
+        _trained(cfg, series)
+    assert 3 <= next(prepared) <= 3 + 2  # the failing third batch, then two at most
+    assert threading.active_count() == threads
+    monkeypatch.setattr(training_mod, "batch_loss", real_loss)
+    for a, b in zip(_trained(cfg, series), expected, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_the_fold_is_built_once_per_evaluation_call(monkeypatch):

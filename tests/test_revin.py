@@ -22,6 +22,12 @@ def _unit_affine(channels):
     return gain, bias
 
 
+def _forward(x, gain, bias):
+    """revin_forward's normalized lookback, with the state that adds the affine."""
+    normalized, mean_, std = revin_forward(x)
+    return normalized, RevinState(mean=mean_, std=std, gain=gain, bias=bias)
+
+
 def _bands(normalized, bank="haar"):
     """(approx, detail), each (B, N, L/2), of a (B, N, L) array from revin_forward."""
     return tuple(Tensor(band) for band in wv.dwt_arrays(normalized, wv.get_bank(bank)))
@@ -44,7 +50,7 @@ def test_hand_computed_four_points():
     # Four points is the smallest even window whose normalized approximation
     # band is not identically zero.
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    normalized, state = revin_forward(x, *_unit_affine(1))
+    normalized, state = _forward(x, *_unit_affine(1))
     approx, detail = _bands(normalized)
     # mean 2.5, population variance 5/4; the 1e-5 eps shifts values by ~1e-5 at most
     assert np.allclose(normalized.ravel(), [-1.3416, -0.4472, 0.4472, 1.3416], atol=1e-4)
@@ -56,7 +62,7 @@ def test_hand_computed_four_points():
 
 def test_constant_channel_maps_to_zero():
     x = np.full((1, 8, 1), 5.0)
-    normalized, _ = revin_forward(x, *_unit_affine(1))
+    normalized, _ = _forward(x, *_unit_affine(1))
     assert np.max(np.abs(normalized)) < 1e-12
     for bank in wv.BANK_NAMES:
         for band in _bands(normalized, bank):
@@ -67,7 +73,7 @@ def test_output_statistics_random():
     rng = np.random.default_rng(0)
     # variance well above eps so normalized variance is 1 within 1e-6
     x = rng.normal(scale=6.0, size=(4, 64, 3))
-    normalized, _ = revin_forward(x, *_unit_affine(3))
+    normalized, _ = _forward(x, *_unit_affine(3))
     assert normalized.shape == (4, 3, 64)
     assert np.max(np.abs(normalized.mean(axis=-1))) < 1e-6
     assert np.max(np.abs(normalized.var(axis=-1) - 1.0)) < 1e-6
@@ -78,7 +84,7 @@ def test_degenerate_window_rejected():
     with pytest.raises(DegenerateWindowError):
         compute_stats(np.ones((2, 1, 3)))
     with pytest.raises(DegenerateWindowError):
-        revin_forward(np.ones((2, 1, 3)), *_unit_affine(3))
+        revin_forward(np.ones((2, 1, 3)))
 
 
 @pytest.mark.parametrize("writable", [True, False])
@@ -91,7 +97,7 @@ def test_forward_leaves_the_lookback_unchanged(batch, channels, writable):
         x = x[:]
         x.flags.writeable = False
     before = x.copy()
-    normalized, _ = revin_forward(x, *_unit_affine(channels))
+    normalized, _ = _forward(x, *_unit_affine(channels))
     assert np.array_equal(x, before)
     assert not np.shares_memory(normalized, x)
 
@@ -101,7 +107,7 @@ def test_roundtrip_float64():
     x = rng.normal(size=(2, 8, 3)) * 4 + 1.5
     gain = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
     bias = Tensor(rng.normal(size=3), requires_grad=True)
-    normalized, state = revin_forward(x, gain, bias)
+    normalized, state = _forward(x, gain, bias)
     back = revin_inverse(_time_domain(_mapped(_bands(normalized), state)), state)
     assert np.max(np.abs(back.data - x)) < 1e-12
 
@@ -117,14 +123,14 @@ def test_identity_state():
 
 def test_inverse_of_forward_example():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    normalized, state = revin_forward(x, *_unit_affine(1))
+    normalized, state = _forward(x, *_unit_affine(1))
     assert np.allclose(revin_inverse(np.swapaxes(normalized, 1, 2), state).data, x, atol=1e-12)
 
 
 def test_zero_gain_rejected():
     x = np.random.default_rng(3).normal(size=(1, 4, 2))
     gain = Tensor(np.array([1.0, 0.0]))
-    normalized, state = revin_forward(x, gain, Tensor(np.zeros(2)))
+    normalized, state = _forward(x, gain, Tensor(np.zeros(2)))
     with pytest.raises(ZeroGainError):
         revin_inverse(np.swapaxes(normalized, 1, 2), state)
 
@@ -134,7 +140,7 @@ def test_statistics_use_lookback_only():
     rng = np.random.default_rng(4)
     lookback = rng.normal(size=(2, 16, 3))
     windows = [np.concatenate([lookback, scale * rng.normal(size=(2, 8, 3))], axis=1) for scale in (1.0, 1e3)]
-    (out_a, state_a), (out_b, state_b) = (revin_forward(w[:, :16], *_unit_affine(3)) for w in windows)
+    (out_a, state_a), (out_b, state_b) = (_forward(w[:, :16], *_unit_affine(3)) for w in windows)
     assert np.array_equal(state_a.mean, state_b.mean)
     assert np.array_equal(state_a.std, state_b.std)
     assert np.array_equal(out_a, out_b)
@@ -144,7 +150,7 @@ def test_affine_parameters_receive_gradients():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 8, 3))
     gain, bias = _unit_affine(3)
-    normalized, state = revin_forward(x, gain, bias)
+    normalized, state = _forward(x, gain, bias)
     bands = _bands(normalized)
     per_step = swap_last2(_mapped(bands, state)[0])  # (B, L/2, N), shaped like a forecast
     restored = revin_inverse(mul(per_step, per_step), state)
@@ -175,7 +181,7 @@ def test_band_domain_matches_time_domain(bank, batch, channels, half, offset_rat
     gain = Tensor(rng.uniform(0.5, 2.0, size=channels))
     bias = Tensor(rng.normal(size=channels))
 
-    normalized, state = revin_forward(x, gain, bias)
+    normalized, state = _forward(x, gain, bias)
     bands = _bands(normalized, bank)
     approx, detail = _mapped(bands, state)
 

@@ -13,6 +13,7 @@ from wavets.exceptions import (
 )
 
 from conftest import analysis_matrix
+from reference import concatenated_dwt
 
 SQRT2 = math.sqrt(2.0)
 ALL_BANKS = list(wv.BANK_NAMES)
@@ -194,3 +195,19 @@ def test_batched_leading_dims():
     approx, detail = wv.dwt_arrays(x, "sym4")
     assert approx.shape == (3, 5, 8)
     assert np.max(np.abs(wv.idwt_arrays(approx, detail, "sym4") - x)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ALL_BANKS)
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("channels", [1, 7, 321])
+def test_dwt_reads_the_wrap_from_a_tail_bit_for_bit(name, batch, channels):
+    """dwt_arrays reads the periodic extension from a short tail and gives the
+    bands of the whole extended signal bit for bit: at L=720, and at every
+    length from the filter's own up, where one side of the split may hold
+    no window or (before the guard) a single one."""
+    rng = np.random.default_rng(channels + batch)
+    taps = wv.get_bank(name).length
+    for length in [720, *range(taps, taps + 8, 2)]:
+        x = rng.normal(size=(batch, channels, length))
+        for band, expected in zip(wv.dwt_arrays(x, name), concatenated_dwt(x, name), strict=True):
+            assert band.shape == expected.shape and np.array_equal(band, expected), length
