@@ -140,16 +140,16 @@ def count_macs(cfg: ModelConfig, batch_size: int = 32) -> MacCount:
 
 
 def hardware_note() -> str:
-    """The platform, the versions, and how many threads the blocks (the
-    fold's and the served batches) run on next to the BLAS thread setting
-    that count was read from."""
+    """The platform, the versions, and how many threads run the blocks (the
+    fold's blocks and served batches; the band path's train batches run on
+    one fewer) next to the BLAS thread setting that count was read from."""
     setting = blas_threads()
     blas = "BLAS threads unset" if setting is None else f"{setting[0]}={setting[1]}"
     return (
         f"{platform.system()} {platform.machine()}, "
         f"python {platform.python_version()}, numpy {np.__version__}, "
         f"cpu: {platform.processor() or 'unknown'}, "
-        f"fold block workers: {_block_workers()} ({blas})"
+        f"block workers: {_block_workers()} ({blas})"
     )
 
 

@@ -32,10 +32,10 @@ it runs blocks on the CPUs BLAS leaves idle. Validation, evaluation and
 inference share :func:`forecast_batches`, where a fold block is a
 cache-sized slice of a batch, so the transform runs on the (S, L)
 weights rather than on the (B, N, L) batch, and a band block is a whole
-batch; :func:`forward` is the one-batch case. Training takes the band
-path's batches from :func:`train_batches`, whose blocks gather each batch
-and run its prologue on one worker fewer while the calling thread runs
-the heads, backward and Adam.
+batch; :func:`forward` is the one-batch case. Training takes every batch
+from :func:`train_batches`, the one check of a training batch; the band
+path's blocks gather each batch and run its prologue on one worker fewer
+while the calling thread runs the heads, backward and Adam.
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay oblivious to the architecture.
@@ -310,24 +310,27 @@ class Bands(NamedTuple):
 
 def band_prologue(cfg: ModelConfig, x: np.ndarray, local=None) -> Bands:
     """The :class:`Bands` of a (B, L, N) lookback batch: RevIN normalizes a channel-major
-    copy (into the reused buffer of a thread's namespace ``local``, see :func:`_blocks`),
-    which the transform splits into new arrays. It reads no parameter."""
-    x, local = _lookback(cfg, x), threading.local() if local is None else local
-    if getattr(local, "channel_major", np.empty(0)).size < x.size:
-        local.channel_major = np.empty(x.size)
-    normalized, mean, std = revin_forward(x, local.channel_major[: x.size].reshape(len(x), cfg.channels, cfg.lookback))
+    copy, which the transform splits into new arrays. It reads no parameter. The copy goes
+    into the buffer of a block runner's thread namespace ``local`` (see :func:`_blocks`),
+    grown when it is missing or too small; with no runner it is allocated fresh."""
+    x = _lookback(cfg, x)
+    buffer = getattr(local, "channel_major", np.empty(0))
+    if buffer.size < x.size:
+        buffer = np.empty(x.size)
+        if local is not None:
+            local.channel_major = buffer
+    normalized, mean, std = revin_forward(x, buffer[: x.size].reshape(len(x), cfg.channels, cfg.lookback))
     return Bands(*dwt_pair(constant(normalized), get_bank(cfg.bank)), mean, std)
 
 
-def _prologue(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray | Bands) -> tuple[Tensor, Tensor, RevinState]:
-    """A lookback batch's bands (or its :class:`Bands` made ahead) plus the RevIN state that carries the affine."""
-    bands = x if isinstance(x, Bands) else band_prologue(cfg, x)
+def _prologue(cfg: ModelConfig, params: dict[str, Tensor], bands: Bands) -> tuple[Tensor, Tensor, RevinState]:
+    """A batch's bands plus the RevIN state that carries the affine."""
     _check_params(cfg, params)
     return bands.approx, bands.detail, RevinState(bands.mean, bands.std, *_affine(cfg, params))
 
 
-def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray | Bands) -> Tensor:
-    """Predict (B, S, N) from a lookback batch (B, L, N), or its :class:`Bands`, through the bands.
+def band_forward(cfg: ModelConfig, params: dict[str, Tensor], bands: Bands) -> Tensor:
+    """Predict (B, S, N) from a lookback batch's :class:`Bands` (:func:`band_prologue`).
 
     Every variant can run here; the band path does, and the tests use it
     as the reference for the folded variants. The heads follow the variant's
@@ -336,7 +339,7 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray | Ba
     layer is :func:`~wavets.revin.affine_linear`, which applies RevIN's
     affine to its output, so the bands stay constants.
     """
-    approx, detail, state = _prologue(cfg, params, x)
+    approx, detail, state = _prologue(cfg, params, bands)
     layout, heads = cfg.layout, []
     if layout.low:
         heads.append(_low_head(cfg, params, approx, partial(affine_linear, state=state, approx=True)))
@@ -571,77 +574,71 @@ def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.
     """Yield the (B, S, N) forecast of each consecutive batch of ``batch_size``
     windows of a (W, L, N) window source, in order: the one serving path.
 
-    What depends only on the parameters is made once per call: the linear
-    variants' :func:`fold`, whose arrays :func:`folded_forecast` applies
-    in cache-sized blocks, or the band path's (M, ``lf_hidden > 0``, a
-    learnable per-channel delta) ``constant`` parameter views, on which
-    :func:`band_forward` records no tape, one batch per block (its
-    :func:`band_prologue` in the worker's reused buffer). One :func:`_blocks`
-    runner serves the call. Training runs :func:`batch_loss`.
+    What depends only on the parameters is made once per call, from their
+    ``constant`` views, on which no op records a tape: the linear variants'
+    :func:`fold`, whose arrays :func:`folded_forecast` applies in cache-sized
+    blocks, or the views themselves, which :func:`band_forward` reads on the
+    band path (M, ``lf_hidden > 0``, a learnable per-channel delta), one batch
+    per block (its :func:`band_prologue` in the worker's reused buffer). One
+    :func:`_blocks` runner serves the call. Training runs :func:`batch_loss`.
     """
     lookbacks = _lookback(cfg, lookbacks)
     if batch_size < 1:
         raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
-    folded = fold(cfg, params)
+    # Constant views: a tape on the live parameters made a 2000-window M evaluation at N=7 1.2x slower, 4 MiB larger.
+    views = {name: constant(p.data) for name, p in params.items()}
+    folded = fold(cfg, views)
     if folded is not None:
         yield from folded_forecast(folded[0].data, folded[1].data, lookbacks, batch_size)
         return
-    # Constant views: a tape on the live parameters made a 2000-window M evaluation at N=7 1.2x slower, 4 MiB larger.
-    views = {name: constant(p.data) for name, p in params.items()}
     batches = _slices(0, len(lookbacks), batch_size)
-    bands = partial(band_prologue, cfg)
-    yield from _blocks(lambda local, batch: band_forward(cfg, views, bands(lookbacks[batch], local)).data, batches)
+    yield from _blocks(lambda local, batch: band_forward(cfg, views, band_prologue(cfg, lookbacks[batch], local)).data, batches)
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
     """Forecasts (B, S, N) from a lookback batch (B, L, N), as a plain array:
-    the one batch of :func:`forecast_batches`."""
-    x = _lookback(cfg, x)
-    forecasts = list(forecast_batches(cfg, params, x, max(1, len(x))))
+    the one batch of :func:`forecast_batches`, which checks it (a batch of
+    ``np.size(x)`` windows holds every window of any input)."""
+    forecasts = list(forecast_batches(cfg, params, x, max(1, np.size(x))))
     return forecasts[0] if forecasts else np.empty((0, cfg.horizon, cfg.channels))
 
 
 def train_batches(cfg: ModelConfig, lookback: np.ndarray, target: np.ndarray, batches: Iterable[np.ndarray]):
-    """Yield ``(rows, prepared)`` for each of ``batches`` (origins into the (W, L, N) ``lookback``
-    and (W, S, N) ``target`` sources), in order. ``prepared`` is None for the linear variants,
-    whose fused pass reads the sources; for the band path it is one block, the batch's
-    :class:`Bands` and targets, from one :func:`_blocks` call that keeps a CPU for the caller's
-    heads, backward and Adam. The blocks read no parameter, so no update can reach them."""
-    if not _on_band_path(cfg):
-        return ((rows, None) for rows in batches)
+    """Yield ``(rows, batch)`` for each of ``batches``, origins into the (W, L, N) ``lookback``
+    and (W, S, N) ``target`` sources, in order: the one maker and the one check of the
+    batches :func:`batch_loss` reads. Both sources' shapes are checked once per call, and
+    each batch's ``rows`` by :func:`~wavets.data.check_origins` on the calling thread as it
+    is queued, so before any block worker reads them.
 
-    def prepare(local, rows: np.ndarray):
-        return rows, (band_prologue(cfg, take_windows(lookback, rows), local), take_windows(target, rows))
-
-    return _blocks(prepare, batches, caller_works=True)
-
-
-def batch_loss(
-    cfg: ModelConfig, params: dict[str, Tensor], lookback: np.ndarray, target: np.ndarray, rows: np.ndarray,
-    prepared: tuple[Bands, np.ndarray] | None = None,
-) -> Tensor:
-    """The MSE of windows ``rows`` of the (W, L, N) ``lookback`` against the
-    (W, S, N) ``target``, on the tape.
-
-    This is the one check of a training batch: both sources' shapes and
-    window counts, and ``rows`` by :func:`~wavets.data.check_origins`.
-    The sources may be read-only sliding views of a series: the linear
-    variants run through :func:`fold` and :func:`folded_mse`, which never
-    gathers the batch. The other variants take the windows (a view when
-    ``rows`` are consecutive) through :func:`band_forward` and ``mse_loss``,
-    or the :func:`train_batches` block ``prepared`` from those rows.
+    A linear variant's ``batch`` is ``(lookback, target, rows)``: :func:`folded_mse` reads
+    the sources (a sampler's read-only sliding views) by row and never gathers the batch.
+    The band path's is the batch's :class:`Bands` and targets, one block of a :func:`_blocks`
+    call that keeps a CPU for the caller's heads, backward and Adam. The blocks read no
+    parameter, so no update can reach them.
     """
     lookback = _lookback(cfg, lookback)
     target = np.asarray(target, dtype=np.float64)
     if target.shape[1:] != (cfg.horizon, cfg.channels) or len(target) != len(lookback):
         raise ShapeMismatchError(f"target shape {target.shape} does not fit lookback {lookback.shape}")
-    rows = check_origins(rows, len(lookback))
+    checked = (check_origins(rows, len(lookback)) for rows in batches)
+    if not _on_band_path(cfg):
+        return ((rows, (lookback, target, rows)) for rows in checked)
+
+    def prepare(local, rows: np.ndarray):
+        return rows, (band_prologue(cfg, take_windows(lookback, rows), local), take_windows(target, rows))
+
+    return _blocks(prepare, checked, caller_works=True)
+
+
+def batch_loss(cfg: ModelConfig, params: dict[str, Tensor], batch: tuple) -> Tensor:
+    """The MSE of one :func:`train_batches` batch, on the tape: the linear variants'
+    ``(lookback, target, rows)`` through :func:`fold` and :func:`folded_mse`, the band
+    path's ``(bands, targets)`` through :func:`band_forward` and ``mse_loss``."""
     folded = fold(cfg, params)
     if folded is None:
-        x, y = prepared or (take_windows(lookback, rows), take_windows(target, rows))
-        return mse_loss(band_forward(cfg, params, x), constant(y))
-    weight, offset = folded
-    return folded_mse(weight, offset, lookback, target, rows)
+        bands, target = batch
+        return mse_loss(band_forward(cfg, params, bands), constant(target))
+    return folded_mse(*folded, *batch)
 
 
 def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
@@ -653,7 +650,7 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
 def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
     """M's (B, N, E) gate probabilities on a lookback batch (B, L, N), from the
     first layer :func:`band_forward` gives the mixture; used for gate diagnostics."""
-    approx, _, state = _prologue(cfg, params, x)
+    approx, _, state = _prologue(cfg, params, band_prologue(cfg, x))
     return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True))
 
 

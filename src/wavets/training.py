@@ -2,10 +2,11 @@
 
 Fully seeded (init and batch shuffling draw from separate child streams of the
 run seed), so identical settings yield bit-identical parameters and metrics for
-any CPU count. Worker threads (:func:`wavets.model._blocks`) run the fold's blocks,
-the batches validation and :func:`evaluate_model` serve, and the band path's next
-train batch (gathered, normalized and split while this thread trains on the last
-one, :func:`wavets.model.train_batches`); results come back in block order."""
+any CPU count. Every train batch comes from :func:`wavets.model.train_batches`,
+which checks it. Worker threads (:func:`wavets.model._blocks`) run the fold's
+blocks, the batches validation and :func:`evaluate_model` serve, and the band
+path's next train batch (gathered, normalized and split while this thread trains
+on the last one); results come back in block order."""
 
 from __future__ import annotations
 
@@ -85,23 +86,10 @@ def evaluate_mse(
     return _score(cfg, params, sampler, batch_size)["mse"]
 
 
-def train_step(
-    cfg: ModelConfig,
-    params: dict[str, Tensor],
-    optimizer: Adam,
-    lookback: np.ndarray,
-    target: np.ndarray,
-    rows: np.ndarray,
-    prepared=None,
-) -> float:
-    """One optimizer update on windows ``rows`` of the (W, L, N) ``lookback``
-    and (W, S, N) ``target`` sources; returns the batch MSE before the update.
-
-    :func:`~wavets.model.batch_loss` reads the batch from the sources (a
-    sampler's read-only sliding views; the linear variants' fused pass never
-    copies a shuffled batch), or takes it ``prepared`` by ``train_batches``.
-    """
-    loss = batch_loss(cfg, params, lookback, target, rows, prepared)
+def train_step(cfg: ModelConfig, params: dict[str, Tensor], optimizer: Adam, batch: tuple) -> float:
+    """One optimizer update on one :func:`~wavets.model.train_batches` batch;
+    returns the batch MSE before the update."""
+    loss = batch_loss(cfg, params, batch)
     # Zeroed after the forward, so the last step's gradients are freed only
     # once this step's forward has allocated: glibc then reuses the heap
     # rather than trimming and refaulting it (an M/d4 epoch at N=7 took
@@ -142,8 +130,8 @@ def train_model(
         batch_losses = []
         origins = train_sampler.batch_origins(settings.batch_size, shuffle=shuffle_rng)
         with closing(train_batches(cfg, lookbacks, targets, origins)) as batches:  # no helper outlives a failed step
-            for rows, prepared in batches:
-                loss = train_step(cfg, params, optimizer, lookbacks, targets, rows, prepared)
+            for rows, batch in batches:
+                loss = train_step(cfg, params, optimizer, batch)
                 batch_losses.append(loss * len(rows))
         train_mse = float(np.sum(batch_losses) / len(train_sampler))
         val_mse = evaluate_mse(cfg, params, val_sampler, settings.batch_size)

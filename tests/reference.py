@@ -3,9 +3,10 @@ the mixture on its own and the per-expert loop the one-op mixture
 replaces, and the op compositions the one-op folded forecast and MSE
 replace, with the test-only tape ops they are built from; the transform
 and the band prologue as they were before their buffers were reused
-(:func:`concatenated_dwt`, :func:`copied_prologue`); and
-:func:`loss_and_grads`, the model's own loss and gradients as plain
-values.
+(:func:`concatenated_dwt`, :func:`copied_prologue`); the model's own
+band path on a lookback batch (:func:`banded_forward`); and
+:func:`loss_and_grads`, the model's own loss and gradients on the one
+batch :func:`train_batch` makes, as plain values.
 
 It is the pipeline the paper describes, written the plain way: time-domain
 RevIN with the affine on the tape, the DWT of the affine-mapped lookback
@@ -23,7 +24,7 @@ import numpy as np
 from wavets import autodiff as ad
 from wavets import moe as moe_mod
 from wavets import wavelet as wv
-from wavets.model import batch_loss
+from wavets.model import band_forward, band_prologue, batch_loss, train_batches
 from wavets.revin import compute_stats
 
 
@@ -88,12 +89,24 @@ def copied_prologue(cfg, x):
     return (*concatenated_dwt(normalized, cfg.bank), mean, std)
 
 
+def banded_forward(cfg, params, x):
+    """``model.band_forward`` of a (B, L, N) lookback batch's ``model.band_prologue``."""
+    return band_forward(cfg, params, band_prologue(cfg, x))
+
+
+def train_batch(cfg, lookback, target, rows=None):
+    """The batch ``model.train_batches`` makes of windows ``rows`` (default:
+    every window) of the ``lookback`` and ``target`` sources."""
+    ((_, batch),) = train_batches(cfg, lookback, target, [np.arange(len(lookback)) if rows is None else rows])
+    return batch
+
+
 def loss_and_grads(cfg, params, x, y):
     """``model.batch_loss`` of every window of ``x`` against ``y``, and the
     gradient of every parameter (zeros where none reached it), as plain values."""
     for p in params.values():
         p.zero_grad()
-    loss = batch_loss(cfg, params, x, y, np.arange(len(x)))
+    loss = batch_loss(cfg, params, train_batch(cfg, x, y))
     loss.backward()
     grads = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

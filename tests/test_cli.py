@@ -54,7 +54,7 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert rows[0]["epochs_trained"] == "2"
     details = json.loads((run_dir / "details.json").read_text())
     assert details["runs"][0]["persistence"]["mse"] > 0.0
-    assert "fold block workers: " in details["runs"][0]["hardware"]
+    assert "block workers: " in details["runs"][0]["hardware"]
     config = json.loads((run_dir / "config.json").read_text())
     assert config["lookback"] == 16  # replayable config snapshot
 
@@ -504,9 +504,9 @@ def test_benchmark_times_exactly_the_requested_windows(monkeypatch, capsys):
     epochs, results = [], []
     real_step, real_train = training_mod.train_step, cli.train_model
 
-    def counted(cfg, params, optimizer, lookback, target, rows, prepared=None):
-        epochs.append(len(rows))
-        return real_step(cfg, params, optimizer, lookback, target, rows, prepared)
+    def counted(cfg, params, optimizer, batch):
+        epochs.append(len(batch[2]))  # B's batch: (lookback, target, rows)
+        return real_step(cfg, params, optimizer, batch)
 
     def kept(*args, **kwargs):
         results.append(real_train(*args, **kwargs))

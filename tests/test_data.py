@@ -396,7 +396,7 @@ def test_consecutive_origins_gather_read_only_views():
 def test_gather_rejects_origins_outside_the_windows():
     """Origin -1 is no alias of the last window, and origin W no bare
     IndexError: both, like an empty or non-integer batch, raise the
-    ShapeMismatchError that batch_loss raises for the same rows."""
+    ShapeMismatchError that train_batches raises for the same rows."""
     values = np.random.default_rng(1).normal(size=(40, 3))
     sampler = data.WindowSampler(data.Series(values, ["a", "b", "c"]), lookback=6, horizon=3)
     assert len(sampler) == 32

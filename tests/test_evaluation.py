@@ -23,7 +23,7 @@ from wavets.model import ModelConfig, band_forward, init_params
 from wavets.moe import MoEConfig
 from wavets.training import TrainResult, TrainSettings, evaluate_model, evaluate_mse, train_model
 
-from reference import copied_prologue
+from reference import banded_forward, copied_prologue
 
 
 def _one_batch(pred, true):
@@ -103,7 +103,7 @@ def _reference_metrics(cfg, params, split):
     """Metrics from every test window stacked into one array, predicted on the band path."""
     sampler = WindowSampler(split, cfg.lookback, cfg.horizon)
     batch = sampler.gather(sampler.origins)
-    diff = band_forward(cfg, params, batch.x).data - batch.y
+    diff = banded_forward(cfg, params, batch.x).data - batch.y
     return (diff**2).mean(), np.abs(diff).mean(), (diff**2).mean(axis=(0, 2)), np.abs(diff).mean(axis=(0, 2))
 
 
@@ -182,7 +182,7 @@ def test_band_path_serving_is_bit_identical_for_any_worker_count(monkeypatch, na
     series = synth("sine_mix", 160, 3, seed=9)  # 139 windows: the last batch of 8 has 3
     params = _perturbed_params(cfg, 6)
     sampler = WindowSampler(series, cfg.lookback, cfg.horizon)
-    reference = ev.accumulate_errors((band_forward(cfg, params, b.x).data, b.y) for b in sampler.batches(8))
+    reference = ev.accumulate_errors((banded_forward(cfg, params, b.x).data, b.y) for b in sampler.batches(8))
     on_main = []
     real = model_mod.band_forward
 
@@ -273,7 +273,7 @@ def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(name):
     approx, detail, state = model_mod._prologue(cfg, params, short)
     assert approx is short.approx and detail is short.detail and state.mean is short.mean
     assert state.gain is params["revin.gain"] and state.bias is params["revin.bias"]
-    assert np.array_equal(band_forward(cfg, params, short).data, band_forward(cfg, params, lookbacks[[9, 2]]).data)
+    assert np.array_equal(band_forward(cfg, params, short).data, banded_forward(cfg, params, lookbacks[[9, 2]]).data)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -545,6 +545,6 @@ def test_hardware_note_reports_the_block_workers_and_the_blas_setting(monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
-    assert ev.hardware_note().endswith(", fold block workers: 1 (BLAS threads unset)")
+    assert ev.hardware_note().endswith(", block workers: 1 (BLAS threads unset)")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert ev.hardware_note().endswith(", fold block workers: 2 (OPENBLAS_NUM_THREADS=2)")
+    assert ev.hardware_note().endswith(", block workers: 2 (OPENBLAS_NUM_THREADS=2)")

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,15 @@ from wavets.revin import DEFAULT_EPS, compute_stats
 from wavets.training import TrainSettings, evaluate_model, train_model, train_step
 
 from conftest import max_rel_err, numeric_grad
-from reference import composed_folded_forecast, composed_mse, loss_and_grads, mean, reference_forward
+from reference import (
+    banded_forward,
+    composed_folded_forecast,
+    composed_mse,
+    loss_and_grads,
+    mean,
+    reference_forward,
+    train_batch,
+)
 
 TINY = dict(lookback=8, horizon=4, channels=2)
 
@@ -320,9 +329,10 @@ def test_overfit_single_batch():
     x = rng.normal(size=(4, 8, 2))
     y = rng.normal(size=(4, 4, 2)) * 0.5
     optimizer = Adam(params, lr=1e-2)
+    batch = train_batch(cfg, x, y)
     loss = np.inf
     for _ in range(500):
-        loss = train_step(cfg, params, optimizer, x, y, np.arange(4))
+        loss = train_step(cfg, params, optimizer, batch)
     assert loss < 1e-3
 
 
@@ -338,7 +348,7 @@ def test_forward_serves_a_plain_array_and_leaves_no_gradient(variant, bank):
     x = rng.normal(size=(5, 16, 3)) * 2.0 + 4.0
     out = forward(cfg, params, x)
     assert isinstance(out, np.ndarray) and out.shape == (5, 6, 3)
-    assert np.max(np.abs(out - band_forward(cfg, params, x).data)) < 1e-10
+    assert np.max(np.abs(out - banded_forward(cfg, params, x).data)) < 1e-10
     assert all(p.grad is None for p in params.values())
 
 
@@ -565,7 +575,7 @@ def test_band_prologue_matches_time_domain_prologue(variant, bank):
     x = rng.normal(size=(4, 16, 3)) * 3.0 + 20.0
     y = rng.normal(size=(4, 8, 3)) * 3.0 + 20.0
 
-    pred, loss, grads = _loss_and_grads(band_forward, cfg, params, x, y)
+    pred, loss, grads = _loss_and_grads(banded_forward, cfg, params, x, y)
     pred_ref, loss_ref, grads_ref = _loss_and_grads(reference_forward, cfg, params, x, y)
 
     assert np.max(np.abs(pred - pred_ref)) < 1e-10
@@ -781,7 +791,7 @@ def test_m_train_step_forms_no_band_sized_gradient(monkeypatch):
         real(self, g)
 
     monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
-    train_step(cfg, params, Adam(params), x, y, np.arange(5))
+    train_step(cfg, params, Adam(params), train_batch(cfg, x, y))
     assert (5, 3, cfg.half) not in shapes
     assert (5, 3, cfg.lookback) not in shapes
     assert (5, 3, 8) in shapes  # the spy saw the fused first layer's (B, N, E + E*H) gradient
@@ -825,7 +835,7 @@ def test_b_train_step_forms_no_batch_sized_gradient(monkeypatch):
         real(self, g)
 
     monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
-    train_step(cfg, params, Adam(params), lookback, target, rows)
+    train_step(cfg, params, Adam(params), train_batch(cfg, lookback, target, rows))
     for batch in (5, 9):
         assert (batch, 6, 3) not in shapes
         assert (batch, 16, 3) not in shapes
@@ -849,7 +859,7 @@ def test_fold_centres_at_most_one_block_of_windows(monkeypatch):
         return real(values, **kwargs)
 
     monkeypatch.setattr(model_mod, "compute_stats", spy)
-    train_step(cfg, params, Adam(params), x, y, np.arange(5))
+    train_step(cfg, params, Adam(params), train_batch(cfg, x, y))
     assert sorted(seen) == [1, 2, 2]  # block workers may centre the blocks in any order
     predict(cfg, params, x)
     assert sorted(seen) == [1, 1, 2, 2, 2, 2]
@@ -903,9 +913,9 @@ def test_fold_matches_tape_forward(
     assert offset.shape == (horizon, channels)
     if not affine:  # the identity affine's offset is the same for every channel
         assert np.array_equal(offset.data, np.repeat(offset.data[:, :1], channels, axis=1))
-    assert np.max(np.abs(predict(cfg, params, x) - band_forward(cfg, params, x).data)) < 1e-10
+    assert np.max(np.abs(predict(cfg, params, x) - banded_forward(cfg, params, x).data)) < 1e-10
     loss, grads = loss_and_grads(cfg, params, x, y)
-    _, loss_ref, grads_ref = _loss_and_grads(band_forward, cfg, params, x, y)
+    _, loss_ref, grads_ref = _loss_and_grads(banded_forward, cfg, params, x, y)
     assert abs(loss - loss_ref) < 1e-10
     for name, grad in grads_ref.items():
         assert np.max(np.abs(grads[name] - grad)) < 1e-10, name
@@ -973,16 +983,22 @@ def test_train_model_matches_the_band_path(monkeypatch, variant, bank):
         return result, evaluate_model(cfg, result.params, test)
 
     fast, fast_metrics = run()
-    # the reference trains, validates and evaluates on the time-domain band path
+    # the reference trains, validates and evaluates on the time-domain band path,
+    # from each batch's gathered windows and targets
     reference_steps = []
 
-    def reference_loss(cfg, params, lookback, target, rows, prepared=None):  # ignores M's prepared bands
-        reference_steps.append(len(rows))
-        return composed_mse(reference_forward(cfg, params, lookback[rows]), ad.constant(target[rows]))
+    def gathered(cfg, lookback, target, batches):
+        return ((rows, (lookback[rows], target[rows])) for rows in batches)
+
+    def reference_loss(cfg, params, batch):
+        x, y = batch
+        reference_steps.append(len(x))
+        return composed_mse(reference_forward(cfg, params, x), ad.constant(y))
 
     def reference_values(cfg, params, x):
         return reference_forward(cfg, params, x).data
 
+    monkeypatch.setattr(training_mod, "train_batches", gathered)
     monkeypatch.setattr(training_mod, "batch_loss", reference_loss)
     monkeypatch.setattr(training_mod, "forward", reference_values)
     monkeypatch.setattr(model_mod, "forward", reference_values)
@@ -1020,6 +1036,43 @@ def test_gate_probabilities_are_the_gate_the_mixture_sees(monkeypatch):
     softmax = np.exp(logits - logits.max(axis=-1, keepdims=True))
     softmax /= softmax.sum(axis=-1, keepdims=True)
     assert np.max(np.abs(model_mod.gate_probabilities(cfg, params, x) - softmax)) < 1e-12
+
+
+def test_an_empty_batch_has_empty_bands_forecasts_and_gates():
+    """A (0, L, N) batch, with no runner or in a fresh thread namespace, has
+    (0, N, L/2) bands, a (0, S, N) forecast and (0, N, E) gate probabilities."""
+    cfg = tiny_config("M", bank="d4")
+    params = init_params(cfg, 0)
+    x = np.zeros((0, 8, 2))
+    for local in (None, threading.local()):
+        bands = model_mod.band_prologue(cfg, x, local)
+        assert bands.approx.shape == bands.detail.shape == (0, 2, 4)
+        assert band_forward(cfg, params, bands).shape == (0, 4, 2)
+    assert model_mod.gate_probabilities(cfg, params, x).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("variant, bank", [("B", "haar"), ("I", "d4")])
+def test_serving_folds_constant_views_of_the_parameters(monkeypatch, variant, bank):
+    """predict and evaluate_model build the fold from constant views of the
+    parameters, so no parameter it sees requires a gradient and it records
+    no tape, and their forecasts are the live parameters' fold bit for bit."""
+    cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank=bank)
+    rng = np.random.default_rng(36)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(5, 16, 3))
+    expected = _folded_forecast(*(t.data for t in fold(cfg, params)), x)
+    seen = []
+    real = model_mod.fold
+
+    def spy(cfg, params):
+        folded = real(cfg, params)
+        seen.extend(t.requires_grad or bool(t._parents) for t in (*params.values(), *folded))
+        return folded
+
+    monkeypatch.setattr(model_mod, "fold", spy)
+    assert np.array_equal(predict(cfg, params, x), expected)
+    evaluate_model(cfg, params, synth("sine_mix", 60, 3, seed=1))
+    assert len(seen) == 2 * (len(params) + 2) and not any(seen)
 
 
 def _folded_forecast(weight, offset, lookback):
@@ -1302,6 +1355,23 @@ def test_a_failing_batch_of_the_band_path_cancels_the_rest_and_leaves_no_thread(
     assert evaluate_model(cfg, params, series, batch_size=4) == expected
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["B", "M"])
+def test_closing_the_served_batches_early_leaves_no_thread(monkeypatch, variant, workers):
+    """Closing forecast_batches after its first of twelve batches, of the fold
+    (one window per block) or of the band path, leaves no worker thread."""
+    cfg = tiny_config(variant, lookback=16, horizon=6, channels=3, bank="d4")
+    params = init_params(cfg, 0)
+    lookbacks = WindowSampler(synth("noise_walk", 12 * 4 + 16 + 6 - 1, 3, seed=7), 16, 6).lookbacks
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 16 * 3 * 8)
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    threads = threading.active_count()
+    with closing(model_mod.forecast_batches(cfg, params, lookbacks, 4)) as batches:
+        first = next(batches)
+    assert threading.active_count() == threads
+    assert np.array_equal(first, forward(cfg, params, lookbacks[:4]))
+
+
 def test_block_workers_share_the_cpus_with_blas(monkeypatch):
     """The BLAS thread count comes from OPENBLAS_NUM_THREADS, then
     OMP_NUM_THREADS (a count below one is not set, as BLAS reads it), and
@@ -1323,14 +1393,14 @@ def test_block_workers_share_the_cpus_with_blas(monkeypatch):
 
 
 def test_folded_mse_shape_errors():
-    """batch_loss is the one check of a training batch: a mismatched target,
+    """train_batches is the one check of a training batch: a mismatched target,
     a lookback of the wrong length, and rows that are not a non-empty 1-D
     integer array in [0, W) all fail before the fold runs."""
     cfg = ModelConfig("B", 4, 2, 3)
     params = init_params(cfg, 0)
     rng = np.random.default_rng(6)
     _, _, lookback, target = _fused_inputs(rng, 5, 4, 2, 3, 3)
-    assert np.isfinite(batch_loss(cfg, params, lookback, target, np.array([4, 0])).item())
+    assert np.isfinite(batch_loss(cfg, params, train_batch(cfg, lookback, target, np.array([4, 0]))).item())
     bad = [
         (lookback, target[:, :1], [0]),  # target horizon
         (lookback, target[:4], [0]),  # target window count
@@ -1344,20 +1414,66 @@ def test_folded_mse_shape_errors():
     ]
     for source, goal, rows in bad:
         with pytest.raises(ShapeMismatchError):
-            batch_loss(cfg, params, source, goal, np.array(rows))
+            train_batch(cfg, source, goal, np.array(rows))
 
 
 @pytest.mark.parametrize("variant, bank", [("M", "d4"), ("B", "haar")])
 def test_batch_loss_rejects_rows_outside_the_sources(variant, bank):
-    """Both branches, the fold's and the band path's, reject the same rows."""
+    """train_batches rejects the same rows for both branches, the fold's and the band path's."""
     cfg = tiny_config(variant, lookback=8, horizon=4, channels=2, bank=bank)
     params = init_params(cfg, 0)
     rng = np.random.default_rng(12)
     lookback, target = rng.normal(size=(6, 8, 2)), rng.normal(size=(6, 4, 2))
-    assert np.isfinite(batch_loss(cfg, params, lookback, target, np.array([5, 0])).item())
+    assert np.isfinite(batch_loss(cfg, params, train_batch(cfg, lookback, target, np.array([5, 0]))).item())
     for rows in (np.array([-1]), np.array([6]), np.array([], dtype=np.int64), np.array([0.0, 1.0])):
         with pytest.raises(ShapeMismatchError):
-            batch_loss(cfg, params, lookback, target, rows)
+            train_batch(cfg, lookback, target, rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("variant, bank", [("M", "d4"), ("B", "haar")])
+def test_train_batches_checks_each_batch_before_any_thread_reads_it(monkeypatch, variant, bank, workers):
+    """A batch of origins past the last window or below zero, after two good
+    ones, raises train_batches' ShapeMismatchError, every batch's origins are
+    checked on the calling thread, and no take_windows or band_prologue call
+    on any thread sees the bad ones; no thread outlives the call."""
+    cfg = tiny_config(variant, lookback=8, horizon=4, channels=2, bank=bank)
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(13)
+    lookback, target = rng.normal(size=(6, 8, 2)), rng.normal(size=(6, 4, 2))
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    taken, prologues, checked_on_main = [], [], set()
+    real_check, real_take, real_prologue = model_mod.check_origins, model_mod.take_windows, model_mod.band_prologue
+
+    def check(rows, count):
+        checked_on_main.add(threading.current_thread() is threading.main_thread())
+        return real_check(rows, count)
+
+    def take(source, rows):
+        taken.append(np.asarray(rows).tolist())
+        return real_take(source, rows)
+
+    def prologue(cfg, x, local=None):
+        prologues.append(len(x))
+        return real_prologue(cfg, x, local)
+
+    monkeypatch.setattr(model_mod, "check_origins", check)
+    monkeypatch.setattr(model_mod, "take_windows", take)
+    monkeypatch.setattr(model_mod, "band_prologue", prologue)
+    threads = threading.active_count()
+    for bad in ([6 + 5, 3], [-1, 0]):
+        taken.clear()
+        prologues.clear()
+        batches = [np.array([4, 1]), np.array([2, 3]), np.array(bad), np.array([0, 5])]
+        with pytest.raises(ShapeMismatchError):
+            with closing(model_mod.train_batches(cfg, lookback, target, batches)) as made:
+                for _, batch in made:
+                    batch_loss(cfg, params, batch)
+        assert checked_on_main == {True}
+        assert taken and all(0 <= row < 6 for rows in taken for row in rows)
+        # At most the two good batches' prologues ran before the runner cancelled the rest.
+        assert set(prologues) <= ({2} if variant == "M" else set()) and len(prologues) <= 2
+        assert threading.active_count() == threads
 
 
 def test_folded_mse_full_batch_gradient_identity(monkeypatch):
