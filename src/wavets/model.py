@@ -80,14 +80,7 @@ from .autodiff import (
 from .data import check_origins, take_windows
 from .exceptions import ConfigMismatchError, InvalidConfigError, ParseError, ShapeMismatchError, check_fields
 from .moe import FirstLayer
-from .revin import (
-    RevinState,
-    affine_linear,
-    check_gain,
-    compute_stats,
-    revin_forward,
-    revin_inverse,
-)
+from .revin import affine_linear, check_gain, compute_stats, revin_forward, revin_inverse
 from .wavelet import get_bank
 
 
@@ -300,7 +293,8 @@ def _lookback(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
 
 
 class Bands(NamedTuple):
-    """A (B, L, N) lookback batch's (B, N, L/2) bands, as constants, and RevIN's (B, N) mean and std."""
+    """The band path's whole batch state: a (B, L, N) lookback batch's (B, N, L/2) bands,
+    as constants, and RevIN's (B, N) mean and std; the affine is the parameters' (:func:`_affine`)."""
 
     approx: Tensor
     detail: Tensor
@@ -323,12 +317,6 @@ def band_prologue(cfg: ModelConfig, x: np.ndarray, local=None) -> Bands:
     return Bands(*dwt_pair(constant(normalized), get_bank(cfg.bank)), mean, std)
 
 
-def _prologue(cfg: ModelConfig, params: dict[str, Tensor], bands: Bands) -> tuple[Tensor, Tensor, RevinState]:
-    """A batch's bands plus the RevIN state that carries the affine."""
-    _check_params(cfg, params)
-    return bands.approx, bands.detail, RevinState(bands.mean, bands.std, *_affine(cfg, params))
-
-
 def band_forward(cfg: ModelConfig, params: dict[str, Tensor], bands: Bands) -> Tensor:
     """Predict (B, S, N) from a lookback batch's :class:`Bands` (:func:`band_prologue`).
 
@@ -337,17 +325,18 @@ def band_forward(cfg: ModelConfig, params: dict[str, Tensor], bands: Bands) -> T
     :data:`LAYOUTS` entry: the low-band head, then delta times the
     high-band head, then their sum or their synthesis. Each head's first
     layer is :func:`~wavets.revin.affine_linear`, which applies RevIN's
-    affine to its output, so the bands stay constants.
+    affine (one :func:`_affine` pair) to its output, so the bands stay
+    constants; :func:`~wavets.revin.revin_inverse` undoes it with their statistics.
     """
-    approx, detail, state = _prologue(cfg, params, bands)
-    layout, heads = cfg.layout, []
+    _check_params(cfg, params)
+    affine, layout, heads = _affine(cfg, params), cfg.layout, []
     if layout.low:
-        heads.append(_low_head(cfg, params, approx, partial(affine_linear, state=state, approx=True)))
+        heads.append(_low_head(cfg, params, bands.approx, partial(affine_linear, affine=affine, approx=True)))
     if layout.high:
-        high = affine_linear(detail, params["hf.weight"], params["hf.bias"], state, approx=False)
+        high = affine_linear(bands.detail, params["hf.weight"], params["hf.bias"], affine, approx=False)
         heads.append(mul(_delta(cfg, params), high))
     fused = idwt_pair(*heads, get_bank(cfg.bank)) if layout.synthesize else reduce(add, heads)
-    return revin_inverse(swap_last2(fused), state)
+    return revin_inverse(swap_last2(fused), bands.mean, bands.std, affine)
 
 
 def _on_band_path(cfg: ModelConfig) -> bool:  # M, an MLP low head or a learnable per-channel delta
@@ -438,8 +427,9 @@ def _blocks(run, blocks: Iterable, caller_works: bool = False):
     the one runner of per-block tasks, and the only place that makes threads.
 
     The blocks run on :func:`_block_workers` threads of a pool made for this call (one
-    fewer when the caller works between results, inline when no thread would overlap
-    anything), with at most one block queued beyond them, read only as they are queued.
+    fewer when the caller works between results), with at most one block queued beyond
+    them, read only as they are queued; inline, as no thread would overlap anything, on one
+    worker or for a single block in all (a caller that works reads one past a lone first).
     ``local`` is the running thread's own namespace, for reused buffers.
     Results do not depend on the thread, so whatever the caller sums from
     them is bit-identical for any worker count. An exception in a block,
@@ -449,13 +439,14 @@ def _blocks(run, blocks: Iterable, caller_works: bool = False):
     local, blocks = threading.local(), iter(blocks)
     task = partial(run, local)
     head = list(islice(blocks, _block_workers() - caller_works))
-    if not head or (len(head) == 1 and not caller_works):
+    more = list(islice(blocks, 1)) if caller_works and len(head) == 1 else []
+    if not head or (len(head) == 1 and not more):
         yield from map(task, chain(head, blocks))
         return
     pool = ThreadPoolExecutor(len(head))
     try:
         pending = deque(pool.submit(task, block) for block in head)
-        for block in blocks:
+        for block in chain(more, blocks):
             pending.append(pool.submit(task, block))
             yield pending.popleft().result()
         while pending:
@@ -648,10 +639,13 @@ def predict(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.nd
 
 
 def gate_probabilities(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
-    """M's (B, N, E) gate probabilities on a lookback batch (B, L, N), from the
-    first layer :func:`band_forward` gives the mixture; used for gate diagnostics."""
-    approx, _, state = _prologue(cfg, params, band_prologue(cfg, x))
-    return moe_mod.gate(params, approx, first_layer=partial(affine_linear, state=state, approx=True))
+    """M's (B, N, E) gate probabilities on a lookback batch (B, L, N), from the first layer :func:`band_forward`
+    gives the mixture, on ``constant`` views of the parameters (no tape); used for gate diagnostics."""
+    bands = band_prologue(cfg, x)
+    _check_params(cfg, params)
+    views = {name: constant(p.data) for name, p in params.items()}
+    first_layer = partial(affine_linear, affine=_affine(cfg, views), approx=True)
+    return moe_mod.gate(views, bands.approx, first_layer=first_layer)
 
 
 def config_sidecar_path(checkpoint_path: str | Path) -> Path:

@@ -11,7 +11,7 @@ statistics: the fold path and the band path both call it.
 The band path normalizes the lookback with :func:`revin_forward`, which
 reads no parameter and returns it channel-major for the transform, so a
 block worker can run it ahead of the train step (``model.band_prologue``);
-a :class:`RevinState` adds the affine, which the heads apply. Every
+the heads apply the affine, one ``(gain, bias)`` pair of (N,) tensors. Every
 supported low-pass sums to sqrt(2) with equal even and odd halves and the
 high-pass sums to zero, so the transform of a constant c is (sqrt(2)*c, 0),
 and the affine of the time-domain ``gain * x_n + bias`` is
@@ -34,7 +34,6 @@ in a reused buffer per block worker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +43,6 @@ from .exceptions import DegenerateWindowError, ZeroGainError
 DEFAULT_EPS = 1e-5
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass
-class RevinState:
-    """Per-(instance, channel) statistics captured by a forward pass."""
-
-    mean: np.ndarray  # (B, N)
-    std: np.ndarray   # (B, N); already includes eps under the sqrt
-    gain: Tensor  # (N,); the constant ones without the affine
-    bias: Tensor  # (N,); the constant zeros without the affine
 
 
 def compute_stats(
@@ -84,8 +73,8 @@ def revin_forward(lookback: np.ndarray, out: np.ndarray | None = None) -> tuple[
     """Normalize a (B, L, N) lookback batch into a (B, N, L) array (``out`` if
     given, else a new one), centred in place by :func:`compute_stats` and divided
     by the std, so the lookback is never written; returns it with the (B, N) mean
-    and std. A :class:`RevinState` adds the affine that :func:`affine_linear`
-    applies after a head's first layer and :func:`revin_inverse` undoes."""
+    and std (eps included), the statistics :func:`revin_inverse` reads; the
+    affine is applied after a head's first layer by :func:`affine_linear`."""
     normalized = np.empty(np.swapaxes(lookback, 1, 2).shape) if out is None else out
     normalized[...] = np.swapaxes(lookback, 1, 2)
     time_major = np.swapaxes(normalized, 1, 2)  # (B, L, N) view of the copy
@@ -98,24 +87,26 @@ def _column(param: Tensor) -> Tensor:
     return reshape(param, param.shape + (1,))  # (N, 1) broadcasts over (B, N, D)
 
 
-def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, state: RevinState, approx: bool) -> Tensor:
+def affine_linear(x: Tensor, weight: Tensor, bias: Tensor, affine: tuple[Tensor, Tensor], approx: bool) -> Tensor:
     """A head's first layer on the affine-mapped band: ``(gain * x + shift) @ weight + bias``.
 
-    ``x`` is a (B, N, Din) band of a lookback normalized by
-    :func:`revin_forward`; the shift is ``sqrt(2) * bias`` on the
+    ``x`` is a (B, N, Din) band of a lookback normalized by :func:`revin_forward` and
+    ``affine`` is RevIN's ``(gain, bias)``; the shift is ``sqrt(2) * bias`` on the
     approximation band (``approx``) and zero on the detail band. The affine is applied to the (B, N, Dout)
     output, ``gain * (x @ weight) + shift (x) colsum(weight) + bias``.
     """
-    out = mul(matmul(x, weight), _column(state.gain))
+    gain, affine_bias = affine
+    out = mul(matmul(x, weight), _column(gain))
     if approx:
         colsum = matmul(constant(np.ones((1, weight.shape[0]))), weight)  # (1, Dout)
-        bias = add(mul(_column(state.bias), mul(colsum, constant(_SQRT2))), bias)  # (N, Dout)
+        bias = add(mul(_column(affine_bias), mul(colsum, constant(_SQRT2))), bias)  # (N, Dout)
     return add(out, bias)
 
 
-def revin_inverse(y: Tensor | np.ndarray, state: RevinState) -> Tensor:
-    """Exact algebraic inverse on (B, S, N): x = (y - bias)/gain * std + mean."""
-    out = sub(y if isinstance(y, Tensor) else constant(y), state.bias)
-    check_gain(state.gain.data)
-    out = mul(div(out, state.gain), constant(state.std[:, None, :]))
-    return add(out, constant(state.mean[:, None, :]))
+def revin_inverse(y: Tensor, mean: np.ndarray, std: np.ndarray, affine: tuple[Tensor, Tensor]) -> Tensor:
+    """Exact algebraic inverse on (B, S, N): x = (y - bias)/gain * std + mean, with
+    :func:`revin_forward`'s (B, N) ``mean`` and ``std`` and the ``(gain, bias)`` pair."""
+    gain, bias = affine
+    check_gain(gain.data)
+    out = mul(div(sub(y, bias), gain), constant(std[:, None, :]))
+    return add(out, constant(mean[:, None, :]))

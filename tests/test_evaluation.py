@@ -252,11 +252,12 @@ def test_band_path_training_prepares_its_batches_off_the_calling_thread(monkeypa
 
 
 @pytest.mark.parametrize("name", BAND_CONFIGS)
-def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(name):
+def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(monkeypatch, name):
     """band_prologue's bands and statistics equal a fresh channel-major copy
     of each batch through the whole-signal transform, bit for bit, also for
     a short batch after a full one in the same thread's reused buffer, which
-    leaves the first batch's bands as they were; _prologue adds the affine."""
+    leaves the first batch's bands as they were; band_forward reads those
+    Bands as they are, with the parameters' affine pair."""
     cfg = BAND_CONFIGS[name]
     params = _perturbed_params(cfg, 8)
     lookbacks = WindowSampler(synth("noise_walk", 60, 3, seed=4), cfg.lookback, cfg.horizon).lookbacks
@@ -270,10 +271,24 @@ def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(name):
             assert np.array_equal(got, expected)
     assert np.array_equal(full.approx.data, kept[0]) and np.array_equal(full.detail.data, kept[1])
     assert not np.shares_memory(short.approx.data, local.channel_major)
-    approx, detail, state = model_mod._prologue(cfg, params, short)
-    assert approx is short.approx and detail is short.detail and state.mean is short.mean
-    assert state.gain is params["revin.gain"] and state.bias is params["revin.bias"]
-    assert np.array_equal(band_forward(cfg, params, short).data, banded_forward(cfg, params, lookbacks[[9, 2]]).data)
+    seen = {}
+    real_linear, real_inverse = model_mod.affine_linear, model_mod.revin_inverse
+
+    def linear(band, weight, bias, affine, approx):
+        seen["approx" if approx else "detail"], seen["affine"] = band, affine
+        return real_linear(band, weight, bias, affine, approx)
+
+    def inverse(y, mean, std, affine):
+        seen["mean"], seen["std"], seen["inverse_affine"] = mean, std, affine
+        return real_inverse(y, mean, std, affine)
+
+    monkeypatch.setattr(model_mod, "affine_linear", linear)
+    monkeypatch.setattr(model_mod, "revin_inverse", inverse)
+    forecast = band_forward(cfg, params, short)
+    assert seen["approx"] is short.approx and seen["detail"] is short.detail and seen["mean"] is short.mean
+    (gain, bias), affine = seen["affine"], seen["inverse_affine"]
+    assert gain is params["revin.gain"] and bias is params["revin.bias"] and affine is seen["affine"]
+    assert np.array_equal(forecast.data, banded_forward(cfg, params, lookbacks[[9, 2]]).data)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

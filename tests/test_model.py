@@ -3,6 +3,7 @@ import json
 import os
 import threading
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,8 @@ def test_band_prologue_matches_time_domain_prologue(variant, bank):
         ("B", dict(lf_hidden=3, delta_per_channel=True)),
         ("I", dict(delta_per_channel=True)),
         ("HF", dict(delta_per_channel=True, revin_affine=False)),
+        ("M", dict(revin_affine=False)),
+        ("M", dict(delta_mode="fixed", revin_affine=False)),
     ],
 )
 def test_unfoldable_heads_match_the_reference_forward(variant, overrides):
@@ -1038,6 +1041,32 @@ def test_gate_probabilities_are_the_gate_the_mixture_sees(monkeypatch):
     assert np.max(np.abs(model_mod.gate_probabilities(cfg, params, x) - softmax)) < 1e-12
 
 
+@pytest.mark.parametrize("affine", [True, False])
+def test_gate_probabilities_read_constant_views_of_the_parameters(monkeypatch, affine):
+    """gate_probabilities runs affine_linear on constant views of the
+    parameters, so no weight, bias or affine tensor it sees requires a
+    gradient and it records no tape, and its probabilities are the live
+    parameters' bit for bit."""
+    cfg = tiny_config("M", bank="d4", revin_affine=affine)
+    rng = np.random.default_rng(37)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(3, 8, 2)) + 5.0
+    seen, real = [], model_mod.affine_linear
+    live = partial(real, affine=model_mod._affine(cfg, params), approx=True)
+    expected = moe_mod.gate(params, model_mod.band_prologue(cfg, x).approx, first_layer=live)
+
+    def spy(band, weight, bias, affine, approx):
+        out = real(band, weight, bias, affine, approx)
+        seen.extend(t.requires_grad or bool(t._parents) for t in (weight, bias, *affine, out))
+        return out
+
+    monkeypatch.setattr(model_mod, "affine_linear", spy)
+    assert np.array_equal(model_mod.gate_probabilities(cfg, params, x), expected)
+    assert len(seen) == 5 and not any(seen)
+
+
 def test_an_empty_batch_has_empty_bands_forecasts_and_gates():
     """A (0, L, N) batch, with no runner or in a fresh thread namespace, has
     (0, N, L/2) bands, a (0, S, N) forecast and (0, N, E) gate probabilities."""
@@ -1474,6 +1503,31 @@ def test_train_batches_checks_each_batch_before_any_thread_reads_it(monkeypatch,
         # At most the two good batches' prologues ran before the runner cancelled the rest.
         assert set(prologues) <= ({2} if variant == "M" else set()) and len(prologues) <= 2
         assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_one_batch_band_path_call_runs_inline(monkeypatch, workers):
+    """A band-path train_batches call with a single batch overlaps nothing
+    with the caller's work: for any worker count its band_prologue runs on
+    the calling thread and no thread is started."""
+    cfg = tiny_config("M", lookback=8, horizon=4, channels=2, bank="d4")
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(14)
+    lookback, target = rng.normal(size=(6, 8, 2)), rng.normal(size=(6, 4, 2))
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    ran_on, real = [], model_mod.band_prologue
+
+    def prologue(cfg, x, local=None):
+        ran_on.append(threading.current_thread())
+        return real(cfg, x, local)
+
+    monkeypatch.setattr(model_mod, "band_prologue", prologue)
+    threads = threading.active_count()
+    for _, batch in model_mod.train_batches(cfg, lookback, target, [np.array([4, 1, 5])]):
+        assert threading.active_count() == threads
+        batch_loss(cfg, params, batch).backward()
+    assert ran_on == [threading.current_thread()]
+    assert threading.active_count() == threads
 
 
 def test_folded_mse_full_batch_gradient_identity(monkeypatch):
