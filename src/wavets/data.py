@@ -299,7 +299,7 @@ class WindowSampler:
     """Stride-1 sliding windows over a series.
 
     Exactly ``T - L - S + 1`` windows exist. :attr:`lookbacks` and
-    :attr:`targets` are read-only zero-copy sliding views of the series:
+    :attr:`targets` are read-only zero-copy sliding views of the float64 series:
     row t is the lookback ``values[t : t + L]`` and the target
     ``values[t + L : t + L + S]``. Batches of origins come in
     deterministic order unless a shuffle generator is supplied; an
@@ -314,9 +314,10 @@ class WindowSampler:
                 f"need at least {lookback + horizon} rows, series has {total}"
             )
         self.origins = np.arange(total - lookback - horizon + 1)
-        # Read-only (T - L - S + 1, L + S, N) view; row t is values[t : t + L + S].
+        # Read-only (T - L - S + 1, L + S, N) view; row t is values[t : t + L + S], in float64
+        # so no reader casts the whole window stack (a T x N copy when the series is not).
         windows = np.lib.stride_tricks.sliding_window_view(
-            series.values, lookback + horizon, axis=0
+            np.asarray(series.values, dtype=np.float64), lookback + horizon, axis=0
         ).transpose(0, 2, 1)
         self.lookbacks = windows[:, :lookback]  # (T - L - S + 1, L, N)
         self.targets = windows[:, lookback:]  # (T - L - S + 1, S, N)

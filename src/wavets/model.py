@@ -302,18 +302,12 @@ class Bands(NamedTuple):
     std: np.ndarray
 
 
-def band_prologue(cfg: ModelConfig, x: np.ndarray, local=None) -> Bands:
+def band_prologue(cfg: ModelConfig, x: np.ndarray, workspace=np.empty) -> Bands:
     """The :class:`Bands` of a (B, L, N) lookback batch: RevIN normalizes a channel-major
-    copy, which the transform splits into new arrays. It reads no parameter. The copy goes
-    into the buffer of a block runner's thread namespace ``local`` (see :func:`_blocks`),
-    grown when it is missing or too small; with no runner it is allocated fresh."""
+    copy in ``workspace(x.size)``, a block runner's workspace (see :func:`_blocks`) or a
+    fresh array, which the transform splits into new arrays. It reads no parameter."""
     x = _lookback(cfg, x)
-    buffer = getattr(local, "channel_major", np.empty(0))
-    if buffer.size < x.size:
-        buffer = np.empty(x.size)
-        if local is not None:
-            local.channel_major = buffer
-    normalized, mean, std = revin_forward(x, buffer[: x.size].reshape(len(x), cfg.channels, cfg.lookback))
+    normalized, mean, std = revin_forward(x, workspace(x.size).reshape(len(x), cfg.channels, cfg.lookback))
     return Bands(*dwt_pair(constant(normalized), get_bank(cfg.bank)), mean, std)
 
 
@@ -395,12 +389,13 @@ _BLOCK_BYTES = 2 * 1024 * 1024
 
 def blas_threads() -> tuple[str, int] | None:
     """The first BLAS thread variable set to a positive count, as ``(name,
-    count)``; None when neither is, and BLAS threads over every CPU.
+    count)``; None when none is, and BLAS threads over every CPU.
 
-    These are the variables BLAS reads its thread count from when it
-    loads, in the order it reads them.
+    These are the variables OpenBLAS reads its thread count from when it
+    loads, in the order it reads them: OPENBLAS_NUM_THREADS, then
+    GOTO_NUM_THREADS, then OMP_NUM_THREADS.
     """
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
             return name, int(value)
@@ -423,32 +418,40 @@ def _block_workers() -> int:
 
 
 def _blocks(run, blocks: Iterable, caller_works: bool = False):
-    """Yield ``run(local, block)`` for each of ``blocks``, in block order:
+    """Yield ``run(workspace, block)`` for each of ``blocks``, in block order:
     the one runner of per-block tasks, and the only place that makes threads.
 
-    The blocks run on :func:`_block_workers` threads of a pool made for this call (one
-    fewer when the caller works between results), with at most one block queued beyond
-    them, read only as they are queued; inline, as no thread would overlap anything, on one
-    worker or for a single block in all (a caller that works reads one past a lone first).
-    ``local`` is the running thread's own namespace, for reused buffers.
+    ``workspace(size)`` gives ``size`` float64 values of the running thread's one buffer,
+    grown only when it is too small, so the thread's next request may return the same
+    memory and no two threads share any. The blocks run inline, as no thread would overlap
+    anything, when there are fewer than two :func:`_block_workers` or fewer than two blocks
+    in all; otherwise on a pool of the workers (one fewer when the caller works between
+    results), with at most one block queued beyond them, read only as they are queued.
     Results do not depend on the thread, so whatever the caller sums from
     them is bit-identical for any worker count. An exception in a block,
     or closing the generator, cancels the blocks not yet started and
     returns once the running ones finish; no thread outlives the call.
     """
-    local, blocks = threading.local(), iter(blocks)
-    task = partial(run, local)
-    head = list(islice(blocks, _block_workers() - caller_works))
-    more = list(islice(blocks, 1)) if caller_works and len(head) == 1 else []
-    if not head or (len(head) == 1 and not more):
+    local, blocks, workers = threading.local(), iter(blocks), _block_workers()
+
+    def workspace(size: int) -> np.ndarray:
+        buffer = getattr(local, "buffer", None)
+        if buffer is None or buffer.size < size:
+            buffer = local.buffer = np.empty(size)
+        return buffer[:size]
+
+    task = partial(run, workspace)
+    head = list(islice(blocks, 2)) if workers > 1 else []
+    if len(head) < 2:
         yield from map(task, chain(head, blocks))
         return
-    pool = ThreadPoolExecutor(len(head))
+    workers -= caller_works
+    pool, pending = ThreadPoolExecutor(workers), deque()
     try:
-        pending = deque(pool.submit(task, block) for block in head)
-        for block in chain(more, blocks):
+        for block in chain(head, blocks):
             pending.append(pool.submit(task, block))
-            yield pending.popleft().result()
+            if len(pending) > workers:
+                yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:
@@ -463,34 +466,25 @@ def _block_size(windows: int, length: int, channels: int) -> int:  # at least on
     return max(1, min(_BLOCK_BYTES // (length * channels * 8), windows))
 
 
-def _fold_block(local, windows: np.ndarray, weight: np.ndarray, offset: np.ndarray, size: int):
+def _fold_block(workspace, windows: np.ndarray, weight: np.ndarray, offset: np.ndarray):
     """The centred (L, b, N) windows, their (b, N) std and their (S, b, N)
-    forecasts ``weight @ centred + mean + std * offset`` of one block of b <=
-    ``size`` windows, off the tape, in the thread's buffers on ``local``.
+    forecasts ``weight @ centred + mean + std * offset`` of one block of b
+    windows, off the tape, in one (L + 2S, b, N) view of ``workspace``.
 
-    ``compute_stats`` writes the windows centred into the (L, b, N) buffer,
+    ``compute_stats`` writes the windows centred into its first L rows,
     so ``centred.reshape(L, b * N)`` is one matrix with every window's
-    channels side by side, and the forecasts are one GEMM, with the mean and
-    the scaled offset added in place. The thread's next block reuses them.
+    channels side by side, and the forecasts are one GEMM into the next S
+    rows, with the mean and the scaled offset (the last S rows) added in
+    place. One allocation per thread holds all three: with three, an
+    evaluation at N=7, L=720, S=96 took over three times as many page faults.
     """
     (block, length, channels), horizon = windows.shape, weight.shape[0]
-    if not hasattr(local, "buffers"):
-        # One allocation holds a thread's three reused buffers (centred
-        # lookback, forecasts, scaled offset): with three, an evaluation
-        # at N=7, L=720, S=96 took over three times as many page faults.
-        sizes = np.cumsum([length, horizon]) * size * channels
-        local.buffers = np.split(np.empty((length + 2 * horizon) * size * channels), sizes)
-
-    def view(buffer: np.ndarray, height: int) -> np.ndarray:
-        return buffer[: height * block * channels].reshape(height, block, channels)
-
-    centred_buffer, forecast_buffer, scaled_buffer = local.buffers
-    centred = view(centred_buffer, length)
+    space = workspace((length + 2 * horizon) * block * channels).reshape(length + 2 * horizon, block, channels)
+    centred, forecast, scaled = space[:length], space[length : length + horizon], space[length + horizon :]
     mean, std, _ = compute_stats(windows, out=centred.transpose(1, 0, 2))
-    forecast = view(forecast_buffer, horizon)
     np.matmul(weight, centred.reshape(length, -1), out=forecast.reshape(horizon, -1))
     forecast += mean
-    forecast += np.multiply(std, offset[:, None, :], out=view(scaled_buffer, horizon))
+    forecast += np.multiply(std, offset[:, None, :], out=scaled)
     return centred, std, forecast
 
 
@@ -512,9 +506,9 @@ def folded_forecast(weight: np.ndarray, offset: np.ndarray, lookbacks: np.ndarra
             for block in _slices(batch.start, batch.stop, size):
                 yield out, batch.start, block, block.stop == batch.stop
 
-    def place(local, task) -> np.ndarray | None:
+    def place(workspace, task) -> np.ndarray | None:
         out, first, block, last = task
-        forecast = _fold_block(local, lookbacks[block], weight, offset, size)[2]
+        forecast = _fold_block(workspace, lookbacks[block], weight, offset)[2]
         out[block.start - first : block.stop - first] = forecast.transpose(1, 0, 2)
         return out if last else None
 
@@ -542,9 +536,9 @@ def folded_mse(
     total = 0.0
     size = _block_size(rows.size, length, channels)
 
-    def block_sums(local, block: slice):
+    def block_sums(workspace, block: slice):
         windows = take_windows(lookback, rows[block])
-        centred, std, diff = _fold_block(local, windows, weight.data, offset.data, size)
+        centred, std, diff = _fold_block(workspace, windows, weight.data, offset.data)
         diff -= take_windows(target, rows[block]).transpose(1, 0, 2)
         return (
             np.vdot(diff, diff),
@@ -570,7 +564,7 @@ def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.
     :func:`fold`, whose arrays :func:`folded_forecast` applies in cache-sized
     blocks, or the views themselves, which :func:`band_forward` reads on the
     band path (M, ``lf_hidden > 0``, a learnable per-channel delta), one batch
-    per block (its :func:`band_prologue` in the worker's reused buffer). One
+    per block (its :func:`band_prologue` in the worker's workspace). One
     :func:`_blocks` runner serves the call. Training runs :func:`batch_loss`.
     """
     lookbacks = _lookback(cfg, lookbacks)
@@ -583,7 +577,7 @@ def forecast_batches(cfg: ModelConfig, params: dict[str, Tensor], lookbacks: np.
         yield from folded_forecast(folded[0].data, folded[1].data, lookbacks, batch_size)
         return
     batches = _slices(0, len(lookbacks), batch_size)
-    yield from _blocks(lambda local, batch: band_forward(cfg, views, band_prologue(cfg, lookbacks[batch], local)).data, batches)
+    yield from _blocks(lambda workspace, batch: band_forward(cfg, views, band_prologue(cfg, lookbacks[batch], workspace)).data, batches)
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], x: np.ndarray) -> np.ndarray:
@@ -615,8 +609,8 @@ def train_batches(cfg: ModelConfig, lookback: np.ndarray, target: np.ndarray, ba
     if not _on_band_path(cfg):
         return ((rows, (lookback, target, rows)) for rows in checked)
 
-    def prepare(local, rows: np.ndarray):
-        return rows, (band_prologue(cfg, take_windows(lookback, rows), local), take_windows(target, rows))
+    def prepare(workspace, rows: np.ndarray):
+        return rows, (band_prologue(cfg, take_windows(lookback, rows), workspace), take_windows(target, rows))
 
     return _blocks(prepare, checked, caller_works=True)
 

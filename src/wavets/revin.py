@@ -28,7 +28,7 @@ affine meets the bands: M's gate diagnostics use it too. The linear
 variants never transform the batch: ``model.fold`` puts the affine inside
 the folded offset, and ``model.folded_forecast`` and ``model.folded_mse``
 call :func:`compute_stats` on one cache-sized block of windows at a time,
-in a reused buffer per block worker.
+in each block worker's workspace.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import itertools
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ from wavets import autodiff as ad
 from wavets import evaluation as ev
 from wavets import model as model_mod
 from wavets import training as training_mod
-from wavets.data import WindowBatch, WindowSampler, synth
+from wavets.data import Series, WindowBatch, WindowSampler, synth
 from wavets.exceptions import (
     ConfigMismatchError,
     InvalidConfigError,
@@ -163,6 +164,32 @@ def test_linear_variants_never_run_the_band_path(monkeypatch, variant):
         assert calls == []
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("variant", ["B", "M"])
+def test_a_series_that_is_not_float64_reads_as_its_float64_cast(variant, dtype):
+    """A float32 or int64 series trains for an epoch and evaluates bit for bit
+    as the same series cast to float64 first, and evaluate_model's traced peak
+    stays below the size of its (W, L, N) float64 window stack: the sampler
+    casts the series once, so no reader casts the sliding windows whole."""
+    cfg = ModelConfig(variant, 96, 24, 8, bank="d4", moe=MoEConfig(2, 3) if variant == "M" else None)
+    values = (synth("sine_mix", 700, cfg.channels, seed=3).values * 10).astype(dtype)
+    series, cast = (Series(v, [f"c{i}" for i in range(cfg.channels)]) for v in (values, values.astype(np.float64)))
+    settings = TrainSettings(batch_size=32, max_epochs=1)
+    trained = [train_model(cfg, s, s, settings, seed=2) for s in (series, cast)]
+    for a, b in zip(*(t.params.values() for t in trained), strict=True):
+        assert np.array_equal(a.data, b.data)
+    assert trained[0].history[0].train_mse == trained[1].history[0].train_mse
+    params = trained[1].params
+    tracemalloc.start()
+    try:
+        got = evaluate_model(cfg, params, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == evaluate_model(cfg, params, cast)
+    assert peak < WindowSampler(cast, cfg.lookback, cfg.horizon).lookbacks.size * 8
+
+
 # The band path's configs: M, an MLP low head and a learnable per-channel delta.
 BAND_CONFIGS = {
     "M/d4": EVAL_CONFIGS["M"],
@@ -255,22 +282,28 @@ def test_band_path_training_prepares_its_batches_off_the_calling_thread(monkeypa
 def test_the_band_prologue_is_the_copied_prologue_bit_for_bit(monkeypatch, name):
     """band_prologue's bands and statistics equal a fresh channel-major copy
     of each batch through the whole-signal transform, bit for bit, also for
-    a short batch after a full one in the same thread's reused buffer, which
+    a short batch after a full one in the same block runner workspace, which
     leaves the first batch's bands as they were; band_forward reads those
     Bands as they are, with the parameters' affine pair."""
     cfg = BAND_CONFIGS[name]
     params = _perturbed_params(cfg, 8)
     lookbacks = WindowSampler(synth("noise_walk", 60, 3, seed=4), cfg.lookback, cfg.horizon).lookbacks
-    local = threading.local()
-    full = model_mod.band_prologue(cfg, lookbacks[[5, 0, 30, 17]], local)
+    runner_workspace, written = next(model_mod._blocks(lambda workspace, _: workspace, [None])), []
+
+    def workspace(size):
+        written.append(runner_workspace(size))
+        return written[-1]
+
+    full = model_mod.band_prologue(cfg, lookbacks[[5, 0, 30, 17]], workspace)
     kept = [full.approx.data.copy(), full.detail.data.copy()]
-    short = model_mod.band_prologue(cfg, lookbacks[[9, 2]], local)
+    short = model_mod.band_prologue(cfg, lookbacks[[9, 2]], workspace)
     for bands, rows in ((full, [5, 0, 30, 17]), (short, [9, 2])):
         for got, expected in zip((bands.approx.data, bands.detail.data, bands.mean, bands.std),
                                  copied_prologue(cfg, lookbacks[rows]), strict=True):
             assert np.array_equal(got, expected)
     assert np.array_equal(full.approx.data, kept[0]) and np.array_equal(full.detail.data, kept[1])
-    assert not np.shares_memory(short.approx.data, local.channel_major)
+    assert len(written) == 2 and np.shares_memory(*written)
+    assert not np.shares_memory(short.approx.data, written[-1])
     seen = {}
     real_linear, real_inverse = model_mod.affine_linear, model_mod.revin_inverse
 
@@ -558,8 +591,12 @@ def test_run_report_roundtrip(tmp_path):
 
 def test_hardware_note_reports_the_block_workers_and_the_blas_setting(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     assert ev.hardware_note().endswith(", block workers: 1 (BLAS threads unset)")
+    monkeypatch.setenv("GOTO_NUM_THREADS", "1")
+    assert ev.hardware_note().endswith(", block workers: 4 (GOTO_NUM_THREADS=1)")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert ev.hardware_note().endswith(", block workers: 4 (GOTO_NUM_THREADS=1)")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert ev.hardware_note().endswith(", block workers: 2 (OPENBLAS_NUM_THREADS=2)")

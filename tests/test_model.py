@@ -1068,13 +1068,13 @@ def test_gate_probabilities_read_constant_views_of_the_parameters(monkeypatch, a
 
 
 def test_an_empty_batch_has_empty_bands_forecasts_and_gates():
-    """A (0, L, N) batch, with no runner or in a fresh thread namespace, has
-    (0, N, L/2) bands, a (0, S, N) forecast and (0, N, E) gate probabilities."""
+    """A (0, L, N) batch, with no runner or in a block runner's fresh workspace,
+    has (0, N, L/2) bands, a (0, S, N) forecast and (0, N, E) gate probabilities."""
     cfg = tiny_config("M", bank="d4")
     params = init_params(cfg, 0)
     x = np.zeros((0, 8, 2))
-    for local in (None, threading.local()):
-        bands = model_mod.band_prologue(cfg, x, local)
+    for workspace in (np.empty, next(model_mod._blocks(lambda workspace, _: workspace, [None]))):
+        bands = model_mod.band_prologue(cfg, x, workspace)
         assert bands.approx.shape == bands.detail.shape == (0, 2, 4)
         assert band_forward(cfg, params, bands).shape == (0, 4, 2)
     assert model_mod.gate_probabilities(cfg, params, x).shape == (0, 2, 2)
@@ -1403,13 +1403,24 @@ def test_closing_the_served_batches_early_leaves_no_thread(monkeypatch, variant,
 
 def test_block_workers_share_the_cpus_with_blas(monkeypatch):
     """The BLAS thread count comes from OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS (a count below one is not set, as BLAS reads it), and
-    the blocks get the CPUs it leaves; with neither set, they run inline."""
+    GOTO_NUM_THREADS, then OMP_NUM_THREADS (a count below one is not set,
+    as BLAS reads it), and the blocks get the CPUs it leaves; with none
+    set, they run inline."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     assert model_mod.blas_threads() is None
     assert model_mod._block_workers() == 1
+    monkeypatch.setenv("GOTO_NUM_THREADS", "1")
+    assert model_mod.blas_threads() == ("GOTO_NUM_THREADS", 1)
+    assert model_mod._block_workers() == 5
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert model_mod.blas_threads() == ("GOTO_NUM_THREADS", 1)
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert model_mod.blas_threads() == ("GOTO_NUM_THREADS", 2)
+    assert model_mod._block_workers() == 2
+    monkeypatch.setenv("GOTO_NUM_THREADS", "0")
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
     assert model_mod.blas_threads() == ("OMP_NUM_THREADS", 2)
@@ -1482,9 +1493,9 @@ def test_train_batches_checks_each_batch_before_any_thread_reads_it(monkeypatch,
         taken.append(np.asarray(rows).tolist())
         return real_take(source, rows)
 
-    def prologue(cfg, x, local=None):
+    def prologue(cfg, x, workspace=np.empty):
         prologues.append(len(x))
-        return real_prologue(cfg, x, local)
+        return real_prologue(cfg, x, workspace)
 
     monkeypatch.setattr(model_mod, "check_origins", check)
     monkeypatch.setattr(model_mod, "take_windows", take)
@@ -1517,9 +1528,9 @@ def test_a_one_batch_band_path_call_runs_inline(monkeypatch, workers):
     monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
     ran_on, real = [], model_mod.band_prologue
 
-    def prologue(cfg, x, local=None):
+    def prologue(cfg, x, workspace=np.empty):
         ran_on.append(threading.current_thread())
-        return real(cfg, x, local)
+        return real(cfg, x, workspace)
 
     monkeypatch.setattr(model_mod, "band_prologue", prologue)
     threads = threading.active_count()
@@ -1528,6 +1539,49 @@ def test_a_one_batch_band_path_call_runs_inline(monkeypatch, workers):
         batch_loss(cfg, params, batch).backward()
     assert ran_on == [threading.current_thread()]
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("caller_works", [False, True])
+@pytest.mark.parametrize("sizes", [[0, 4, 2, 8, 8], [8], [4, 2]])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_block_thread_has_one_grow_only_workspace(monkeypatch, workers, sizes, caller_works):
+    """_blocks hands every task its thread's workspace: a first request of
+    size 0 on a fresh thread works, a thread's requests share one buffer
+    until a larger one grows it, no two threads share memory, the results
+    come back in block order, and a single block or a single worker runs
+    inline and starts no thread. The first blocks wait for each other, so
+    each runs on its own pool thread."""
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    inline = workers == 1 or len(sizes) == 1
+    together = 1 if inline else min(workers - caller_works, len(sizes))
+    barrier, requests = threading.Barrier(together, timeout=10), []
+
+    def run(workspace, block):
+        index, size = block
+        thread = threading.current_thread()
+        for wanted in (0, size):
+            got = workspace(wanted)
+            assert got.shape == (wanted,) and got.dtype == np.float64
+            requests.append((thread, got))
+        if index < together:
+            barrier.wait()
+        return size
+
+    threads = threading.active_count()
+    assert list(model_mod._blocks(run, enumerate(sizes), caller_works)) == sizes
+    assert threading.active_count() == threads
+    used = {thread for thread, _ in requests}
+    assert (used == {threading.current_thread()}) == inline and len(used) == together
+    for thread in used:
+        own = [got for who, got in requests if who is thread]
+        capacity, buffer = 0, own[0].base
+        for index, got in enumerate(own):
+            if got.size > capacity:
+                assert got.base is not buffer and not any(np.shares_memory(got, seen) for seen in own[:index])
+                capacity, buffer = got.size, got.base
+            assert got.base is buffer and (got.size == 0 or np.shares_memory(got, buffer))
+        others = [got for who, got in requests if who is not thread]
+        assert not any(np.shares_memory(got, other) for got in own for other in others)
 
 
 def test_folded_mse_full_batch_gradient_identity(monkeypatch):
